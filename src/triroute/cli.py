@@ -205,7 +205,7 @@ def cmd_render(args) -> int:
                 raise tio.ParseError("plan robot count differs from instance")
         else:
             cplan = loaded
-            if len(cplan.trajectories) != inst.n:
+            if len(cplan.paths) != inst.n:
                 raise tio.ParseError("plan robot count differs from instance")
     svg = trender.render(ws, grid=grid, inst=inst, dplan=dplan, cplan=cplan,
                          mode=args.mode, at=args.time)

@@ -368,8 +368,13 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
             f.write(export_lp(model))
         cmd = template.format(model=model_path, solution=sol_path,
                               python=sys.executable)
+        # the child imports triroute from wherever this process did
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (root, os.environ.get("PYTHONPATH")) if p))
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+            proc = subprocess.run(shlex.split(cmd), capture_output=True,
+                                  text=True, env=env)
         except OSError as exc:
             raise SolverError(f"cannot run solver command {cmd!r}: {exc}") from exc
         if proc.returncode != 0:

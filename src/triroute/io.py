@@ -6,6 +6,8 @@ repr(), so write -> read round-trips are lossless.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .discretize import (ContinuousInstance, InadmissibleInstanceError,
                          check_clearance, validate_separation)
 from .geometry import Vec2, build_workspace
@@ -94,12 +96,25 @@ def format_discrete_plan(plan: DiscretePlan) -> str:
 
 
 def format_continuous_plan(plan: ContinuousPlan) -> str:
-    lines = [f"{PLAN_HEADER} continuous", f"robots {len(plan.trajectories)}"]
-    for r, pts in enumerate(plan.trajectories):
-        lines.append(f"disc {r + 1} {len(pts)}")
-        for t, p in pts:
-            lines.append(f"pt {t!r} {p.x!r} {p.y!r}")
-    return "\n".join(lines) + "\n"
+    parts = [f"{PLAN_HEADER} continuous\nrobots {len(plan.paths)}\n"]
+    if plan.paths:
+        rows = np.concatenate(plan.paths)
+        # times repeat across discs and coordinates across vertices: one
+        # repr per distinct float, keyed by its bits (0.0 and -0.0 differ)
+        words = np.empty((len(rows), 4), dtype=object)   # "pt t x y\n"
+        words[:, 0] = "pt "
+        for c, sep in enumerate((" ", " ", "\n")):
+            bits, idx = np.unique(rows[:, c].view(np.int64),
+                                  return_inverse=True)
+            words[:, c + 1] = np.array([repr(v) + sep for v in
+                                        bits.view(np.float64).tolist()],
+                                       dtype=object)[idx.ravel()]
+        end = 0
+        for r, p in enumerate(plan.paths):
+            parts.append(f"disc {r + 1} {len(p)}\n")
+            parts.append("".join(words[end:end + len(p)].ravel().tolist()))
+            end += len(p)
+    return "".join(parts)
 
 
 def parse_plan(text: str) -> DiscretePlan | ContinuousPlan:
@@ -142,26 +157,35 @@ def _parse_continuous(lines: list[str]) -> ContinuousPlan:
         n = int(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParseError("bad plan preamble") from exc
-    trajectories: list[list[tuple[float, Vec2]]] = []
+    paths: list[np.ndarray] = []
     i = 2
     while i < len(lines):
         parts = lines[i].split()
         if parts[0] != "disc" or len(parts) != 3:
             raise ParseError(f"bad disc line: {lines[i]!r}")
-        npts = int(parts[2])
-        pts = []
-        for k in range(npts):
-            q = lines[i + 1 + k].split()
+        try:
+            npts = int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"bad disc line: {lines[i]!r}") from exc
+        if not 1 <= npts <= len(lines) - i - 1:
+            raise ParseError(f"disc line {lines[i]!r} wants {npts} points, "
+                             f"{len(lines) - i - 1} lines follow")
+        rows = []
+        for ln in lines[i + 1:i + 1 + npts]:
+            q = ln.split()
             if q[0] != "pt" or len(q) != 4:
-                raise ParseError(f"bad pt line: {lines[i + 1 + k]!r}")
-            pts.append((float(q[1]), Vec2(float(q[2]), float(q[3]))))
-        trajectories.append(pts)
+                raise ParseError(f"bad pt line: {ln!r}")
+            try:
+                rows.append((float(q[1]), float(q[2]), float(q[3])))
+            except ValueError as exc:
+                raise ParseError(f"bad pt line: {ln!r}") from exc
+        paths.append(np.array(rows))
         i += 1 + npts
-    if len(trajectories) != n:
-        raise ParseError(f"plan has {len(trajectories)} discs, header said {n}")
-    makespan = max((pts[-1][0] for pts in trajectories), default=0.0)
-    return ContinuousPlan(trajectories=trajectories, makespan=makespan,
-                          snap_in=0.0, grid_duration=makespan, snap_out=0.0)
+    if len(paths) != n:
+        raise ParseError(f"plan has {len(paths)} discs, header said {n}")
+    makespan = max((p[-1, 0] for p in paths), default=0.0)
+    return ContinuousPlan(paths, makespan=float(makespan), snap_in=0.0,
+                          grid_duration=float(makespan), snap_out=0.0)
 
 
 def read_plan(path: str) -> DiscretePlan | ContinuousPlan:

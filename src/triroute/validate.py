@@ -3,10 +3,44 @@
 Synthesis glues three phases: snap-in (straight lines to the assigned
 vertices over the max snap distance), the grid phase (each discrete step
 executed synchronously over one edge length of time, so speeds never
-exceed 1), and snap-out (the goal snap reversed).  Validation computes
-the exact minimum center distance for every disc pair over every common
-linear window; discs are open, so the plan is collision-free when that
-minimum stays at or above 2 (within 1e-9).
+exceed 1), and snap-out (the goal snap reversed).
+
+A continuous plan holds one float64 array per disc whose rows are the
+breakpoints ``(t, x, y)`` in time order; the disc moves linearly from one
+row to the next.  ``ContinuousPlan.trajectories`` rebuilds the
+``(time, Vec2)`` lists from those arrays for readers that want points.
+
+Validation computes the exact minimum center distance for every disc pair
+over every common linear window; discs are open, so the plan is
+collision-free when that minimum stays at or above 2 (within 1e-9).  The
+breakpoint times of all discs, merged within 1e-12, cut the timeline into
+windows, and every disc is sampled at the window ends.  The windows are
+walked in chunks of ``CHUNK_WINDOWS``; the first window is a chunk of its
+own, checked over all pairs, so a finite minimum is known before the
+first wide chunk.  The threshold of a chunk is max(2 + 1e-6, smallest
+distance found so far).
+
+* Broad phase: a disc moves linearly between its samples, so over a chunk
+  it stays inside the bounding box of its samples there, and the distance
+  between two discs' boxes is a lower bound on their distance over the
+  whole chunk.  Pairs whose boxes lie farther apart than the threshold
+  can be neither a violation nor the minimum, and are dropped.  The
+  surviving pairs are found by sorting the boxes along x and sweeping.
+* Per window, the box of a surviving pair's offset at the window's two
+  ends bounds its distance in that window from below in the same way.
+* Narrow phase: the closest approach of each remaining pair and window,
+  in array expressions whose float operations are those of a per-window
+  loop over pairs, so the minimum, the violations (in window, then pair
+  order) and their times and distances do not depend on the chunking.
+  Both lower bounds carry a slack of ``BROAD_SLACK`` against rounding.
+
+Memory: the samples take 16 bytes per disc and window, less than the
+plan's own arrays.  A chunk holds its boxes (O(n) words), the sweep's
+candidate pairs, and a few float arrays of surviving pairs x
+``CHUNK_WINDOWS``.  Discs at least 2 apart only let nearby pairs survive,
+a few per disc, so a chunk's arrays stay O(n * CHUNK_WINDOWS) on a valid
+plan; a plan that piles many discs into one spot can keep up to all n^2/2
+pairs.
 """
 
 from __future__ import annotations
@@ -22,19 +56,60 @@ from .plan import DiscretePlan
 
 CONTACT = 2.0
 TOL = 1e-9
+CHUNK_WINDOWS = 32     # windows per broad-phase chunk
+BROAD_SLACK = 1e-9     # added to the threshold of the box tests
 
 
 class SynthesisError(ValueError):
     """Plan endpoints disagree with the snap assignments."""
 
 
-@dataclass
+def _rows(pts: list[tuple[float, Vec2]]) -> np.ndarray:
+    return np.array([(t, p.x, p.y) for t, p in pts],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+@dataclass(eq=False)
 class ContinuousPlan:
-    trajectories: list[list[tuple[float, Vec2]]]   # per disc: (time, point)
+    paths: list[np.ndarray]   # per disc: (K, 3) float64 rows (t, x, y)
     makespan: float
     snap_in: float
     grid_duration: float
     snap_out: float
+
+    @classmethod
+    def from_points(cls, trajectories: list[list[tuple[float, Vec2]]],
+                    makespan: float, snap_in: float, grid_duration: float,
+                    snap_out: float) -> ContinuousPlan:
+        """A plan from per-disc ``(time, point)`` lists."""
+        return cls([_rows(pts) for pts in trajectories], makespan, snap_in,
+                   grid_duration, snap_out)
+
+    @property
+    def trajectories(self) -> list[list[tuple[float, Vec2]]]:
+        """Per disc the ``(time, point)`` breakpoints, built from the
+        arrays on every access; assigning point lists replaces the
+        arrays.  Breakpoints at one position share one ``Vec2``."""
+        if not self.paths:
+            return []
+        rows = np.concatenate(self.paths)
+        # one Vec2 per position, keyed by its bits so 0.0 and -0.0 differ
+        keys = rows[:, 1:].copy().view(np.dtype((np.void, 16)))
+        xy, which = np.unique(keys, return_inverse=True)
+        points = [Vec2(x, y) for x, y in
+                  xy.view(np.float64).reshape(-1, 2).tolist()]
+        times, which = rows[:, 0].tolist(), which.ravel().tolist()
+        out, end = [], 0
+        for p in self.paths:
+            out.append([(t, points[k]) for t, k in
+                        zip(times[end:end + len(p)], which[end:end + len(p)])])
+            end += len(p)
+        return out
+
+    @trajectories.setter
+    def trajectories(self, trajectories: list[list[tuple[float, Vec2]]]
+                     ) -> None:
+        self.paths = [_rows(pts) for pts in trajectories]
 
 
 @dataclass
@@ -49,9 +124,18 @@ class ValidationReport:
         return self.boundary_ok and self.min_pair_clearance >= CONTACT - TOL
 
 
+def _vertex_xy(grid: TriGrid) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in grid.vertices], dtype=np.float64)
+
+
 def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
                snap_s: SnapResult, snap_g: SnapResult) -> ContinuousPlan:
-    """Timed piecewise-linear trajectories for the full three-phase plan."""
+    """Timed piecewise-linear trajectories for the full three-phase plan.
+
+    A breakpoint is kept when its time exceeds the disc's previous one by
+    more than 1e-15 or its position differs.  Grid-phase times grow by one
+    edge length per step, so that only ever drops the snap-in and
+    snap-out points."""
     n = inst.n
     if dplan.n != n:
         raise SynthesisError("plan robot count differs from instance")
@@ -65,122 +149,145 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
     t_out = snap_g.phase_duration
     makespan = t_in + t_grid + t_out
 
-    trajectories = []
+    steps = np.asarray(dplan.steps, dtype=np.intp)
+    body = np.empty((n, dplan.T, 3))
+    body[:, :, 0] = t_in + np.arange(1, dplan.T + 1) * EDGE_LEN
+    body[:, :, 1:] = _vertex_xy(grid)[steps[1:].T]
+
+    paths = []
     for r in range(n):
-        pts: list[tuple[float, Vec2]] = [(0.0, inst.starts[r])]
-
-        def append(t: float, p: Vec2) -> None:
-            lt, lp = pts[-1]
-            if t > lt + 1e-15 or (lp.x, lp.y) != (p.x, p.y):
-                pts.append((t, p))
-
-        append(t_in, snap_s.segments[r][1])
-        for k in range(1, len(dplan.steps)):
-            append(t_in + k * EDGE_LEN, grid.vertices[dplan.steps[k][r]])
-        append(makespan, inst.goals[r])
-        if pts[-1][0] < makespan - 1e-15:
-            pts.append((makespan, inst.goals[r]))
-        trajectories.append(pts)
-    return ContinuousPlan(trajectories=trajectories, makespan=makespan,
-                          snap_in=t_in, grid_duration=t_grid, snap_out=t_out)
+        s, e, g = inst.starts[r], snap_s.segments[r][1], inst.goals[r]
+        head = [(0.0, s.x, s.y)]
+        if t_in > 1e-15 or (s.x, s.y) != (e.x, e.y):
+            head.append((t_in, e.x, e.y))
+        lt, lx, ly = body[r, -1].tolist() if dplan.T else head[-1]
+        tail = []
+        if makespan > lt + 1e-15 or (lx, ly) != (g.x, g.y):
+            tail.append((makespan, g.x, g.y))
+            lt = makespan
+        if lt < makespan - 1e-15:
+            tail.append((makespan, g.x, g.y))
+        paths.append(np.concatenate(
+            (np.array(head), body[r], np.array(tail).reshape(-1, 3))))
+    return ContinuousPlan(paths, makespan=makespan, snap_in=t_in,
+                          grid_duration=t_grid, snap_out=t_out)
 
 
 def synthesize_discrete(grid: TriGrid, dplan: DiscretePlan) -> ContinuousPlan:
     """Trajectories for a purely discrete instance (endpoints on vertices)."""
     makespan = dplan.T * EDGE_LEN
-    trajectories = []
-    for r in range(dplan.n):
-        pts = [(0.0, grid.vertices[dplan.steps[0][r]])]
-        for k in range(1, len(dplan.steps)):
-            pts.append((k * EDGE_LEN, grid.vertices[dplan.steps[k][r]]))
-        trajectories.append(pts)
-    return ContinuousPlan(trajectories=trajectories, makespan=makespan,
-                          snap_in=0.0, grid_duration=makespan, snap_out=0.0)
+    steps = np.asarray(dplan.steps, dtype=np.intp)
+    block = np.empty((dplan.n, len(steps), 3))
+    block[:, :, 0] = np.arange(len(steps)) * EDGE_LEN
+    block[:, :, 1:] = _vertex_xy(grid)[steps.T]
+    return ContinuousPlan(list(block), makespan=makespan, snap_in=0.0,
+                          grid_duration=makespan, snap_out=0.0)
 
 
 def max_segment_speed(plan: ContinuousPlan) -> float:
-    worst = 0.0
-    for pts in plan.trajectories:
-        for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-            if t1 > t0:
-                worst = max(worst, p0.dist(p1) / (t1 - t0))
-    return worst
+    """Fastest segment speed over all discs, 0 for a plan without motion."""
+    if not plan.paths:
+        return 0.0
+    d = np.diff(np.concatenate(plan.paths), axis=0)
+    # differences across the boundary between two discs are no segments
+    inside = np.ones(len(d), dtype=bool)
+    inside[np.cumsum([len(p) for p in plan.paths])[:-1] - 1] = False
+    d = d[inside & (d[:, 0] > 0)]
+    return float(np.max(np.hypot(d[:, 1], d[:, 2]) / d[:, 0], initial=0.0))
 
 
-def _sample_positions(plan: ContinuousPlan, times: np.ndarray) -> np.ndarray:
-    """(n, len(times), 2) positions by linear interpolation."""
-    n = len(plan.trajectories)
-    out = np.empty((n, len(times), 2))
-    for r, pts in enumerate(plan.trajectories):
-        ts = np.array([t for t, _ in pts])
-        xs = np.array([p.x for _, p in pts])
-        ys = np.array([p.y for _, p in pts])
-        out[r, :, 0] = np.interp(times, ts, xs)
-        out[r, :, 1] = np.interp(times, ts, ys)
-    return out
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of (2, ...) coordinate planes, x term first."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _near_pairs(lo: np.ndarray, hi: np.ndarray, bound: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Disc pairs ``i < j``, in lexicographic order, whose boxes
+    ``lo[:, r]``..``hi[:, r]`` lie at most ``bound`` apart.  Sort and
+    sweep along x: in ``lo[0]`` order, the boxes that start within
+    ``bound`` of a box's end follow it in one run."""
+    n = lo.shape[1]
+    order = np.argsort(lo[0])
+    lo, hi = lo[:, order], hi[:, order]
+    end = np.searchsorted(lo[0], hi[0] + bound, side="right")
+    count = np.maximum(end - np.arange(1, n + 1), 0)
+    a = np.repeat(np.arange(n), count)
+    b = np.arange(len(a)) + np.repeat(np.arange(1, n + 1) - np.cumsum(count)
+                                      + count, count)
+    lo_a, hi_a = lo.take(a, axis=1), hi.take(a, axis=1)
+    lo_b, hi_b = lo.take(b, axis=1), hi.take(b, axis=1)
+    gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    near = _dot(gap, gap) <= bound * bound
+    i, j = order[a[near]], order[b[near]]
+    key = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return key // n, key % n
 
 
 def validate(plan: ContinuousPlan, ws: Workspace) -> ValidationReport:
     """Exact pairwise minimum distances over all common linear windows,
     plus boundary clearance of 1 for every breakpoint (segments stay
     inside by convexity)."""
-    n = len(plan.trajectories)
-    boundary_ok = True
-    for pts in plan.trajectories:
-        for _, p in pts:
-            if min(p.x, p.y, ws.w - p.x, ws.h - p.y) < 1.0 - TOL:
-                boundary_ok = False
+    n = len(plan.paths)
+    rows = np.concatenate(plan.paths) if n else np.empty((0, 3))
+    x, y = rows[:, 1], rows[:, 2]
+    boundary_ok = not (rows.size and np.min((x, y, ws.w - x, ws.h - y))
+                       < 1.0 - TOL)
 
     if n < 2:
         return ValidationReport(min_pair_clearance=math.inf, violations=[],
                                 boundary_ok=boundary_ok, makespan=plan.makespan)
 
-    times = sorted({t for pts in plan.trajectories for t, _ in pts})
+    times = np.unique(rows[:, 0]).tolist()
     merged = [times[0]]
     for t in times[1:]:
         if t - merged[-1] > 1e-12:
             merged.append(t)
     times_arr = np.array(merged)
-    pos = _sample_positions(plan, times_arr)
+    pos = np.empty((2, n, len(merged)))     # x and y planes
+    for r, p in enumerate(plan.paths):
+        pos[0, r] = np.interp(times_arr, p[:, 0], p[:, 1])
+        pos[1, r] = np.interp(times_arr, p[:, 0], p[:, 2])
 
-    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
-    pi, pj = pairs[:, 0], pairs[:, 1]
     min_clear = math.inf
     violations: list[tuple[tuple[int, int], float, float]] = []
-
-    for k in range(len(merged) - 1):
-        a0, a1 = pos[:, k, :], pos[:, k + 1, :]
-        dp = a0[pj] - a0[pi]
-        dv = (a1[pj] - a1[pi]) - dp
-        # skip pairs that provably stay farther than the current threshold
-        d_start = np.linalg.norm(dp, axis=1)
-        move = np.linalg.norm(dv, axis=1)
-        cand = d_start - move <= max(CONTACT + 1e-6, min_clear)
-        if not np.any(cand):
+    w = len(merged) - 1
+    for k0 in ([0, *range(1, w, CHUNK_WINDOWS)] if w else []):
+        k1 = 1 if k0 == 0 else min(k0 + CHUNK_WINDOWS, w)
+        chunk = pos[:, :, k0:k1 + 1]
+        bound = max(CONTACT + 1e-6, min_clear) + BROAD_SLACK
+        pi, pj = _near_pairs(chunk.min(axis=2), chunk.max(axis=2), bound)
+        # offsets, shape (2, pairs, windows + 1)
+        d = chunk.take(pj, axis=1) - chunk.take(pi, axis=1)
+        a, b = d[:, :, :-1], d[:, :, 1:]
+        gap = np.maximum(np.maximum(np.minimum(a, b), -np.maximum(a, b)), 0.0)
+        # window-major, then pair order, as a per-window loop finds them
+        kk, ss = np.nonzero((_dot(gap, gap) <= bound * bound).T)
+        if not len(kk):
             continue
-        dpc, dvc = dp[cand], dv[cand]
-        vv = np.einsum("ij,ij->i", dvc, dvc)
-        d0 = np.einsum("ij,ij->i", dpc, dpc)
-        pe = dpc + dvc
-        d1 = np.einsum("ij,ij->i", pe, pe)
-        tt = np.where(vv > 0, -np.einsum("ij,ij->i", dpc, dvc)
-                      / np.where(vv > 0, vv, 1.0), 0.0)
-        tt = np.clip(tt, 0.0, 1.0)
-        pm = dpc + tt[:, None] * dvc
-        dm = np.einsum("ij,ij->i", pm, pm)
-        all3 = np.stack([d0, dm, d1])
-        which = np.argmin(all3, axis=0)
-        dmin = np.sqrt(all3[which, np.arange(all3.shape[1])])
-        t_lo, t_hi = merged[k], merged[k + 1]
-        tbest = np.choose(which, [np.zeros_like(tt), tt, np.ones_like(tt)])
-        idxs = np.nonzero(cand)[0]
+        first = ss * (k1 - k0 + 1) + kk     # flat index of the window start
+        dp = d.reshape(2, -1).take(first, axis=1)
+        dv = d.reshape(2, -1).take(first + 1, axis=1) - dp
+        vv = _dot(dv, dv)
+        d0 = _dot(dp, dp)
+        pe = dp + dv
+        d1 = _dot(pe, pe)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = np.clip(np.where(vv > 0, -_dot(dp, dv) / vv, 0.0), 0.0, 1.0)
+        pm = dp + tt * dv
+        dm = _dot(pm, pm)
+        dmin = np.sqrt(np.minimum(np.minimum(d0, dm), d1))
         min_clear = min(min_clear, float(dmin.min()))
         bad = np.nonzero(dmin < CONTACT - TOL)[0]
-        for bk in bad:
-            gi = idxs[bk]
-            violations.append(((int(pi[gi]), int(pj[gi])),
-                               t_lo + float(tbest[bk]) * (t_hi - t_lo),
-                               float(dmin[bk])))
+        if not len(bad):
+            continue
+        which = np.argmin(np.stack([d0[bad], dm[bad], d1[bad]]), axis=0)
+        tbest = np.choose(which, [0.0, tt[bad], 1.0])
+        k = k0 + kk[bad]
+        when = times_arr[k] + tbest * (times_arr[k + 1] - times_arr[k])
+        for i, j, t, dist in zip(pi[ss[bad]].tolist(), pj[ss[bad]].tolist(),
+                                 when.tolist(), dmin[bad].tolist()):
+            violations.append(((i, j), t, dist))
 
     return ValidationReport(min_pair_clearance=min_clear,
                             violations=violations,

@@ -206,3 +206,112 @@ def snap_clearance_infimum() -> SnapInfimum:
             result = SnapInfimum(value, witness[0], witness[1],
                                  verts[k].copy())
     return result
+
+
+class ReferenceValidation(NamedTuple):
+    min_pair_clearance: float
+    violations: list      # ((i, j), time, distance) in (window, pair) order
+    boundary_ok: bool
+
+
+def _reference_positions(trajectories, times: np.ndarray) -> np.ndarray:
+    """(n, len(times), 2) positions by linear interpolation."""
+    out = np.empty((len(trajectories), len(times), 2))
+    for r, pts in enumerate(trajectories):
+        ts = np.array([t for t, _ in pts])
+        out[r, :, 0] = np.interp(times, ts, np.array([p.x for _, p in pts]))
+        out[r, :, 1] = np.interp(times, ts, np.array([p.y for _, p in pts]))
+    return out
+
+
+def reference_validate(plan, ws) -> ReferenceValidation:
+    """Plan validation by a per-window loop over all disc pairs, on the
+    (time, point) lists: merged breakpoint times, the closest approach of
+    every pair in every window, and a boundary check per breakpoint.  A
+    pair is skipped in a window only when its start distance minus its
+    relative motion exceeds max(2 + 1e-6, minimum so far)."""
+    trajectories = plan.trajectories
+    n = len(trajectories)
+    boundary_ok = not any(min(p.x, p.y, ws.w - p.x, ws.h - p.y) < 1.0 - 1e-9
+                          for pts in trajectories for _, p in pts)
+    if n < 2:
+        return ReferenceValidation(math.inf, [], boundary_ok)
+
+    times = sorted({t for pts in trajectories for t, _ in pts})
+    merged = [times[0]]
+    for t in times[1:]:
+        if t - merged[-1] > 1e-12:
+            merged.append(t)
+    pos = _reference_positions(trajectories, np.array(merged))
+
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    pi, pj = pairs[:, 0], pairs[:, 1]
+    min_clear = math.inf
+    violations = []
+    for k in range(len(merged) - 1):
+        a0, a1 = pos[:, k, :], pos[:, k + 1, :]
+        dp = a0[pj] - a0[pi]
+        dv = (a1[pj] - a1[pi]) - dp
+        cand = (np.linalg.norm(dp, axis=1) - np.linalg.norm(dv, axis=1)
+                <= max(2.0 + 1e-6, min_clear))
+        if not np.any(cand):
+            continue
+        dpc, dvc = dp[cand], dv[cand]
+        vv = np.einsum("ij,ij->i", dvc, dvc)
+        d0 = np.einsum("ij,ij->i", dpc, dpc)
+        pe = dpc + dvc
+        d1 = np.einsum("ij,ij->i", pe, pe)
+        tt = np.where(vv > 0, -np.einsum("ij,ij->i", dpc, dvc)
+                      / np.where(vv > 0, vv, 1.0), 0.0)
+        tt = np.clip(tt, 0.0, 1.0)
+        pm = dpc + tt[:, None] * dvc
+        dm = np.einsum("ij,ij->i", pm, pm)
+        all3 = np.stack([d0, dm, d1])
+        which = np.argmin(all3, axis=0)
+        dmin = np.sqrt(all3[which, np.arange(all3.shape[1])])
+        tbest = np.choose(which, [np.zeros_like(tt), tt, np.ones_like(tt)])
+        idxs = np.nonzero(cand)[0]
+        min_clear = min(min_clear, float(dmin.min()))
+        for bk in np.nonzero(dmin < 2.0 - 1e-9)[0]:
+            g = idxs[bk]
+            violations.append(((int(pi[g]), int(pj[g])),
+                               merged[k] + float(tbest[bk])
+                               * (merged[k + 1] - merged[k]),
+                               float(dmin[bk])))
+    return ReferenceValidation(min_clear, violations, boundary_ok)
+
+
+def reference_format_continuous_plan(plan) -> str:
+    """The continuous plan text, one ``repr`` per float, from the
+    (time, point) lists."""
+    lines = ["plan 1 continuous", f"robots {len(plan.trajectories)}"]
+    for r, pts in enumerate(plan.trajectories):
+        lines.append(f"disc {r + 1} {len(pts)}")
+        for t, p in pts:
+            lines.append(f"pt {t!r} {p.x!r} {p.y!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_synthesize(inst, grid, dplan, snap_s, snap_g):
+    """Per disc the (time, point) breakpoints of the three-phase plan, one
+    point at a time: a point is kept when its time exceeds the previous
+    one's by more than 1e-15 or its position differs."""
+    t_in = snap_s.phase_duration
+    makespan = t_in + dplan.T * EDGE + snap_g.phase_duration
+    out = []
+    for r in range(len(dplan.steps[0])):
+        pts = [(0.0, inst.starts[r])]
+
+        def append(t, p):
+            lt, lp = pts[-1]
+            if t > lt + 1e-15 or (lp.x, lp.y) != (p.x, p.y):
+                pts.append((t, p))
+
+        append(t_in, snap_s.segments[r][1])
+        for k in range(1, len(dplan.steps)):
+            append(t_in + k * EDGE, grid.vertices[dplan.steps[k][r]])
+        append(makespan, inst.goals[r])
+        if pts[-1][0] < makespan - 1e-15:
+            pts.append((makespan, inst.goals[r]))
+        out.append(pts)
+    return out

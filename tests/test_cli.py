@@ -1,6 +1,8 @@
 import os
 import random
 
+import pytest
+
 from triroute import io as tio
 from triroute.cli import main
 from triroute.discretize import validate_separation
@@ -73,8 +75,8 @@ def test_plan_round_trips(tmp_path):
 
     traj = [[(0.0, Vec2(1.25, 2.5)), (1.5, Vec2(3.0, 2.5))],
             [(0.0, Vec2(5.0, 5.0)), (1.5, Vec2(5.0, 5.0))]]
-    cplan = ContinuousPlan(trajectories=traj, makespan=1.5, snap_in=0,
-                           grid_duration=1.5, snap_out=0)
+    cplan = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0,
+                                       grid_duration=1.5, snap_out=0)
     back2 = tio.parse_plan(tio.format_continuous_plan(cplan))
     assert back2.trajectories == traj
 
@@ -215,6 +217,33 @@ def test_render_static_and_snapshot(tmp_path):
     assert run("render", "--instance", str(inst_path), "--out", str(out)) == 0
     text = out.read_text()
     assert "<circle" in text and "<line" in text
+
+
+MALFORMED_PLANS = {
+    "truncated": "plan 1 continuous\nrobots 1\ndisc 1 3\npt 0 1 1\n",
+    "count": "plan 1 continuous\nrobots 1\ndisc 1 two\npt 0 1 1\n",
+    "negative count": "plan 1 continuous\nrobots 1\ndisc 1 -1\npt 0 1 1\n",
+    "no points": "plan 1 continuous\nrobots 1\ndisc 1 0\n",
+    "coordinate": "plan 1 continuous\nrobots 1\ndisc 1 1\npt 0 x 1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_PLANS.values(),
+                         ids=MALFORMED_PLANS.keys())
+def test_malformed_continuous_plan_raises_parse_error(text):
+    with pytest.raises(tio.ParseError):
+        tio.parse_plan(text)
+
+
+def test_render_malformed_plan_exits_2(tmp_path, capsys):
+    inst_path = tmp_path / "m.oldr"
+    plan_path = tmp_path / "m.plan"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "1",
+               "--seed", "6", "--out", str(inst_path)) == 0
+    plan_path.write_text(MALFORMED_PLANS["truncated"])
+    assert run("render", "--instance", str(inst_path), "--plan",
+               str(plan_path), "--out", str(tmp_path / "m.svg")) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_gen_determinism(tmp_path):

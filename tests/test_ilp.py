@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +260,26 @@ def test_solver_cmd_resolution(monkeypatch):
     assert resolve_solver_cmd(None) == "envsolver {model} {solution}"
     # an explicit command wins over the environment
     assert resolve_solver_cmd("flag {model} {solution}") == "flag {model} {solution}"
+
+
+def test_external_solver_child_finds_the_package_without_pythonpath():
+    # the parent imports triroute only through sys.path; the solver child
+    # must still find it
+    src = str(Path(__import__("triroute").__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from triroute.discretize import discretize\n"
+        "from triroute.geometry import build_grid, build_workspace\n"
+        "from triroute.instances import dense_instance\n"
+        "from triroute.triilp import solve_triilp\n"
+        "ws = build_workspace(2, 3)\n"
+        "dinst, _, _ = discretize(dense_instance(ws, 3, 0), build_grid(ws))\n"
+        "plan, rep = solve_triilp(dinst, backend='external')\n"
+        "print(rep.makespan)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "TRIROUTE_SOLVER_CMD")}
+    proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+                          cwd=os.path.dirname(src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) >= 0

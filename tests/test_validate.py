@@ -4,12 +4,17 @@ import random
 import numpy as np
 import pytest
 
+from _oracles import (reference_format_continuous_plan, reference_synthesize,
+                      reference_validate)
+from conftest import full_occupancy_instance
+from triroute import io as tio
 from triroute.discretize import ContinuousInstance, discretize
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
 from triroute.instances import random_instance
+from triroute.paft import SwapEngine, paft
 from triroute.plan import DiscretePlan
-from triroute.triilp import solve_triilp
-from triroute.validate import (ContinuousPlan, SynthesisError,
+from triroute.triilp import solve_split, solve_triilp
+from triroute.validate import (CHUNK_WINDOWS, ContinuousPlan, SynthesisError,
                                max_segment_speed, optimality_metrics,
                                synthesize, synthesize_discrete, validate)
 
@@ -31,6 +36,20 @@ def test_synthesize_zero_makespan_when_identity(minimal_grid):
     plan = DiscretePlan(steps=[tuple(ss.assignment)])
     cp = synthesize(inst, g, plan, ss, sg)
     assert cp.makespan == 0.0
+
+
+def test_zero_disc_plan_through_every_layer(minimal_grid):
+    g = minimal_grid
+    inst = ContinuousInstance(workspace=g.workspace, starts=(), goals=())
+    dinst, ss, sg = discretize(inst, g)
+    for cp in (synthesize(inst, g, DiscretePlan(steps=[()]), ss, sg),
+               synthesize_discrete(g, DiscretePlan(steps=[(), ()]))):
+        rep = validate(cp, g.workspace)
+        assert rep.valid and rep.min_pair_clearance == math.inf
+        assert max_segment_speed(cp) == 0.0 and cp.trajectories == []
+        text = tio.format_continuous_plan(cp)
+        assert text == "plan 1 continuous\nrobots 0\n"
+        assert tio.parse_plan(text).paths == []
 
 
 def test_synthesize_single_edge_step(minimal_grid):
@@ -112,8 +131,8 @@ def test_validate_sharp_angle_concurrent_moves_collide(minimal_grid):
 def test_validate_boundary_clearance():
     ws = build_workspace(2, 3)
     traj = [[(0.0, Vec2(0.5, 3.0)), (1.0, Vec2(1.5, 3.0))]]
-    plan = ContinuousPlan(trajectories=traj, makespan=1.0, snap_in=0,
-                          grid_duration=1.0, snap_out=0)
+    plan = ContinuousPlan.from_points(traj, makespan=1.0, snap_in=0,
+                                      grid_duration=1.0, snap_out=0)
     rep = validate(plan, ws)
     assert not rep.boundary_ok
     assert not rep.valid
@@ -168,3 +187,156 @@ def test_optimality_metrics():
     m3 = optimality_metrics([(0, 0), (0, 0)])
     assert m3.aggregate == 1.0
     assert m3.per_instance == [1.0, 1.0]
+
+
+# ------------------------------------------------- array layers vs oracles
+
+@pytest.fixture(scope="module")
+def ilp_suite():
+    """The continuous ILP cases of the acceptance validity suite:
+    (instance, grid, plan, start snap, goal snap)."""
+    def case(n1, n2, seed, route):
+        ws = build_workspace(n1, n2)
+        inst = random_instance(ws, 2 + seed % 3, seed)
+        g = build_grid(ws)
+        dinst, ss, sg = discretize(inst, g)
+        return inst, g, route(dinst)[0], ss, sg
+
+    return ([case(2, 3, seed, solve_triilp) for seed in range(20)]
+            + [case(3, 3, seed, lambda d: solve_split(d, 2))
+               for seed in range(50, 70)])
+
+
+@pytest.fixture(scope="module")
+def paft_full(medium_grid):
+    """A full-occupancy PAFT plan on 4x5."""
+    inst = full_occupancy_instance(medium_grid, 0)
+    plan, _ = paft(inst, SwapEngine(medium_grid))
+    return plan
+
+
+def _shifted(cp, r, dx):
+    """A copy of the plan with disc r's interior breakpoints moved by dx."""
+    paths = [p.copy() for p in cp.paths]
+    paths[r][1:-1, 1] += dx
+    return ContinuousPlan(paths, cp.makespan, cp.snap_in, cp.grid_duration,
+                          cp.snap_out)
+
+
+def _same_report(plan, ws):
+    rep, ref = validate(plan, ws), reference_validate(plan, ws)
+    assert rep.min_pair_clearance.hex() == ref.min_pair_clearance.hex()
+    assert rep.boundary_ok == ref.boundary_ok
+    assert rep.violations == ref.violations
+    return rep
+
+
+def test_validate_matches_reference_on_colliding_plans(minimal_grid):
+    g = minimal_grid
+    a, b, c = g.triangles[0]
+    for steps in ([(a, b), (b, a)], [(a, b), (b, c)]):   # midpoint, sharp
+        rep = _same_report(synthesize_discrete(g, DiscretePlan(steps=steps)),
+                           g.workspace)
+        assert rep.violations
+
+
+def test_validate_keeps_pairs_just_inside_the_threshold():
+    # disc 1 creeps towards disc 0, a new minimum in every window, closing
+    # less per chunk than any margin a too-eager broad phase could drop
+    ws = build_workspace(6, 7)
+    traj = [[(0.5 * i, Vec2(10.0, 10.0)) for i in range(201)],
+            [(0.5 * i, Vec2(13.0 - 0.0045 * i, 10.0)) for i in range(201)],
+            [(0.0, Vec2(20.0, 3.0)), (100.0, Vec2(20.0, 14.0))]]
+    cp = ContinuousPlan.from_points(traj, 100.0, 0.0, 100.0, 0.0)
+    rep = _same_report(cp, ws)
+    assert abs(rep.min_pair_clearance - 2.1) < 1e-9 and rep.valid
+
+
+def test_validate_matches_reference_on_ilp_suite(ilp_suite):
+    for inst, g, plan, ss, sg in ilp_suite:
+        _same_report(synthesize(inst, g, plan, ss, sg), inst.workspace)
+
+
+def test_validate_matches_reference_on_full_occupancy_paft(medium_grid,
+                                                          paft_full):
+    ws = medium_grid.workspace
+    cp = synthesize_discrete(medium_grid, paft_full)
+    assert len(cp.paths[0]) - 1 > 10 * CHUNK_WINDOWS
+    assert _same_report(cp, ws).valid
+    # a disc pushed into its neighbours over some 200 windows: violations
+    # across chunks, in window order
+    head = synthesize_discrete(
+        medium_grid, DiscretePlan(steps=paft_full.steps[:200]))
+    rep = _same_report(_shifted(head, 7, 1.0), ws)
+    windows = {round(t / EDGE_LEN) for _, t, _ in rep.violations}
+    assert len(rep.violations) > 50 and len(windows) > 2 * CHUNK_WINDOWS
+
+
+def test_synthesize_matches_reference(ilp_suite, minimal_grid):
+    g = minimal_grid
+    pts = (g.vertices[5], g.vertices[9])
+    inst = ContinuousInstance(workspace=g.workspace, starts=pts, goals=pts)
+    dinst, ss, sg = discretize(inst, g)
+    identity = (inst, g, DiscretePlan(steps=[tuple(ss.assignment)]), ss, sg)
+    for case in [identity, *ilp_suite]:
+        cp = synthesize(*case)
+        assert cp.trajectories == reference_synthesize(*case)
+        assert all(p.dtype == np.float64 and p.shape[1] == 3
+                   for p in cp.paths)
+
+
+def test_format_matches_reference_and_round_trips(ilp_suite, medium_grid,
+                                                  paft_full):
+    plans = [synthesize(*case) for case in ilp_suite[::4]]
+    plans.append(synthesize_discrete(medium_grid, paft_full))
+    for cp in plans:
+        text = tio.format_continuous_plan(cp)
+        assert text == reference_format_continuous_plan(cp)
+        assert "np." not in text
+        assert tio.format_continuous_plan(tio.parse_plan(text)) == text
+
+
+def test_format_writes_python_float_reprs():
+    traj = [[(np.float64(0.0), Vec2(np.float64(1.0), np.float32(2.5))),
+             (1.5, Vec2(-0.0, 0.1 + 0.2))]]
+    cp = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0.0,
+                                    grid_duration=1.5, snap_out=0.0)
+    assert tio.format_continuous_plan(cp) == (
+        "plan 1 continuous\nrobots 1\ndisc 1 2\n"
+        "pt 0.0 1.0 2.5\npt 1.5 -0.0 0.30000000000000004\n")
+    assert all(type(v) is float for t, p in cp.trajectories[0]
+               for v in (t, p.x, p.y))
+    assert math.copysign(1.0, cp.trajectories[0][1][1].x) == -1.0
+
+
+def test_trajectories_view_and_assignment():
+    traj = [[(0.0, Vec2(1.25, 2.5)), (1.5, Vec2(3.0, 2.5))]]
+    cp = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0.0,
+                                    grid_duration=1.5, snap_out=0.0)
+    assert cp.trajectories == traj
+    cp.trajectories[0].append((2.0, Vec2(0.0, 0.0)))   # a copy, not the plan
+    assert cp.trajectories == traj
+    moved = [[(0.0, Vec2(1.25, 2.5)), (2.0, Vec2(5.0, 2.5))]]
+    cp.trajectories = moved
+    assert cp.trajectories == moved
+    assert cp.paths[0].tolist() == [[0.0, 1.25, 2.5], [2.0, 5.0, 2.5]]
+
+
+def test_max_segment_speed_matches_segment_loop(ilp_suite):
+    def loop(cp):
+        worst = 0.0
+        for pts in cp.trajectories:
+            for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
+                if t1 > t0:
+                    worst = max(worst, p0.dist(p1) / (t1 - t0))
+        return worst
+
+    for case in ilp_suite:
+        cp = synthesize(*case)
+        assert abs(max_segment_speed(cp) - loop(cp)) < 1e-12
+    # a zero-length segment and a jump between two discs' rows are no motion
+    traj = [[(0.0, Vec2(1.0, 1.0)), (0.0, Vec2(1.0, 1.0)),
+             (2.0, Vec2(2.0, 1.0))],
+            [(0.0, Vec2(9.0, 9.0)), (2.0, Vec2(9.0, 9.0))]]
+    cp = ContinuousPlan.from_points(traj, 2.0, 0.0, 2.0, 0.0)
+    assert max_segment_speed(cp) == 0.5
