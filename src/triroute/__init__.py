@@ -13,7 +13,7 @@ from .geometry import (EDGE_LEN, TriGrid, Vec2, Workspace, build_grid,
                        enumerate_sharp_angles, nearest_vertex,
                        triangle_circumradius)
 from .ilp import build_model, export_lp, extract_plan, solve
-from .paft import find_swap_schedule, isag, paft
+from .paft import isag, paft
 from .plan import DiscretePlan, check_plan
 from .prover import (Certificate, MovingDisc, enumerate_annulus_cells,
                      enumerate_region_boxes, min_pair_distance, verify)
@@ -29,7 +29,7 @@ __all__ = [
     "build_hex_covers", "build_model", "build_workspace", "check_plan",
     "density_limit", "discretize", "enumerate_annulus_cells",
     "enumerate_region_boxes", "enumerate_sharp_angles", "export_lp",
-    "extract_plan", "find_swap_schedule", "isag", "min_pair_distance",
+    "extract_plan", "isag", "min_pair_distance",
     "nearest_vertex", "optimality_metrics", "paft", "snap", "solve",
     "solve_split", "solve_triilp", "split_k_way", "synthesize",
     "synthesize_discrete", "triangle_circumradius", "underestimated_makespan",

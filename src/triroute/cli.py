@@ -1,7 +1,8 @@
 """Command-line front end: gen, solve, prove, bench, render.
 
 Exit codes: 0 success, 2 parse error / bad arguments, 3 inadmissible
-instance, 4 solver or generation failure, 5 validation failure.
+instance, 4 solver, planner invariant or generation failure, 5 validation
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from .discretize import InadmissibleInstanceError, discretize
 from .geometry import BoundsError, build_grid, build_workspace
 from .ilp import ExhaustiveGuardError, SolverError
 from .instances import GenerationError, dense_instance, random_instance
-from .paft import InfeasibleInstanceError, SwapEngine, isag, paft
+from .paft import (InfeasibleInstanceError, PlannerInvariantError, SwapEngine,
+                   SwapSearchError, isag, paft)
 from .prover import format_certificate, verify
 from .triilp import (HorizonExceededError, SolveReport, solve_split,
                      solve_triilp, underestimated_makespan)
@@ -294,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, HorizonExceededError, GenerationError,
-            ExhaustiveGuardError) as exc:
+            ExhaustiveGuardError, SwapSearchError, PlannerInvariantError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

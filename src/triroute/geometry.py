@@ -51,9 +51,6 @@ class Vec2:
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
 
-    def scaled(self, f: float) -> "Vec2":
-        return Vec2(self.x * f, self.y * f)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -103,7 +100,6 @@ class TriGrid:
     len_even: int = 0
     len_odd: int = 0
     # swap machinery support
-    hex_centers: list[list[int]] = field(default_factory=list)  # per cover
     ring_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     locked: frozenset[int] = frozenset()   # vertices with only sharp edge pairs
     covered: frozenset[int] = frozenset()  # vertices on at least one hexagon
@@ -119,9 +115,6 @@ class TriGrid:
 
     def has_vertex(self, col: int, row: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.row_len[row]
-
-    def neighbors(self, vid: int) -> list[int]:
-        return self.adjacency[vid]
 
 
 def build_workspace(n1: int, n2: int) -> Workspace:
@@ -291,7 +284,7 @@ def build_hex_covers(g: TriGrid) -> list[list[tuple[int, ...]]]:
         if len(g.adjacency[vid]) == 6:
             by_color[_color(g.col_of[vid], g.row_of[vid])].append(vid)
 
-    covers, centers = [], []
+    covers = []
     ring_of = {}
     covered: set[int] = set()
     for color in range(3):
@@ -304,7 +297,6 @@ def build_hex_covers(g: TriGrid) -> list[list[tuple[int, ...]]]:
             ring_of[c] = ring
             covered.update(ring)
         covers.append(cov)
-        centers.append(sorted(by_color[color]))
 
     locked = _locked_vertices(g)
     missing = set(range(g.n_vertices)) - covered - set(locked)
@@ -312,7 +304,6 @@ def build_hex_covers(g: TriGrid) -> list[list[tuple[int, ...]]]:
         raise CoverageError(
             f"hexagon covers miss non-corner vertices {sorted(missing)}")
 
-    g.hex_centers = centers
     g.ring_of = ring_of
     g.locked = locked
     g.covered = frozenset(covered)

@@ -41,6 +41,7 @@ class ExhaustiveGuardError(RuntimeError):
     """Instance exceeds the exhaustive backend's size guard."""
 
 
+EXHAUSTIVE_GUARD = (6, 8)  # largest (robots, horizon) the exhaustive backend takes
 DEFAULT_SOLVER_CMD = "{python} -m triroute.lpsolve {model} {solution}"
 SOLVER_CMD_ENV = "TRIROUTE_SOLVER_CMD"
 
@@ -165,30 +166,6 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
                     pruned_count=pruned)
 
 
-def sharp_angle_rows(model: IlpModel) -> list[tuple[list[tuple[int, int]], str, int]]:
-    """The per-angle exclusion family (one row per 60-degree corner).
-
-    Kept as a test oracle: any assignment satisfying the per-triangle
-    rows satisfies these, since an angle's two edges lie in its triangle.
-    """
-    from .geometry import enumerate_sharp_angles
-
-    rows = []
-    n = model.n
-    for t in range(model.T):
-        for ang in enumerate_sharp_angles(model.inst.grid):
-            terms = []
-            for r in range(n):
-                for (u, v) in ((ang.apex, ang.arm1), (ang.arm1, ang.apex),
-                               (ang.apex, ang.arm2), (ang.arm2, ang.apex)):
-                    col = model.index.get((r, u, v, t))
-                    if col is not None:
-                        terms.append((1, col))
-            if len(terms) > 1:
-                rows.append((terms, "<=", 1))
-    return rows
-
-
 def export_lp(model: IlpModel) -> str:
     """LP-format text with deterministic ordering and x_r_i_j_t names."""
     lines = ["Maximize"]
@@ -223,22 +200,21 @@ def _objective_value(model: IlpModel, assignment: dict[int, int]) -> int:
 
 
 def solve(model: IlpModel, backend: str = "exhaustive",
-          solver_cmd: str | None = None,
-          guard: tuple[int, int] = (6, 8)) -> Solution:
+          solver_cmd: str | None = None) -> Solution:
     """Optimize the model.
 
     exhaustive: deterministic search over per-robot time-expanded walks
     with constraint propagation; provably maximal objective.  Guarded to
-    small instances (robots, horizon) <= guard.
+    small instances (robots, horizon) <= EXHAUSTIVE_GUARD.
 
     external: writes LP text, runs the configured solver command (one
     subprocess, file in / file out), parses the "name value" solution.
     """
     if backend == "exhaustive":
-        if model.n > guard[0] or model.T > guard[1]:
+        if model.n > EXHAUSTIVE_GUARD[0] or model.T > EXHAUSTIVE_GUARD[1]:
             raise ExhaustiveGuardError(
                 f"exhaustive backend guard exceeded: n={model.n}, T={model.T}, "
-                f"guard={guard}")
+                f"guard={EXHAUSTIVE_GUARD}")
         return _solve_exhaustive(model)
     if backend == "external":
         return _solve_external(model, solver_cmd)

@@ -38,7 +38,11 @@ class InfeasibleInstanceError(ValueError):
 
 
 class SwapSearchError(RuntimeError):
-    """Rotation search exhausted without realizing the transposition."""
+    """No rotation word or staging path realizes a move, or a word is wrong."""
+
+
+class PlannerInvariantError(RuntimeError):
+    """A router invariant failed; the plan built so far is unusable."""
 
 
 _SEARCH_CAP = 400_000
@@ -82,6 +86,11 @@ def build_cell_partition(grid: TriGrid, d_g: int) -> CellPartition:
     side = min(max(5.0 * d_g, 2.0 * EDGE_LEN), max(ws.w, ws.h))
     cell_of = [(int(p.x // side), int(p.y // side)) for p in grid.vertices]
     return CellPartition(side=side, cell_of=cell_of, d_g=d_g)
+
+
+def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
+    """One synchronous step turning every disc on the ring by d positions."""
+    return tuple((v, ring[(i + d) % len(ring)]) for i, v in enumerate(ring))
 
 
 def _apply_perm(state: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,11 +215,10 @@ class SwapEngine:
         idx = {v: i for i, v in enumerate(slots)}
         gens = []
         for which in (0, 1):
-            ring = rings[which]
             for d in (1, -1):
                 perm = list(range(len(slots)))
-                for i, v in enumerate(ring):
-                    perm[idx[v]] = idx[ring[(i + d) % len(ring)]]
+                for u, v in _rotation(rings[which], d):
+                    perm[idx[u]] = idx[v]
                 gens.append(((which, d), tuple(perm)))
         ident = tuple(range(len(slots)))
         tgt = list(ident)
@@ -222,20 +230,17 @@ class SwapEngine:
     def _materialize(self, c1: int, c2: int, a: int, b: int,
                      word: list) -> SwapSchedule:
         rings = (self.grid.ring_of[c1], self.grid.ring_of[c2])
-        steps = []
-        for which, d in word:
-            ring = rings[which]
-            steps.append(tuple((ring[i], ring[(i + d) % len(ring)])
-                               for i in range(len(ring))))
+        steps = [_rotation(rings[which], d) for which, d in word]
         region = frozenset(rings[0]) | frozenset(rings[1])
-        pos = {v: v for v in region}
+        net = {v: v for v in region}
         for moves in steps:
             mv = dict(moves)
-            pos = {d0: mv.get(v, v) for d0, v in pos.items()}
-        net = dict(pos)
-        assert net[a] == b and net[b] == a, "schedule is not the transposition"
-        assert all(net[v] == v for v in region if v not in (a, b)), \
-            "schedule moves a bystander"
+            net = {d0: mv.get(v, v) for d0, v in net.items()}
+        swap = {a: b, b: a}
+        if any(net[v] != swap.get(v, v) for v in region):
+            raise SwapSearchError(
+                f"word {word} on rings {c1}, {c2} is not the transposition "
+                f"of ({a}, {b})")
         self.c_swap = max(self.c_swap, len(steps))
         return SwapSchedule(region=region,
                             footprint=region | frozenset((c1, c2)),
@@ -260,53 +265,6 @@ class SwapEngine:
                 return sched
         raise SwapSearchError(
             f"no rotation word for pair ({a}, {b}) after {tried} regions")
-
-
-def find_swap_schedule(g: TriGrid, hex_a: tuple[int, ...], hex_b: tuple[int, ...],
-                       a: int, b: int) -> SwapSchedule:
-    """Shortest rotation composition on two given hexagons whose net
-    effect transposes the discs at a and b (identity when a == b)."""
-    region = frozenset(hex_a) | frozenset(hex_b)
-    centers = []
-    for ring in (hex_a, hex_b):
-        adj = set(range(g.n_vertices))
-        for v in ring:
-            adj &= set(g.adjacency[v])
-        centers.extend(sorted(adj))
-    footprint = region | frozenset(centers)
-    if a == b:
-        return SwapSchedule(region=region, footprint=footprint, steps=[],
-                            net_permutation={v: v for v in region},
-                            centers=tuple(centers))
-    if a not in region or b not in region:
-        raise ValueError("a and b must lie inside the two hexagons")
-    slots = sorted(region)
-    idx = {v: i for i, v in enumerate(slots)}
-    gens = []
-    for which, ring in ((0, hex_a), (1, hex_b)):
-        for d in (1, -1):
-            perm = list(range(len(slots)))
-            for i, v in enumerate(ring):
-                perm[idx[v]] = idx[ring[(i + d) % len(ring)]]
-            gens.append(((which, d), tuple(perm)))
-    ident = tuple(range(len(slots)))
-    tgt = list(ident)
-    tgt[idx[a]], tgt[idx[b]] = tgt[idx[b]], tgt[idx[a]]
-    word = _bidirectional_search(gens, ident, tuple(tgt))
-    if word is None:
-        raise SwapSearchError(
-            f"no rotation word for ({a}, {b}) on the given hexagons")
-    steps = []
-    for which, d in word:
-        ring = (hex_a, hex_b)[which]
-        steps.append(tuple((ring[i], ring[(i + d) % len(ring)])
-                           for i in range(len(ring))))
-    pos = {v: v for v in region}
-    for moves in steps:
-        mv = dict(moves)
-        pos = {d0: mv.get(v, v) for d0, v in pos.items()}
-    return SwapSchedule(region=region, footprint=footprint, steps=steps,
-                        net_permutation=pos, centers=tuple(centers))
 
 
 def _avoid_path(grid: TriGrid, source: int, target: int,
@@ -361,7 +319,8 @@ class _Router:
         self.rows = [tuple(starts)]
 
     def add_virtual(self, v: int) -> int:
-        assert self.occ[v] == -1
+        if self.occ[v] != -1:
+            raise PlannerInvariantError(f"virtual disc on occupied vertex {v}")
         d = len(self.pos)
         self.pos.append(v)
         self.occ[v] = d
@@ -374,14 +333,16 @@ class _Router:
         discs = []
         for u, _ in moves:
             d = self.occ[u]
-            assert d != -1, f"move from empty vertex {u}"
+            if d == -1:
+                raise PlannerInvariantError(f"move from empty vertex {u}")
             discs.append(d)
             if d < self.n_real:
                 real_moved = True
         for u, _ in moves:
             self.occ[u] = -1
         for (u, v), d in zip(moves, discs):
-            assert self.occ[v] == -1, f"two discs target vertex {v}"
+            if self.occ[v] != -1:
+                raise PlannerInvariantError(f"two discs target vertex {v}")
             self.occ[v] = d
             self.pos[d] = v
         if real_moved:
@@ -464,10 +425,9 @@ class _Router:
         for i, path in enumerate(self.grid.horizontal_paths):
             seq = path if i % 2 == 0 else list(reversed(path))
             order.extend(v for v in seq if v in self.grid.covered)
-        assert set(order) == set(self.grid.covered)
-        for a, b in zip(order, order[1:]):
-            assert b in self.grid.adjacency[a], \
-                "snake threading broke at a dropped corner"
+        if set(order) != self.grid.covered or any(
+                b not in self.grid.adjacency[a] for a, b in zip(order, order[1:])):
+            raise PlannerInvariantError("snake threading broke at a dropped corner")
         return order
 
     def _run_rounds(self, snake: list[int], cmp_val, active: list[tuple[int, int]]
@@ -481,7 +441,8 @@ class _Router:
         rounds = 0
         while clean_streak < 2:
             rounds += 1
-            assert rounds <= max_len + 4, "odd-even rounds failed to converge"
+            if rounds > max_len + 4:
+                raise PlannerInvariantError("odd-even rounds failed to converge")
             wanted: list[tuple[int, int]] = []
             for lo, hi in active:
                 p = lo + ((parity + lo) % 2)
@@ -538,9 +499,9 @@ class _Router:
                 return 1 if k >= mid else 0
 
             self._run_rounds(snake, cmp_val, splits + leaves)
-            for lo, hi in leaves:
-                for p in range(lo, hi):
-                    assert key[self.occ[snake[p]]] == p, "leaf sort incomplete"
+            if any(key[self.occ[snake[p]]] != p
+                   for lo, hi in leaves for p in range(lo, hi)):
+                raise PlannerInvariantError("leaf sort incomplete")
             intervals = []
             for lo, hi in splits:
                 mid = (lo + hi) // 2
@@ -557,33 +518,30 @@ class _Router:
         for d, tv in target_of.items():
             if d < self.n_real:
                 dist[d] = bfs_distances(self.grid, tv)
-        centers = sorted(self.grid.ring_of)
+        steps = {(c, dr): _rotation(self.grid.ring_of[c], dr)
+                 for c in sorted(self.grid.ring_of) for dr in (1, -1)}
         done = 0
         for _ in range(cap):
             options = []
-            for c in centers:
-                ring = self.grid.ring_of[c]
-                for dr in (1, -1):
-                    gain = 0
-                    for i, v in enumerate(ring):
-                        dt = dist.get(self.occ[v])
-                        if dt is not None:
-                            gain += dt[v] - dt[ring[(i + dr) % len(ring)]]
-                    if gain > 0:
-                        options.append((-gain, c, dr))
+            for (c, dr), step in steps.items():
+                gain = 0
+                for u, v in step:
+                    dt = dist.get(self.occ[u])
+                    if dt is not None:
+                        gain += dt[u] - dt[v]
+                if gain > 0:
+                    options.append((-gain, c, dr))
             if not options:
                 break
             options.sort()
             used: set[int] = set()
             moves: list[tuple[int, int]] = []
             for _, c, dr in options:
-                ring = self.grid.ring_of[c]
-                fp = set(ring) | {c}
+                fp = set(self.grid.ring_of[c]) | {c}
                 if fp & used:
                     continue
                 used |= fp
-                moves.extend((ring[i], ring[(i + dr) % len(ring)])
-                             for i in range(len(ring)))
+                moves.extend(steps[c, dr])
             self.apply_step(moves)
             done += 1
         return done
@@ -605,7 +563,8 @@ def _completion_targets(router: _Router, inst: DiscreteInstance
     stay = [v for v in holes if v in leftovers]
     roam = [v for v in holes if v not in leftovers]
     roam_targets = sorted(leftovers - set(stay))
-    assert len(roam) == len(roam_targets)
+    if len(roam) != len(roam_targets):
+        raise PlannerInvariantError("hole count differs from free targets")
     for v in stay:
         target_of[router.add_virtual(v)] = v
     for v, t in zip(roam, roam_targets):
@@ -613,9 +572,26 @@ def _completion_targets(router: _Router, inst: DiscreteInstance
     return target_of
 
 
-def _verify_goals(router: _Router, inst: DiscreteInstance) -> None:
-    for r, g in enumerate(inst.v_goals):
-        assert router.pos[r] == g, f"robot {r} ended at {router.pos[r]}, not {g}"
+def _route(inst: DiscreteInstance, engine: SwapEngine | None,
+           circulation_cap: int | None = None) -> tuple[DiscretePlan, int, int]:
+    """Routing core shared by isag and paft: settle the boundary, complete
+    with virtual discs, run greedy circulations (only when capped), sort,
+    check every goal.  Returns the plan, the circulation rounds run and
+    the engine's swap constant."""
+    router = _Router(inst.grid, engine)
+    router.load(inst.v_starts)
+    circ = 0
+    if tuple(inst.v_starts) != tuple(inst.v_goals):
+        router.settle_boundary(inst.v_goals)
+        target_of = _completion_targets(router, inst)
+        if circulation_cap is not None:
+            circ = router.greedy_circulations(target_of, circulation_cap)
+        router.sort_covered(target_of)
+        for r, g in enumerate(inst.v_goals):
+            if router.pos[r] != g:
+                raise PlannerInvariantError(
+                    f"robot {r} ended at {router.pos[r]}, not {g}")
+    return router.finish(), circ, router.engine.c_swap
 
 
 def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
@@ -626,15 +602,7 @@ def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
     with virtual discs so the sort operates on a full permutation.  A
     shared SwapEngine carries warm schedule caches across instances.
     """
-    router = _Router(inst.grid, engine)
-    router.load(inst.v_starts)
-    if tuple(inst.v_starts) == tuple(inst.v_goals):
-        return router.finish()
-    router.settle_boundary(inst.v_goals)
-    target_of = _completion_targets(router, inst)
-    router.sort_covered(target_of)
-    _verify_goals(router, inst)
-    return router.finish()
+    return _route(inst, engine)[0]
 
 
 def max_goal_distance(inst: DiscreteInstance) -> int:
@@ -654,22 +622,11 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
                                 cell_count=1, circulation_steps=0,
                                 swap_constant=0)
     partition = build_cell_partition(inst.grid, d_g)
-    router = _Router(inst.grid, engine)
-    router.load(inst.v_starts)
-    router.settle_boundary(inst.v_goals)
-    target_of = _completion_targets(router, inst)
-    circ = 0
+    cap = None
     if partition.cell_count > 1:
-        diameter_cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
-        circ = router.greedy_circulations(target_of, cap=diameter_cap)
-    router.sort_covered(target_of)
-    _verify_goals(router, inst)
-    # final per-cell pass: everyone is on an exact goal, cells must agree
-    for r, g in enumerate(inst.v_goals):
-        assert partition.cell_of[router.pos[r]] == partition.cell_of[g]
-    plan = router.finish()
+        cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
+    plan, circ, c_swap = _route(inst, engine, cap)
     return plan, PaftReport(makespan=plan.T, max_goal_distance=d_g,
                             ratio=plan.T / max(1, d_g),
                             cell_count=partition.cell_count,
-                            circulation_steps=circ,
-                            swap_constant=router.engine.c_swap)
+                            circulation_steps=circ, swap_constant=c_swap)

@@ -45,8 +45,7 @@ def _ratio(makespan: int, underestimate: int) -> float:
 
 def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
                  solver_cmd: str | None = None,
-                 horizon_margin: int | None = None,
-                 guard: tuple[int, int] = (6, 8)
+                 horizon_margin: int | None = None
                  ) -> tuple[DiscretePlan, SolveReport]:
     """Smallest-horizon routing: try T = lower bound, lower bound + 1, ...
 
@@ -69,7 +68,7 @@ def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
     while T <= ceiling:
         iterations += 1
         model = build_model(inst, T)
-        sol = solve(model, backend=backend, solver_cmd=solver_cmd, guard=guard)
+        sol = solve(model, backend=backend, solver_cmd=solver_cmd)
         if sol.objective_value == inst.n:
             plan = extract_plan(model, sol)
             return plan, SolveReport(makespan=T, underestimate=lo,
@@ -114,22 +113,18 @@ def split_k_way(inst: DiscreteInstance, k: int) -> list[DiscreteInstance]:
 
 
 def solve_split(inst: DiscreteInstance, k: int, backend: str = "exhaustive",
-                solver_cmd: str | None = None,
-                guard: tuple[int, int] = (6, 8)
+                solver_cmd: str | None = None
                 ) -> tuple[DiscretePlan, SolveReport]:
     """Solve the k sub-instances in sequence and concatenate the plans."""
     t0 = time.perf_counter()
     if k == 1:
-        plan, report = solve_triilp(inst, backend=backend, solver_cmd=solver_cmd,
-                                    guard=guard)
-        return plan, report
+        return solve_triilp(inst, backend=backend, solver_cmd=solver_cmd)
     subs = split_k_way(inst, k)
     steps: list[tuple[int, ...]] = [tuple(inst.v_starts)]
     total = 0
     iterations = 0
     for sub in subs:
-        plan, rep = solve_triilp(sub, backend=backend, solver_cmd=solver_cmd,
-                                 guard=guard)
+        plan, rep = solve_triilp(sub, backend=backend, solver_cmd=solver_cmd)
         total += rep.makespan
         iterations += rep.iterations
         steps.extend(plan.steps[1:])  # drop the duplicated junction row

@@ -114,6 +114,30 @@ def joint_bfs_makespan(grid, starts, goals, cap: int = 40) -> int | None:
     return None
 
 
+def sharp_angle_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
+    """The per-angle exclusion family (one row per 60-degree corner).
+
+    Any assignment satisfying the ILP's per-triangle rows satisfies
+    these, since an angle's two edges lie in its triangle.
+    """
+    from triroute.geometry import enumerate_sharp_angles
+
+    rows = []
+    n = model.n
+    for t in range(model.T):
+        for ang in enumerate_sharp_angles(model.inst.grid):
+            terms = []
+            for r in range(n):
+                for (u, v) in ((ang.apex, ang.arm1), (ang.arm1, ang.apex),
+                               (ang.apex, ang.arm2), (ang.arm2, ang.apex)):
+                    col = model.index.get((r, u, v, t))
+                    if col is not None:
+                        terms.append((1, col))
+            if len(terms) > 1:
+                rows.append((terms, "<=", 1))
+    return rows
+
+
 class SnapInfimum(NamedTuple):
     """Infimum of the snap-phase clearance and a configuration attaining
     it: s_i moves to the origin, s_j moves to v_j."""

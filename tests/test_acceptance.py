@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from _oracles import (joint_bfs_makespan, sampled_min_distance,
-                      snap_clearance_infimum)
+                      sharp_angle_rows, snap_clearance_infimum)
 from conftest import full_occupancy_instance, random_discrete_instance
 from triroute import io as tio
 from triroute.cli import main as cli_main
 from triroute.discretize import DiscreteInstance, discretize, snap
 from triroute.geometry import (EDGE_LEN, build_grid, build_workspace,
                                density_limit, triangle_circumradius)
-from triroute.ilp import build_model, sharp_angle_rows, solve
+from triroute.ilp import build_model, solve
 from triroute.instances import dense_instance, random_instance
 from triroute.paft import SwapEngine, isag, paft
 from triroute.plan import check_plan

@@ -8,6 +8,7 @@ from triroute.cli import main
 from triroute.discretize import validate_separation
 from triroute.geometry import Vec2, build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points, random_instance
+from triroute.paft import SwapEngine, _Router
 from triroute.validate import ContinuousPlan
 
 
@@ -149,6 +150,30 @@ def test_exit_codes(tmp_path):
                "--solver-cmd", "/does/not/exist {model} {solution}") == 4
     # unknown verbs and bad flags are argparse (parse) errors
     assert run("frobnicate") == 2
+
+
+def _truncate_rotation_words(monkeypatch):
+    rotation_word = SwapEngine._rotation_word
+
+    def truncated(self, *args):
+        word = rotation_word(self, *args)
+        return word[:-1] if word else word
+
+    monkeypatch.setattr(SwapEngine, "_rotation_word", truncated)
+
+
+def _skip_sort(monkeypatch):
+    monkeypatch.setattr(_Router, "sort_covered", lambda self, target_of: None)
+
+
+@pytest.mark.parametrize("fault", [_truncate_rotation_words, _skip_sort])
+def test_planner_faults_exit_4(tmp_path, monkeypatch, capsys, fault):
+    inst_path = tmp_path / "f.oldr"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "4",
+               "--pattern", "dense", "--seed", "3", "--out", str(inst_path)) == 0
+    fault(monkeypatch)
+    assert run("solve", str(inst_path), "--method", "paft") == 4
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_prove_cli(tmp_path, capsys):

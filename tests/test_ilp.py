@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import sharp_angle_rows
 from conftest import random_discrete_instance
 from triroute.discretize import DiscreteInstance
 from triroute.geometry import build_grid, build_workspace
 from triroute.ilp import (ExhaustiveGuardError, SolverError,
                           build_model, export_lp, extract_plan, parse_solution,
-                          sharp_angle_rows, solve)
+                          solve)
 from triroute.lpsolve import parse_lp, solve_lp_text
 
 
@@ -115,7 +116,7 @@ def test_monotone_objective_in_horizon():
     inst = DiscreteInstance(grid=g, v_starts=(1, 2), v_goals=(2, 1))
     prev = -2
     for T in range(1, 5):
-        sol = solve(build_model(inst, T, prune=False), guard=(6, 8))
+        sol = solve(build_model(inst, T, prune=False))
         assert sol.objective_value >= prev
         prev = sol.objective_value
 
@@ -131,8 +132,8 @@ def test_pruning_soundness_at_optimum():
         opt = joint_bfs_makespan(g, inst.v_starts, inst.v_goals, cap=12)
         if opt is None or opt == 0 or opt > 6:
             continue
-        full = solve(build_model(inst, opt, prune=False), guard=(6, 8))
-        pruned = solve(build_model(inst, opt, prune=True), guard=(6, 8))
+        full = solve(build_model(inst, opt, prune=False))
+        pruned = solve(build_model(inst, opt, prune=True))
         assert full.objective_value == pruned.objective_value == 2
         checked += 1
     assert checked >= 10
@@ -143,7 +144,7 @@ def test_exhaustive_guard():
     inst = DiscreteInstance(grid=g, v_starts=(0, 1, 2, 4, 5, 6, 7),
                             v_goals=(1, 2, 4, 5, 6, 7, 0))
     with pytest.raises(ExhaustiveGuardError):
-        solve(build_model(inst, 2), guard=(6, 8))
+        solve(build_model(inst, 2))
 
 
 def test_export_lp_empty_model():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,7 @@ from conftest import full_occupancy_instance, random_discrete_instance
 from triroute.discretize import DiscreteInstance
 from triroute.geometry import build_grid, build_workspace
 from triroute.paft import (InfeasibleInstanceError, SwapEngine,
-                           build_cell_partition, find_swap_schedule, isag,
+                           SwapSearchError, build_cell_partition, isag,
                            max_goal_distance, paft)
 from triroute.plan import DiscretePlan, check_plan
 
@@ -21,18 +25,6 @@ def _adjacent_same_cover_hexagons(grid):
     return None
 
 
-def test_find_swap_schedule_identity():
-    g = build_grid(build_workspace(3, 3))
-    pair = _adjacent_same_cover_hexagons(g)
-    if pair is None:
-        pytest.skip("no same-cover adjacent hexagons on this grid")
-    hex_a, hex_b = pair
-    a = hex_a[0]
-    sched = find_swap_schedule(g, hex_a, hex_b, a, a)
-    assert sched.steps == []
-    assert all(v == k for k, v in sched.net_permutation.items())
-
-
 def test_single_hexagon_rotate_and_back(minimal_grid):
     g = minimal_grid
     center = sorted(g.ring_of)[0]
@@ -45,7 +37,7 @@ def test_single_hexagon_rotate_and_back(minimal_grid):
     assert all(v == k for k, v in pos.items())
 
 
-def test_find_swap_schedule_transposition():
+def test_engine_swaps_shared_edge_of_same_cover_hexagons():
     g = build_grid(build_workspace(4, 4))
     pair = _adjacent_same_cover_hexagons(g)
     assert pair is not None
@@ -53,7 +45,7 @@ def test_find_swap_schedule_transposition():
     shared = sorted(set(hex_a) & set(hex_b))
     a, b = shared  # the shared edge endpoints are adjacent
     assert b in g.adjacency[a]
-    sched = find_swap_schedule(g, hex_a, hex_b, a, b)
+    sched = SwapEngine(g).schedule_for_pair(a, b)
     assert sched.net_permutation[a] == b
     assert sched.net_permutation[b] == a
     others = [v for v in sched.region if v not in (a, b)]
@@ -227,6 +219,7 @@ def test_paft_single_cell_degenerates_to_isag(minimal_grid):
     plan, rep = paft(inst)
     if rep.cell_count == 1:
         assert rep.circulation_steps == 0
+        assert plan.steps == isag(inst).steps
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
 
 
@@ -298,3 +291,48 @@ def test_boundary_settlement_tight_holes(minimal_grid):
     inst2 = DiscreteInstance(grid=g, v_starts=starts2, v_goals=tuple(goals2))
     plan2 = isag(inst2)
     assert not check_plan(g, plan2, inst2.v_starts, inst2.v_goals)
+
+
+def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid):
+    g = minimal_grid
+    a = min(g.covered)
+    b = next(v for v in g.adjacency[a] if v in g.covered)
+    eng = SwapEngine(g)
+    eng.schedule_for_pair(a, b)
+    eng._cache = {k: w[:-1] if w else w for k, w in eng._cache.items()}
+    eng._pair_cache.clear()
+    with pytest.raises(SwapSearchError, match="not the transposition"):
+        eng.schedule_for_pair(a, b)
+
+
+def test_planner_invariants_survive_python_O():
+    # python -O strips asserts; the planner checks must still raise
+    src = str(Path(__import__("triroute").__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "assert False, 'asserts are still on'\n"
+        "from triroute.geometry import build_grid, build_workspace\n"
+        "from triroute.paft import (PlannerInvariantError, SwapEngine,\n"
+        "                           SwapSearchError, _Router)\n"
+        "g = build_grid(build_workspace(2, 3))\n"
+        "a = min(g.covered)\n"
+        "b = next(v for v in g.adjacency[a] if v in g.covered)\n"
+        "eng = SwapEngine(g)\n"
+        "eng.schedule_for_pair(a, b)\n"
+        "eng._cache = {k: w[:-1] if w else w for k, w in eng._cache.items()}\n"
+        "eng._pair_cache.clear()\n"
+        "try:\n"
+        "    eng.schedule_for_pair(a, b)\n"
+        "except SwapSearchError:\n"
+        "    print('SwapSearchError')\n"
+        "router = _Router(g)\n"
+        "router.load((0,))\n"
+        "try:\n"
+        "    router.apply_step([(1, 2)])\n"
+        "except PlannerInvariantError:\n"
+        "    print('PlannerInvariantError')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["SwapSearchError", "PlannerInvariantError"]
