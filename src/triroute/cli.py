@@ -1,8 +1,8 @@
 """Command-line front end: gen, solve, prove, bench, render.
 
-Exit codes: 0 success, 2 parse error / bad arguments, 3 inadmissible
-instance, 4 solver, planner invariant or generation failure, 5 validation
-failure.
+Exit codes: 0 success, 1 separation sweep failed at every epsilon
+(prove), 2 parse error / bad arguments, 3 inadmissible instance, 4 solver,
+planner invariant, grid, sweep or generation failure, 5 validation failure.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ import time
 from . import io as tio
 from . import render as trender
 from .discretize import InadmissibleInstanceError, discretize
-from .geometry import BoundsError, build_grid, build_workspace
+from .geometry import BoundsError, CoverageError, build_grid, build_workspace
 from .ilp import ExhaustiveGuardError, SolverError
 from .instances import GenerationError, dense_instance, random_instance
 from .paft import (InfeasibleInstanceError, PlannerInvariantError, SwapEngine,
                    SwapSearchError, isag, paft)
-from .prover import format_certificate, verify
+from .prover import SweepError, format_certificate, verify
 from .triilp import (HorizonExceededError, SolveReport, solve_split,
                      solve_triilp, underestimated_makespan)
 from .validate import synthesize, validate
 
 EXIT_OK = 0
+EXIT_PROOF_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INADMISSIBLE = 3
 EXIT_SOLVER = 4
@@ -132,7 +133,7 @@ def cmd_prove(args) -> int:
         if cert.passed:
             passed = True
             break
-    return EXIT_OK if passed else 1
+    return EXIT_OK if passed else EXIT_PROOF_FAILED
 
 
 def cmd_bench(args) -> int:
@@ -296,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, HorizonExceededError, GenerationError,
-            ExhaustiveGuardError, SwapSearchError, PlannerInvariantError) as exc:
+            ExhaustiveGuardError, SwapSearchError, PlannerInvariantError,
+            CoverageError, SweepError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

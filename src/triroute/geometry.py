@@ -355,7 +355,9 @@ def _attach_path_families(g: TriGrid) -> None:
     for fam in (g.vertical_paths, g.horizontal_paths):
         for path in fam:
             for a, b in zip(path, path[1:]):
-                assert b in g.adjacency[a], "path family not a grid path"
+                if b not in g.adjacency[a]:
+                    raise CoverageError(
+                        f"path family not a grid path: {a} and {b} are not adjacent")
 
 
 def nearest_vertex(g: TriGrid, p: Vec2) -> int:
@@ -380,7 +382,8 @@ def nearest_vertex(g: TriGrid, p: Vec2) -> int:
             if best is None or d < best[0] - GEO_TOL or (
                     abs(d - best[0]) <= GEO_TOL and vid < best[1]):
                 best = (d, vid)
-    assert best is not None
+    if best is None:
+        raise BoundsError(f"point ({p.x}, {p.y}) lies beyond every grid column")
     return best[1]
 
 

@@ -44,6 +44,7 @@ class ExhaustiveGuardError(RuntimeError):
 EXHAUSTIVE_GUARD = (6, 8)  # largest (robots, horizon) the exhaustive backend takes
 DEFAULT_SOLVER_CMD = "{python} -m triroute.lpsolve {model} {solution}"
 SOLVER_CMD_ENV = "TRIROUTE_SOLVER_CMD"
+SOLVER_TIMEOUT_S = 600.0  # wall-clock limit on one external solver call
 
 
 @dataclass(frozen=True)
@@ -350,9 +351,13 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
             p for p in (root, os.environ.get("PYTHONPATH")) if p))
         try:
             proc = subprocess.run(shlex.split(cmd), capture_output=True,
-                                  text=True, env=env)
+                                  text=True, env=env, timeout=SOLVER_TIMEOUT_S)
         except OSError as exc:
             raise SolverError(f"cannot run solver command {cmd!r}: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise SolverError(
+                f"solver command {cmd!r} timed out after {exc.timeout:g} s"
+            ) from exc
         if proc.returncode != 0:
             raise SolverError(
                 f"solver exited with {proc.returncode}: {proc.stderr.strip()}")
@@ -378,8 +383,12 @@ def parse_solution(model: IlpModel, text: str) -> Solution:
         name, value = parts
         if name not in names:
             raise SolverError(f"unknown variable in solution: {name!r}")
+        try:
+            x = float(value)
+        except ValueError:
+            raise SolverError(f"non-numeric value in solution: {raw!r}") from None
         seen_any = True
-        assignment[names[name]] = 1 if float(value) >= 0.5 else 0
+        assignment[names[name]] = 1 if x >= 0.5 else 0
     if not seen_any:
         return Solution(assignment={}, objective_value=-1, feasible=False)
     return Solution(assignment=assignment,

@@ -4,7 +4,9 @@ Rotating all discs around a hexagon of the grid by one position is
 always a legal synchronous step (every turn is 120 degrees), and two
 overlapping hexagons generate enough rotations to transpose any two
 adjacent discs in the pair region while returning everyone else home.
-Those cached swap schedules are the workhorse:
+The rotation word depends only on the region's shape up to the
+lattice's rotations and reflections, so it is searched once per shape
+class.  Those cached swap schedules are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .discretize import DiscreteInstance
 from .geometry import EDGE_LEN, TriGrid, bfs_distances
@@ -93,13 +96,6 @@ def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
     return tuple((v, ring[(i + d) % len(ring)]) for i, v in enumerate(ring))
 
 
-def _apply_perm(state: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(state)
-    for s, d in enumerate(state):
-        out[perm[s]] = d
-    return tuple(out)
-
-
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for i, j in enumerate(perm):
@@ -113,7 +109,10 @@ def _bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
     """Shortest generator word mapping start to target (None if absent)."""
     if start == target:
         return []
-    inv_gens = [(tag, _invert(p)) for tag, p in gens]
+    # a generator sends the disc on slot s to slot perm[s], so the next
+    # state reads slot j from the inverse image of j
+    fw_moves = [(tag, itemgetter(*_invert(p))) for tag, p in gens]
+    bw_moves = [(tag, itemgetter(*p)) for tag, p in gens]
     fw: dict[tuple[int, ...], tuple] = {start: None}
     bw: dict[tuple[int, ...], tuple] = {target: None}
     fq, bq = deque([start]), deque([target])
@@ -138,8 +137,8 @@ def _bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
         if len(fq) <= len(bq):
             for _ in range(len(fq)):
                 st = fq.popleft()
-                for tag, perm in gens:
-                    ns = _apply_perm(st, perm)
+                for tag, move in fw_moves:
+                    ns = move(st)
                     if ns in fw:
                         continue
                     fw[ns] = (st, tag)
@@ -149,8 +148,8 @@ def _bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
         else:
             for _ in range(len(bq)):
                 st = bq.popleft()
-                for tag, perm in inv_gens:
-                    ns = _apply_perm(st, perm)
+                for tag, move in bw_moves:
+                    ns = move(st)
                     if ns in bw:
                         continue
                     bw[ns] = (st, tag)
@@ -158,6 +157,32 @@ def _bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
                         return path_fw(ns) + path_bw(ns)
                     bq.append(ns)
     return None
+
+
+# neighbours of an axial lattice point, counterclockwise like geometry._ring
+_HEX_RING = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
+
+
+def _canonical_word(key: tuple) -> list[tuple[int, int]] | None:
+    """Shortest word of (ring, direction) turns that swaps a and b and
+    returns every other slot home, for a canonical shape: abstract axial
+    rings around the origin and the partner center."""
+    c2, a, b = key
+    rings = [[(cq + dq, cr + dr) for dq, dr in _HEX_RING]
+             for cq, cr in ((0, 0), c2)]
+    slots = sorted(set(rings[0]) | set(rings[1]))
+    idx = {v: i for i, v in enumerate(slots)}
+    gens = []
+    for which in (0, 1):
+        for d in (1, -1):
+            perm = list(range(len(slots)))
+            for u, v in _rotation(rings[which], d):
+                perm[idx[u]] = idx[v]
+            gens.append(((which, d), tuple(perm)))
+    ident = tuple(range(len(slots)))
+    tgt = list(ident)
+    tgt[idx[a]], tgt[idx[b]] = tgt[idx[b]], tgt[idx[a]]
+    return _bidirectional_search(gens, ident, tuple(tgt))
 
 
 class SwapEngine:
@@ -200,32 +225,44 @@ class SwapEngine:
 
         return sorted(pairs, key=rank)
 
+    def _canonical_shape(self, c1: int, c2: int, a: int, b: int
+                         ) -> tuple[tuple, int, int]:
+        """Smallest image of the region shape under the lattice symmetries.
+
+        Returns (key, roles_swapped, reflected): key holds the axial
+        offsets of the partner center and of the unordered pair {a, b}
+        from the base center, after the map that gives the smallest key.
+        """
+        best = None
+        for swapped, (base, other) in enumerate(((c1, c2), (c2, c1))):
+            bq, br = self._axial(base)
+            pts = [(q - bq, r - br)
+                   for q, r in (self._axial(v) for v in (other, a, b))]
+            for reflected in (0, 1):
+                if reflected:
+                    pts = [(r, q) for q, r in pts]
+                for _ in range(6):
+                    pts = [(-r, q + r) for q, r in pts]
+                    key = (pts[0], min(pts[1], pts[2]), max(pts[1], pts[2]))
+                    if best is None or key < best[0]:
+                        best = (key, swapped, reflected)
+        return best
+
     def _rotation_word(self, c1: int, c2: int, a: int, b: int) -> list | None:
-        base = self._axial(c1)
+        """Rotation word transposing a and b on the rings of c1 and c2.
 
-        def rel(v):
-            av = self._axial(v)
-            return (av[0] - base[0], av[1] - base[1])
-
-        key = (rel(c2), rel(a), rel(b))
-        if key in self._cache:
-            return self._cache[key]
-        rings = (self.grid.ring_of[c1], self.grid.ring_of[c2])
-        slots = sorted(set(rings[0]) | set(rings[1]))
-        idx = {v: i for i, v in enumerate(slots)}
-        gens = []
-        for which in (0, 1):
-            for d in (1, -1):
-                perm = list(range(len(slots)))
-                for u, v in _rotation(rings[which], d):
-                    perm[idx[u]] = idx[v]
-                gens.append(((which, d), tuple(perm)))
-        ident = tuple(range(len(slots)))
-        tgt = list(ident)
-        tgt[idx[a]], tgt[idx[b]] = tgt[idx[b]], tgt[idx[a]]
-        word = _bidirectional_search(gens, ident, tuple(tgt))
-        self._cache[key] = word
-        return word
+        Words are searched and cached once per canonical shape; a cached
+        word maps back by swapping the ring roles and, for a reflection,
+        reversing every turn (rings are ordered counterclockwise).
+        """
+        key, swapped, reflected = self._canonical_shape(c1, c2, a, b)
+        if key not in self._cache:
+            self._cache[key] = _canonical_word(key)
+        word = self._cache[key]
+        if word is None:
+            return None
+        sign = -1 if reflected else 1
+        return [(which ^ swapped, sign * d) for which, d in word]
 
     def _materialize(self, c1: int, c2: int, a: int, b: int,
                      word: list) -> SwapSchedule:

@@ -32,6 +32,10 @@ _WEDGE_Y = ROW_STEP / 3.0
 _WEDGE_SLOPE = _WEDGE_Y / _WEDGE_X
 
 
+class SweepError(RuntimeError):
+    """The sweep found no case to certify, so it proves nothing."""
+
+
 @dataclass(frozen=True)
 class MovingDisc:
     """Unit disc translating from start to end over common t in [0, 1]."""
@@ -236,7 +240,9 @@ def verify(epsilon: float) -> Certificate:
             best = float(d[i])
             best_case = SweepCase(s_i=box, v_i=Vec2(0.0, 0.0),
                                   s_j=Vec2(*s_j[i]), v_j=Vec2(*v_j[i]))
-    assert best_case is not None
+    if best_case is None:
+        raise SweepError(
+            f"the sweep at epsilon={epsilon} found no case with a finite clearance")
     min_delta = best - CONTACT
     verdict = "pass" if min_delta > 2.0 * epsilon else "fail"
     return Certificate(epsilon=epsilon, case_count=case_count,

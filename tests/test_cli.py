@@ -4,7 +4,7 @@ import random
 import pytest
 
 from triroute import io as tio
-from triroute.cli import main
+from triroute.cli import EXIT_PROOF_FAILED, main
 from triroute.discretize import validate_separation
 from triroute.geometry import Vec2, build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points, random_instance
@@ -174,6 +174,45 @@ def test_planner_faults_exit_4(tmp_path, monkeypatch, capsys, fault):
     fault(monkeypatch)
     assert run("solve", str(inst_path), "--method", "paft") == 4
     assert "solver failure" in capsys.readouterr().err
+
+
+def _solver_script(tmp_path, body):
+    """Solver command running body with the model and solution paths."""
+    script = tmp_path / "solver.py"
+    script.write_text("import sys\nmodel, solution = sys.argv[1:3]\n" + body)
+    return "{python} " + str(script) + " {model} {solution}"
+
+
+_GARBAGE_VALUE = """\
+names = open(model).read().split("Binary")[1].split()
+with open(solution, "w") as f:
+    f.write(names[0] + " abc\\n")
+"""
+
+
+@pytest.mark.parametrize("body, message", [
+    (_GARBAGE_VALUE, "non-numeric value"),
+    ("pass\n", "no solution file"),
+    ("import time\ntime.sleep(60)\n", "timed out"),
+], ids=["garbage-value", "no-output-file", "hang"])
+def test_external_solver_faults_exit_4(tmp_path, monkeypatch, capsys, body,
+                                       message):
+    monkeypatch.setattr("triroute.ilp.SOLVER_TIMEOUT_S", 2.0)
+    inst_path = tmp_path / "s.oldr"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "2",
+               "--seed", "2", "--out", str(inst_path)) == 0
+    assert run("solve", str(inst_path), "--backend", "external",
+               "--solver-cmd", _solver_script(tmp_path, body)) == 4
+    err = capsys.readouterr().err
+    assert "solver failure" in err and message in err
+
+
+def test_prove_failed_sweep_exits_1(tmp_path, capsys):
+    cert = tmp_path / "c.cert"
+    assert run("prove", "--epsilons", "0.5", "--out", str(cert)) == 1
+    assert EXIT_PROOF_FAILED == 1
+    assert "verdict=fail" in capsys.readouterr().out
+    assert "verdict fail" in cert.read_text()
 
 
 def test_prove_cli(tmp_path, capsys):

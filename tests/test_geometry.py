@@ -4,8 +4,8 @@ import random
 import pytest
 
 from _oracles import brute_nearest, lattice_count
-from triroute.geometry import (EDGE_LEN, BoundsError, TriGrid, Vec2,
-                               bfs_distances, bfs_path, build_grid,
+from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
+                               Vec2, _attach_path_families, bfs_distances, bfs_path, build_grid,
                                build_hex_covers, build_workspace, density_limit,
                                enumerate_sharp_angles, nearest_vertex,
                                triangle_circumradius)
@@ -246,6 +246,25 @@ def test_path_families():
         # the column count 2*n1 + 1 is odd: the rightmost column is missed
         assert vseen == {v for v in range(g.n_vertices)
                          if g.row_of[v] < g.n_rows - 1}, (n1, n2)
+
+
+def test_path_family_off_the_grid_raises_coverage_error():
+    g = build_grid(build_workspace(2, 3))
+    a, b = g.horizontal_paths[0][:2]
+    g.adjacency[a].remove(b)
+    g.adjacency[b].remove(a)
+    with pytest.raises(CoverageError, match="not a grid path"):
+        _attach_path_families(g)
+
+
+def test_nearest_vertex_beyond_every_column_raises_bounds_error(minimal_grid):
+    g = minimal_grid
+    for x in (-10.0, g.workspace.w + 10.0):
+        with pytest.raises(BoundsError):
+            nearest_vertex(g, Vec2(x, 3.0))
+    # one column past the edge still snaps, to the nearest column
+    edge = Vec2(g.workspace.w + 1.0, 3.0)
+    assert nearest_vertex(g, edge) == brute_nearest(g, edge)
 
 
 def test_nearest_vertex_matches_brute_force(medium_grid):

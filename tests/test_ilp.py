@@ -189,6 +189,15 @@ def test_solution_parser_rejects_unknown_names():
         parse_solution(model, "x_9_9_9_9 1\n")
 
 
+def test_solution_parser_rejects_non_numeric_values():
+    g = _grid23()
+    inst = DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,))
+    model = build_model(inst, 1)
+    name = model.variables[0].name
+    with pytest.raises(SolverError, match="non-numeric"):
+        parse_solution(model, f"{name} abc\n")
+
+
 def test_solution_parser_threshold_and_infeasible():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,))

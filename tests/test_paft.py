@@ -1,3 +1,5 @@
+import importlib
+import math
 import os
 import random
 import subprocess
@@ -13,6 +15,8 @@ from triroute.paft import (InfeasibleInstanceError, SwapEngine,
                            SwapSearchError, build_cell_partition, isag,
                            max_goal_distance, paft)
 from triroute.plan import DiscretePlan, check_plan
+
+PAFT = importlib.import_module("triroute.paft")  # the package re-exports paft()
 
 
 def _adjacent_same_cover_hexagons(grid):
@@ -66,9 +70,30 @@ def test_engine_swap_any_adjacent_covered_pair():
         assert eng.c_swap > 0
 
 
+def _shape_class(g, sched, a, b):
+    """Region shape up to translation, turns, reflections and ring roles,
+    from the vertex coordinates (six turns of 60 degrees, with and
+    without a mirror in the x axis)."""
+    best = None
+    for base, other in (sched.centers, sched.centers[::-1]):
+        o = g.vertices[base]
+        pts = [(g.vertices[v].x - o.x, g.vertices[v].y - o.y)
+               for v in (other, a, b)]
+        for mirror in (1, -1):
+            for k in range(6):
+                c, s = math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)
+                img = [(round(c * x - s * mirror * y, 6) + 0.0,
+                        round(s * x + c * mirror * y, 6) + 0.0)
+                       for x, y in pts]
+                key = (img[0], *sorted(img[1:]))
+                best = key if best is None else min(best, key)
+    return best
+
+
 def test_engine_schedule_constant_across_translates():
-    # pairs whose chosen region has the same relative geometry get schedules
-    # of identical length (one cached search per region shape)
+    # pairs whose chosen region has the same shape up to translation,
+    # rotation and reflection get schedules of identical length (one
+    # cached search per shape class)
     g = build_grid(build_workspace(5, 5))
     eng = SwapEngine(g)
 
@@ -77,6 +102,7 @@ def test_engine_schedule_constant_across_translates():
         return (k - m // 2, m)
 
     lengths = {}
+    translates = {}
     for a in sorted(g.covered):
         for b in g.adjacency[a]:
             if b > a and b in g.covered:
@@ -85,10 +111,91 @@ def test_engine_schedule_constant_across_translates():
                 base = axial(c1)
                 key = tuple((axial(v)[0] - base[0], axial(v)[1] - base[1])
                             for v in (c2, a, b))
-                lengths.setdefault(key, set()).add(len(sched.steps))
-    assert len(lengths) > 3
-    for key, ls in lengths.items():
-        assert len(ls) == 1, (key, ls)
+                shape = _shape_class(g, sched, a, b)
+                lengths.setdefault(shape, set()).add(len(sched.steps))
+                translates.setdefault(shape, set()).add(key)
+    assert len(translates) > 3
+    # the classes join turned and mirrored images, not only translates
+    assert sum(len(keys) for keys in translates.values()) > 3 * len(translates)
+    for shape, ls in lengths.items():
+        assert len(ls) == 1, (shape, ls)
+
+
+def _direct_word_length(g, c1, c2, a, b, memo):
+    """Length of a fresh bidirectional search on the pair's own rings."""
+    rings = (g.ring_of[c1], g.ring_of[c2])
+    slots = sorted(set(rings[0]) | set(rings[1]))
+    idx = {v: i for i, v in enumerate(slots)}
+    gens = []
+    for which in (0, 1):
+        for d in (1, -1):
+            ring = rings[which]
+            perm = list(range(len(slots)))
+            for i, v in enumerate(ring):
+                perm[idx[v]] = idx[ring[(i + d) % len(ring)]]
+            gens.append(((which, d), tuple(perm)))
+    target = list(range(len(slots)))
+    target[idx[a]], target[idx[b]] = target[idx[b]], target[idx[a]]
+    problem = (tuple(p for _, p in gens), tuple(target))
+    if problem not in memo:
+        word = PAFT._bidirectional_search(gens, tuple(range(len(slots))),
+                                          tuple(target))
+        memo[problem] = None if word is None else len(word)
+    return memo[problem]
+
+
+def test_engine_words_match_direct_search(monkeypatch):
+    # every covered adjacent pair: the schedule built from a word cached per
+    # symmetry class is as short as a search on the pair's own rings, nets
+    # exactly the transposition, and each engine searches few shapes
+    memo: dict = {}
+    search = PAFT._bidirectional_search
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    for n1, n2 in [(2, 3), (4, 5), (6, 7), (9, 10)]:
+        g = build_grid(build_workspace(n1, n2))
+        eng = SwapEngine(g)
+        calls.clear()
+        monkeypatch.setattr(PAFT, "_bidirectional_search", counted)
+        scheds = {}
+        for a in sorted(g.covered):
+            for b in g.adjacency[a]:
+                if b > a and b in g.covered:
+                    scheds[a, b] = eng.schedule_for_pair(a, b)
+        monkeypatch.setattr(PAFT, "_bidirectional_search", search)
+        assert 1 <= len(calls) <= 10, (n1, n2, len(calls))
+        for (a, b), sched in scheds.items():
+            c1, c2 = sched.centers
+            assert len(sched.steps) == _direct_word_length(g, c1, c2, a, b,
+                                                           memo), (a, b)
+            pos = list(range(g.n_vertices))
+            for moves in sched.steps:
+                assert len({v for _, v in moves}) == len(moves)
+                mv = dict(moves)
+                pos = [mv.get(v, v) for v in pos]
+            expect = list(range(g.n_vertices))
+            expect[a], expect[b] = b, a
+            assert pos == expect, (n1, n2, a, b)
+
+
+def test_engine_schedules_do_not_depend_on_request_order():
+    # words are searched on the canonical shape, not on whichever
+    # congruent pair asked first, so warm-up order cannot change a plan
+    g = build_grid(build_workspace(4, 5))
+    pairs = [(a, b) for a in sorted(g.covered) for b in g.adjacency[a]
+             if b > a and b in g.covered]
+    forward, backward = SwapEngine(g), SwapEngine(g)
+    for a, b in pairs:
+        forward.schedule_for_pair(a, b)
+    for a, b in reversed(pairs):
+        backward.schedule_for_pair(b, a)
+    for a, b in pairs:
+        assert (forward.schedule_for_pair(a, b).steps
+                == backward.schedule_for_pair(a, b).steps), (a, b)
 
 
 def test_swap_execution_locality(minimal_grid):

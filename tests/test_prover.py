@@ -6,7 +6,8 @@ import pytest
 
 from _oracles import sampled_min_distance
 from triroute.geometry import EDGE_LEN, Vec2
-from triroute.prover import (MovingDisc, enumerate_annulus_cells,
+from triroute.cli import main as cli_main
+from triroute.prover import (MovingDisc, SweepError, enumerate_annulus_cells,
                              enumerate_region_boxes, format_certificate,
                              min_pair_distance, min_pair_distance_batch, verify)
 
@@ -103,6 +104,15 @@ def test_verify_fails_at_large_epsilon():
     cert = verify(0.5)
     assert not cert.passed
     assert cert.min_delta <= 2 * 0.5
+
+
+def test_empty_sweep_raises_sweep_error(monkeypatch, tmp_path):
+    monkeypatch.setattr("triroute.prover.enumerate_region_boxes",
+                        lambda epsilon: [])
+    with pytest.raises(SweepError, match="no case"):
+        verify(0.5)
+    assert cli_main(["prove", "--epsilons", "0.5",
+                     "--out", str(tmp_path / "c.cert")]) == 4
 
 
 def test_verify_monotone_up_to_discretization_noise():
