@@ -12,12 +12,17 @@ Constraint families:
   vertex     at most one robot occupies (departs) a vertex per step
   edge       an edge cannot be crossed in both directions at one step
   triangle   at most one move within any lattice triangle per step
+  origin     no step-0 departure from a vertex other than the start
+             (emitted only where such columns exist, i.e. unpruned)
 
-Reachability pruning drops x_{r,i,j,t} when i is not reachable from the
-start in t steps or the goal is not reachable from j in the remaining
-steps.  A pruned model therefore admits only all-robots-succeed
-assignments: it is either feasible with objective n or infeasible
-(reported as objective -1).
+The boundary rows tie every robot's virtual variable to 1, so a feasible
+point always has objective n: a model is either feasible with every
+robot at its goal or infeasible (reported as objective -1).
+
+The model is held as arrays: one (robot, i, j, t) row per column and
+the constraint rows in COO form.  Reachability pruning drops x_{r,i,j,t}
+when i is not reachable from the start in t steps or the goal is not
+reachable from j in the remaining steps.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .discretize import DiscreteInstance
-from .geometry import bfs_distances
+from .geometry import TriGrid, bfs_distances
 from .plan import DiscretePlan
 
 
@@ -46,28 +53,81 @@ DEFAULT_SOLVER_CMD = "{python} -m triroute.lpsolve {model} {solution}"
 SOLVER_CMD_ENV = "TRIROUTE_SOLVER_CMD"
 SOLVER_TIMEOUT_S = 600.0  # wall-clock limit on one external solver call
 
+EQ, LE = 0, 1             # row senses, indices into SENSES
+SENSES = ("=", "<=")
+
 
 @dataclass(frozen=True)
-class IlpVariable:
-    robot: int
-    i: int
-    j: int
-    t: int
-    kind: str  # "move" | "stay" | "virtual"
+class Arcs:
+    """The grid's directed arcs i -> j, j in the closed neighbourhood of i
+    (a stay is the arc i -> i), numbered in (i, j) order.  The lookup
+    tables are padded with A, one past the last arc."""
+
+    tail: np.ndarray      # (A,)
+    head: np.ndarray      # (A,)
+    arc_of: np.ndarray    # (V, V): arc i -> j, A where there is none
+    out: np.ndarray       # (V, W): arcs leaving each vertex, by head
+    into: np.ndarray      # (V, W): arcs entering each vertex, by tail
+    edge: np.ndarray      # (E, 2): arcs (i, j), (j, i) of each edge i < j
+    triangle: np.ndarray  # (F, 6): (a,b) (b,a) (a,c) (c,a) (b,c) (c,b)
+
+    @classmethod
+    def of(cls, grid: TriGrid) -> "Arcs":
+        V = grid.n_vertices
+        closed = [sorted([v] + grid.adjacency[v]) for v in range(V)]
+        deg = np.array([len(c) for c in closed])
+        tail = np.repeat(np.arange(V), deg)
+        head = np.array([j for c in closed for j in c])
+        A = len(tail)
+        arc_of = np.full((V + 1, V), A)       # row V: the padding vertex
+        arc_of[tail, head] = np.arange(A)
+        W = int(deg.max())
+        pad = np.arange(W) >= deg[:, None]
+        out = np.where(pad, A, (np.cumsum(deg) - deg)[:, None] + np.arange(W))
+        nbr = np.full((V, W), V)
+        nbr[~pad] = head
+        into = arc_of[nbr, np.arange(V)[:, None]]
+        e = np.array(grid.edges, dtype=int).reshape(-1, 2)
+        a, b, c = np.array(grid.triangles, dtype=int).reshape(-1, 3).T
+        return cls(tail=tail, head=head, arc_of=arc_of[:V], out=out, into=into,
+                   edge=np.stack([arc_of[e[:, 0], e[:, 1]],
+                                  arc_of[e[:, 1], e[:, 0]]], 1),
+                   triangle=np.stack([arc_of[a, b], arc_of[b, a], arc_of[a, c],
+                                      arc_of[c, a], arc_of[b, c], arc_of[c, b]],
+                                     1))
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Constraint rows in COO form: term k puts coef[k] on column col[k]
+    in row row[k].  Terms are grouped by row, in LP order."""
+
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray      # +1 or -1
+    sense: np.ndarray     # per row: EQ or LE
+    rhs: np.ndarray       # per row
+
+    def __len__(self) -> int:
+        return len(self.rhs)
 
     @property
-    def name(self) -> str:
-        return f"x_{self.robot}_{self.i}_{self.j}_{self.t}"
+    def indptr(self) -> np.ndarray:
+        """Row k's terms are [indptr[k], indptr[k + 1])."""
+        return np.searchsorted(self.row, np.arange(len(self) + 1))
 
 
 @dataclass
 class IlpModel:
     inst: DiscreteInstance
     T: int
-    variables: list[IlpVariable]
-    index: dict[tuple[int, int, int, int], int]       # (r,i,j,t) -> column
-    constraints: list[tuple[list[tuple[int, int]], str, int]]  # (terms, sense, rhs)
-    objective: list[int]                              # virtual columns
+    arcs: Arcs
+    index: np.ndarray        # (n, T, A + 1): column of robot r on arc a at
+                             # step t, -1 when pruned (slot A is padding)
+    variables: np.ndarray    # (m, 4): robot, i, j, t of each column; the
+                             # virtual goal-to-start column has t = T
+    constraints: Rows
+    objective: np.ndarray    # the virtual column of each robot
     pruned_count: int
 
     @property
@@ -77,136 +137,147 @@ class IlpModel:
 
 @dataclass
 class Solution:
-    assignment: dict[int, int]   # column -> 0/1
+    assignment: np.ndarray       # 0/1 per column; empty when infeasible
     objective_value: int         # -1 when the model is infeasible
     feasible: bool = True
+
+
+def _infeasible() -> Solution:
+    return Solution(assignment=np.zeros(0, dtype=np.int8), objective_value=-1,
+                    feasible=False)
 
 
 def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     if T < 1:
         raise ValueError("horizon T must be at least 1")
     grid = inst.grid
-    n = inst.n
-    closed = [sorted([v] + grid.adjacency[v]) for v in range(grid.n_vertices)]
-
+    n, V = inst.n, grid.n_vertices
+    arcs = Arcs.of(grid)
+    A = len(arcs.tail)
+    starts = np.array(inst.v_starts, dtype=int)
+    goals = np.array(inst.v_goals, dtype=int)
     if prune:
-        fwd = [bfs_distances(grid, s) for s in inst.v_starts]
-        bwd = [bfs_distances(grid, g) for g in inst.v_goals]
+        fwd = np.array([bfs_distances(grid, v) for v in starts.tolist()])
+        bwd = np.array([bfs_distances(grid, v) for v in goals.tolist()])
+        t = np.arange(T)[:, None]
+        keep = ((fwd.reshape(n, V)[:, None, arcs.tail] <= t)
+                & (bwd.reshape(n, V)[:, None, arcs.head] <= T - 1 - t))
+    else:
+        keep = np.ones((n, T, A), dtype=bool)
 
-    variables: list[IlpVariable] = []
-    index: dict[tuple[int, int, int, int], int] = {}
-    pruned = 0
+    # columns robot by robot in (t, arc) order, each block closed by the
+    # robot's virtual column
+    kept = keep.reshape(n, T * A)
+    count = kept.sum(1)
+    virtual = np.cumsum(count + 1) - 1
+    first = virtual - count
+    index = np.full((n, T, A + 1), -1)
+    index[:, :, :A] = np.where(
+        keep, (first[:, None] + np.cumsum(kept, 1) - 1).reshape(n, T, A), -1)
+    r, t, a = np.nonzero(keep)
+    variables = np.empty((int(kept.sum()) + n, 4), dtype=int)
+    variables[index[r, t, a]] = np.stack([r, arcs.tail[a], arcs.head[a], t], 1)
+    variables[virtual] = np.stack([np.arange(n), goals, starts, np.full(n, T)], 1)
 
-    def add_var(r: int, i: int, j: int, t: int, kind: str) -> None:
-        index[(r, i, j, t)] = len(variables)
-        variables.append(IlpVariable(r, i, j, t, kind))
+    # Candidate rows hold +-(column + 1) per term, 0 where pruned.  Rows
+    # and terms come in the order export_lp writes them, which the
+    # external solver's run time depends on.
+    s = index + 1
+    out, into = arcs.out, arcs.into
+    W = out.shape[1]
+    robots = np.arange(n)[:, None]
+    # per robot: the flow rows by (t, vertex), then the three boundary rows
+    flow = np.concatenate([s[:, :-1][:, :, into], -s[:, 1:][:, :, out]], axis=3)
+    boundary = np.zeros((n, 3, 2 * W), dtype=int)
+    boundary[:, 0, :W] = boundary[:, 2, :W] = s[robots, 0, out[starts]]
+    boundary[:, 1, :W] = s[robots, T - 1, into[goals]]
+    boundary[:, :2, W] = -(virtual + 1)[:, None]
+    n_flow = (T - 1) * V
+    per_robot = np.concatenate([flow.reshape(n, n_flow, 2 * W), boundary], 1)
+    # per step: the vertex, edge and triangle rows over all robots
+    E, F = len(arcs.edge), len(arcs.triangle)
+    per_step = np.zeros((T, V + E + F, n * W), dtype=int)
+    lo = 0
+    for arc_rows in (out, arcs.edge, arcs.triangle):
+        hi, width = lo + len(arc_rows), n * arc_rows.shape[1]
+        per_step[:, lo:hi, :width] = (s[:, :, arc_rows].transpose(1, 2, 0, 3)
+                                      .reshape(T, hi - lo, width))
+        lo = hi
+    # only unpruned models have step-0 columns away from the start
+    origin = np.where(arcs.tail != starts[:, None], s[:, 0, :A], 0)
 
-    for r in range(n):
-        for t in range(T):
-            for i in range(grid.n_vertices):
-                for j in closed[i]:
-                    if prune and (fwd[r][i] > t or bwd[r][j] > T - t - 1):
-                        pruned += 1
-                        continue
-                    add_var(r, i, j, t, "stay" if i == j else "move")
-        add_var(r, inst.v_goals[r], inst.v_starts[r], T, "virtual")
+    constraints = _rows([
+        (per_robot.reshape(n * (n_flow + 3), 2 * W),
+         np.tile(np.r_[np.ones(n_flow, dtype=int), 0, 0, 0], n), EQ,
+         np.tile(np.r_[np.zeros(n_flow, dtype=int), 0, 0, 1], n)),
+        (per_step.reshape(T * (V + E + F), n * W),
+         np.tile(np.r_[np.ones(V, dtype=int), np.full(E + F, 2)], T), LE, 1),
+        (origin, 1, EQ, 0),
+    ])
+    return IlpModel(inst=inst, T=T, arcs=arcs, index=index, variables=variables,
+                    constraints=constraints, objective=virtual,
+                    pruned_count=int(keep.size - kept.sum()))
 
-    constraints: list[tuple[list[tuple[int, int]], str, int]] = []
 
-    def arrivals(r: int, j: int, t: int) -> list[int]:
-        return [index[(r, i, j, t)] for i in closed[j] if (r, i, j, t) in index]
+def _rows(blocks) -> Rows:
+    """Rows from blocks of candidates, in order.  A block is (terms, need,
+    sense, rhs): terms is an (R, K) array of +-(column + 1), 0 for no term,
+    and a row is kept when it has at least ``need`` terms."""
+    terms, counts, senses, rhss = [], [], [], []
+    for cand, need, sense, rhs in blocks:
+        present = cand != 0
+        count = present.sum(1)
+        keep = count >= need
+        terms.append(cand[keep][present[keep]])
+        counts.append(count[keep])
+        senses.append(np.full(int(keep.sum()), sense))
+        rhss.append(np.broadcast_to(rhs, keep.shape)[keep])
+    terms = np.concatenate(terms)
+    count = np.concatenate(counts)
+    return Rows(row=np.repeat(np.arange(len(count)), count),
+                col=np.abs(terms) - 1, coef=np.sign(terms),
+                sense=np.concatenate(senses), rhs=np.concatenate(rhss))
 
-    def departures(r: int, j: int, t: int) -> list[int]:
-        return [index[(r, j, k, t)] for k in closed[j] if (r, j, k, t) in index]
 
-    for r in range(n):
-        # flow conservation between consecutive steps
-        for t in range(T - 1):
-            for j in range(grid.n_vertices):
-                arr = arrivals(r, j, t)
-                dep = departures(r, j, t + 1)
-                if not arr and not dep:
-                    continue
-                terms = [(1, c) for c in arr] + [(-1, c) for c in dep]
-                constraints.append((terms, "=", 0))
-        virt = index[(r, inst.v_goals[r], inst.v_starts[r], T)]
-        start_dep = departures(r, inst.v_starts[r], 0)
-        goal_arr = arrivals(r, inst.v_goals[r], T - 1)
-        constraints.append(([(1, c) for c in start_dep] + [(-1, virt)], "=", 0))
-        constraints.append(([(1, c) for c in goal_arr] + [(-1, virt)], "=", 0))
-        # the robot must exist in the network
-        constraints.append(([(1, c) for c in start_dep], "=", 1))
-
-    for t in range(T):
-        for i in range(grid.n_vertices):
-            terms = [(1, c) for r in range(n) for c in departures(r, i, t)]
-            if terms:
-                constraints.append((terms, "<=", 1))
-        for (i, j) in grid.edges:
-            terms = []
-            for r in range(n):
-                for (a, b) in ((i, j), (j, i)):
-                    c = index.get((r, a, b, t))
-                    if c is not None:
-                        terms.append((1, c))
-            if len(terms) > 1:
-                constraints.append((terms, "<=", 1))
-        for (a, b, c3) in grid.triangles:
-            terms = []
-            for r in range(n):
-                for (u, v) in ((a, b), (b, a), (a, c3), (c3, a), (b, c3), (c3, b)):
-                    col = index.get((r, u, v, t))
-                    if col is not None:
-                        terms.append((1, col))
-            if len(terms) > 1:
-                constraints.append((terms, "<=", 1))
-
-    objective = [index[(r, inst.v_goals[r], inst.v_starts[r], T)] for r in range(n)]
-    return IlpModel(inst=inst, T=T, variables=variables, index=index,
-                    constraints=constraints, objective=objective,
-                    pruned_count=pruned)
+def column_names(model: IlpModel) -> list[str]:
+    return [f"x_{r}_{i}_{j}_{t}" for r, i, j, t in model.variables.tolist()]
 
 
 def export_lp(model: IlpModel) -> str:
     """LP-format text with deterministic ordering and x_r_i_j_t names."""
+    names = column_names(model)
     lines = ["Maximize"]
-    if model.objective:
-        obj = " + ".join(model.variables[c].name for c in model.objective)
+    if len(model.objective):
+        obj = " + ".join(names[c] for c in model.objective.tolist())
         lines.append(f" obj: {obj}")
     else:
         lines.append(" obj: 0")
     lines.append("Subject To")
-    for k, (terms, sense, rhs) in enumerate(model.constraints):
-        parts = []
-        for coef, col in terms:
-            name = model.variables[col].name
-            if coef == 1:
-                parts.append(f"+ {name}")
-            elif coef == -1:
-                parts.append(f"- {name}")
-            else:
-                sign = "+" if coef >= 0 else "-"
-                parts.append(f"{sign} {abs(coef)} {name}")
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" c{k}: {' '.join(parts)} {op} {rhs}")
+    rows = model.constraints
+    terms = [("+ " if k > 0 else "- ") + names[c]
+             for c, k in zip(rows.col.tolist(), rows.coef.tolist())]
+    bounds = rows.indptr.tolist()
+    for k, (sense, rhs) in enumerate(zip(rows.sense.tolist(), rows.rhs.tolist())):
+        lines.append(f" c{k}: {' '.join(terms[bounds[k]:bounds[k + 1]])} "
+                     f"{SENSES[sense]} {rhs}")
     lines.append("Binary")
-    for v in model.variables:
-        lines.append(f" {v.name}")
+    lines.extend(" " + name for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-def _objective_value(model: IlpModel, assignment: dict[int, int]) -> int:
-    return sum(assignment.get(c, 0) for c in model.objective)
+def _objective_value(model: IlpModel, assignment: np.ndarray) -> int:
+    return int(assignment[model.objective].sum())
 
 
 def solve(model: IlpModel, backend: str = "exhaustive",
           solver_cmd: str | None = None) -> Solution:
     """Optimize the model.
 
-    exhaustive: deterministic search over per-robot time-expanded walks
-    with constraint propagation; provably maximal objective.  Guarded to
-    small instances (robots, horizon) <= EXHAUSTIVE_GUARD.
+    exhaustive: deterministic depth-first search for one goal-reaching
+    time-expanded walk per robot, pairwise conflict-free; a full routing
+    when one exists, else infeasible.  Guarded to small instances
+    (robots, horizon) <= EXHAUSTIVE_GUARD.
 
     external: writes LP text, runs the configured solver command (one
     subprocess, file in / file out), parses the "name value" solution.
@@ -222,109 +293,86 @@ def solve(model: IlpModel, backend: str = "exhaustive",
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _robot_walks(model: IlpModel, r: int) -> list[tuple[int, ...]]:
-    """All vertex sequences robot r can follow through existing variables."""
-    inst = model.inst
-    out: list[tuple[int, ...]] = []
-    closed = [sorted([v] + inst.grid.adjacency[v])
-              for v in range(inst.grid.n_vertices)]
+def _successors(model: IlpModel) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """(arc, head, conflict bits at step 0) of each arc leaving each
+    vertex, and the bits per step S.
 
-    def extend(prefix: list[int]) -> None:
-        t = len(prefix) - 1
-        if t == model.T:
-            out.append(tuple(prefix))
-            return
-        u = prefix[-1]
-        for v in closed[u]:
-            if (r, u, v, t) in model.index:
-                prefix.append(v)
-                extend(prefix)
-                prefix.pop()
-
-    extend([inst.v_starts[r]])
-    return out
-
-
-def _compatible(grid, w1: tuple[int, ...], w2: tuple[int, ...],
-                etri: dict[tuple[int, int], list[int]]) -> bool:
-    for t in range(len(w1)):
-        if w1[t] == w2[t]:
-            return False
-    for t in range(len(w1) - 1):
-        a0, a1 = w1[t], w1[t + 1]
-        b0, b1 = w2[t], w2[t + 1]
-        if a0 == b1 and a1 == b0:
-            return False
-        if a0 != a1 and b0 != b1:
-            t1 = etri.get((min(a0, a1), max(a0, a1)))
-            t2 = etri.get((min(b0, b1), max(b0, b1)))
-            if t1 and t2 and set(t1) & set(t2):
-                return False
-    return True
+    Step t owns bits [t*S, (t+1)*S): one per vertex occupied at t, then
+    one per edge and one per triangle a move between t and t+1 uses.  An
+    arc sets its head at step t+1 and, when it moves, its edge and the
+    triangles on that edge.  Two walks obey the vertex, edge and
+    triangle rows together exactly when their masks share no bit.
+    """
+    arcs = model.arcs
+    V, E, A = len(arcs.out), len(arcs.edge), len(arcs.tail)
+    S = V + E + len(arcs.triangle)
+    bits = [1 << (S + h) for h in arcs.head.tolist()]
+    for e, pair in enumerate(arcs.edge.tolist()):
+        for a in pair:
+            bits[a] |= 1 << (V + e)
+    for f, six in enumerate(arcs.triangle.tolist()):
+        for a in six:
+            bits[a] |= 1 << (V + E + f)
+    head = arcs.head.tolist()
+    return [[(a, head[a], bits[a]) for a in row if a < A]
+            for row in arcs.out.tolist()], S
 
 
-def _assignment_from_walks(model: IlpModel, walks: dict[int, tuple[int, ...]]
-                           ) -> dict[int, int]:
-    assignment = {c: 0 for c in range(len(model.variables))}
-    for r, w in walks.items():
-        for t in range(model.T):
-            assignment[model.index[(r, w[t], w[t + 1], t)]] = 1
-        if w[-1] == model.inst.v_goals[r]:
-            assignment[model.index[(r, model.inst.v_goals[r],
-                                    model.inst.v_starts[r], model.T)]] = 1
-    return assignment
+def _robot_walks(model: IlpModel, r: int, succ, S: int
+                 ) -> list[tuple[int, tuple[int, ...], int]]:
+    """(moves, vertex sequence, conflict mask) of every walk robot r can
+    follow through the model's columns, fewest moves first, then
+    lexicographic."""
+    start = model.inst.v_starts[r]
+    walks = [(0, (start,), 1 << start)]
+    for t, cols in enumerate(model.index[r].tolist()):
+        shift = t * S
+        walks = [(moves + (v != w[-1]), w + (v,), mask | bits << shift)
+                 for moves, w, mask in walks
+                 for a, v, bits in succ[w[-1]] if cols[a] >= 0]
+    walks.sort()
+    return walks
+
+
+def _search(choices: list[list[int]]) -> list[int] | None:
+    """Depth-first choice of one mask from each list, pairwise disjoint;
+    earlier entries are tried first.  Returns the chosen positions."""
+    picks: list[int] = []
+
+    def extend(k: int, used: int) -> bool:
+        if k == len(choices):
+            return True
+        for p, mask in enumerate(choices[k]):
+            if not mask & used:
+                picks.append(p)
+                if extend(k + 1, used | mask):
+                    return True
+                picks.pop()
+        return False
+
+    return picks if extend(0, 0) else None
 
 
 def _solve_exhaustive(model: IlpModel) -> Solution:
-    from .plan import _edge_triangle_map
-
-    inst = model.inst
-    etri = _edge_triangle_map(inst.grid)
-
-    def walk_key(w: tuple[int, ...]) -> tuple:
-        moves = sum(1 for a, b in zip(w, w[1:]) if a != b)
-        return (moves, w)
-
-    all_walks = [sorted(_robot_walks(model, r), key=walk_key)
-                 for r in range(model.n)]
-    if any(not w for w in all_walks):
-        return Solution(assignment={}, objective_value=-1, feasible=False)
-
-    goals = inst.v_goals
-    order = sorted(range(model.n), key=lambda r: len(all_walks[r]))
-
-    def search(require_goal: dict[int, bool]) -> dict[int, tuple[int, ...]] | None:
-        chosen: dict[int, tuple[int, ...]] = {}
-
-        def rec(k: int) -> bool:
-            if k == len(order):
-                return True
-            r = order[k]
-            for w in all_walks[r]:
-                if require_goal[r] and w[-1] != goals[r]:
-                    continue
-                if all(_compatible(inst.grid, w, cw, etri)
-                       for cw in chosen.values()):
-                    chosen[r] = w
-                    if rec(k + 1):
-                        return True
-                    del chosen[r]
-            return False
-
-        return chosen if rec(0) else None
-
-    # try decreasing success counts; subsets enumerated deterministically
-    import itertools
-
-    for k in range(model.n, -1, -1):
-        for subset in itertools.combinations(range(model.n), k):
-            req = {r: (r in subset) for r in range(model.n)}
-            found = search(req)
-            if found is not None:
-                assignment = _assignment_from_walks(model, found)
-                return Solution(assignment=assignment,
-                                objective_value=_objective_value(model, assignment))
-    return Solution(assignment={}, objective_value=-1, feasible=False)
+    succ, S = _successors(model)
+    walks = [_robot_walks(model, r, succ, S) for r in range(model.n)]
+    goals = model.inst.v_goals
+    order = sorted(range(model.n), key=lambda r: len(walks[r]))
+    cands = [[(w, mask) for _, w, mask in walks[r] if w[-1] == goals[r]]
+             for r in order]
+    if any(not c for c in cands):
+        return _infeasible()
+    picks = _search([[mask for _, mask in c] for c in cands])
+    if picks is None:
+        return _infeasible()
+    chosen = np.empty((model.n, model.T + 1), dtype=int)
+    for r, c, p in zip(order, cands, picks):
+        chosen[r] = c[p][0]
+    arc = model.arcs.arc_of[chosen[:, :-1], chosen[:, 1:]]
+    assignment = np.zeros(len(model.variables), dtype=np.int8)
+    assignment[model.index[np.arange(model.n)[:, None], np.arange(model.T), arc]] = 1
+    assignment[model.objective] = 1
+    return Solution(assignment=assignment, objective_value=model.n)
 
 
 def resolve_solver_cmd(solver_cmd: str | None) -> str:
@@ -370,8 +418,8 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
 
 def parse_solution(model: IlpModel, text: str) -> Solution:
     """Parse "name value" lines; an empty file signals infeasibility."""
-    names = {v.name: c for c, v in enumerate(model.variables)}
-    assignment = {c: 0 for c in range(len(model.variables))}
+    names = {name: c for c, name in enumerate(column_names(model))}
+    assignment = np.zeros(len(model.variables), dtype=np.int8)
     seen_any = False
     for raw in text.splitlines():
         line = raw.strip()
@@ -390,7 +438,7 @@ def parse_solution(model: IlpModel, text: str) -> Solution:
         seen_any = True
         assignment[names[name]] = 1 if x >= 0.5 else 0
     if not seen_any:
-        return Solution(assignment={}, objective_value=-1, feasible=False)
+        return _infeasible()
     return Solution(assignment=assignment,
                     objective_value=_objective_value(model, assignment))
 
@@ -399,22 +447,23 @@ def extract_plan(model: IlpModel, sol: Solution) -> DiscretePlan:
     """Decode an all-robots-succeed solution into per-step positions."""
     if sol.objective_value != model.n:
         raise ValueError("can only extract a plan when every robot succeeds")
-    inst = model.inst
-    closed = [sorted([v] + inst.grid.adjacency[v])
-              for v in range(inst.grid.n_vertices)]
-    rows = []
-    positions = list(inst.v_starts)
-    rows.append(tuple(positions))
-    for t in range(model.T):
-        nxt = []
-        for r in range(model.n):
-            u = positions[r]
-            succ = [v for v in closed[u]
-                    if sol.assignment.get(model.index.get((r, u, v, t), -1), 0) == 1]
-            if len(succ) != 1:
-                raise SolverError(
-                    f"robot {r} has {len(succ)} active moves at step {t}")
-            nxt.append(succ[0])
-        positions = nxt
-        rows.append(tuple(positions))
+    n, T, V = model.n, model.T, model.inst.grid.n_vertices
+    r, i, j, t = model.variables[np.flatnonzero(sol.assignment)].T
+    moving = t < T
+    key = ((t * n + r) * V + i)[moving]
+    active = np.bincount(key, minlength=T * n * V).reshape(T, n, V)
+    succ = np.zeros(T * n * V, dtype=int)
+    succ[key] = j[moving]
+    succ = succ.reshape(T, n, V)
+    robots = np.arange(n)
+    pos = np.array(model.inst.v_starts, dtype=int)
+    rows = [tuple(model.inst.v_starts)]
+    for step in range(T):
+        count = active[step, robots, pos]
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            raise SolverError(f"robot {bad[0]} has {count[bad[0]]} active moves "
+                              f"at step {step}")
+        pos = succ[step, robots, pos]
+        rows.append(tuple(pos.tolist()))
     return DiscretePlan(steps=rows)

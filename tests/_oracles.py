@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: joint-state BFS
 for optimal makespans, brute-force nearest vertices, dense time sampling
 for minimum distances, a from-scratch lattice enumeration, and a direct
-search for the snap-phase clearance infimum.
+search for the snap-phase clearance infimum, and the ILP's original
+goal-subset walk search.
 """
 
 from __future__ import annotations
@@ -114,6 +115,25 @@ def joint_bfs_makespan(grid, starts, goals, cap: int = 40) -> int | None:
     return None
 
 
+def column_of(model) -> dict[tuple[int, int, int, int], int]:
+    """(robot, i, j, t) -> column, read from the model's column array."""
+    return {tuple(v): c for c, v in enumerate(model.variables.tolist())}
+
+
+def model_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
+    """The model's constraint rows as (terms, sense, rhs), each term a
+    (coefficient, column) pair, read term by term from the COO arrays."""
+    from triroute.ilp import SENSES
+
+    rows = model.constraints
+    out = [([], SENSES[s], rhs)
+           for s, rhs in zip(rows.sense.tolist(), rows.rhs.tolist())]
+    for k, c, coef in zip(rows.row.tolist(), rows.col.tolist(),
+                          rows.coef.tolist()):
+        out[k][0].append((coef, c))
+    return out
+
+
 def sharp_angle_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
     """The per-angle exclusion family (one row per 60-degree corner).
 
@@ -122,6 +142,7 @@ def sharp_angle_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
     """
     from triroute.geometry import enumerate_sharp_angles
 
+    index = column_of(model)
     rows = []
     n = model.n
     for t in range(model.T):
@@ -130,12 +151,106 @@ def sharp_angle_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
             for r in range(n):
                 for (u, v) in ((ang.apex, ang.arm1), (ang.arm1, ang.apex),
                                (ang.apex, ang.arm2), (ang.arm2, ang.apex)):
-                    col = model.index.get((r, u, v, t))
+                    col = index.get((r, u, v, t))
                     if col is not None:
                         terms.append((1, col))
             if len(terms) > 1:
                 rows.append((terms, "<=", 1))
     return rows
+
+
+def _reference_walks(model, index, r) -> list[tuple[int, ...]]:
+    """All vertex sequences robot r can follow through existing columns."""
+    grid = model.inst.grid
+    out: list[tuple[int, ...]] = []
+    closed = [sorted([v] + grid.adjacency[v]) for v in range(grid.n_vertices)]
+
+    def extend(prefix: list[int]) -> None:
+        t = len(prefix) - 1
+        if t == model.T:
+            out.append(tuple(prefix))
+            return
+        u = prefix[-1]
+        for v in closed[u]:
+            if (r, u, v, t) in index:
+                prefix.append(v)
+                extend(prefix)
+                prefix.pop()
+
+    extend([model.inst.v_starts[r]])
+    return out
+
+
+def _compatible(w1, w2, etri) -> bool:
+    for t in range(len(w1)):
+        if w1[t] == w2[t]:
+            return False
+    for t in range(len(w1) - 1):
+        a0, a1 = w1[t], w1[t + 1]
+        b0, b1 = w2[t], w2[t + 1]
+        if a0 == b1 and a1 == b0:
+            return False
+        if a0 != a1 and b0 != b1:
+            t1 = etri.get((min(a0, a1), max(a0, a1)))
+            t2 = etri.get((min(b0, b1), max(b0, b1)))
+            if t1 and t2 and set(t1) & set(t2):
+                return False
+    return True
+
+
+def reference_exhaustive(model) -> tuple[dict[int, int], int]:
+    """The exhaustive backend as first written: walks sorted by (moves,
+    sequence), robots ordered by walk count, and goal subsets tried from
+    largest to smallest with a pairwise compatibility test per candidate.
+    Returns (column -> 0/1, objective), or ({}, -1) when even the empty
+    subset fails."""
+    index = column_of(model)
+    etri = _edge_tri_map(model.inst.grid)
+    n, goals = model.n, model.inst.v_goals
+
+    def walk_key(w):
+        return (sum(1 for a, b in zip(w, w[1:]) if a != b), w)
+
+    all_walks = [sorted(_reference_walks(model, index, r), key=walk_key)
+                 for r in range(n)]
+    if any(not w for w in all_walks):
+        return {}, -1
+    order = sorted(range(n), key=lambda r: len(all_walks[r]))
+
+    def search(require_goal):
+        chosen = {}
+
+        def rec(k):
+            if k == len(order):
+                return True
+            r = order[k]
+            for w in all_walks[r]:
+                if require_goal[r] and w[-1] != goals[r]:
+                    continue
+                if all(_compatible(w, cw, etri) for cw in chosen.values()):
+                    chosen[r] = w
+                    if rec(k + 1):
+                        return True
+                    del chosen[r]
+            return False
+
+        return chosen if rec(0) else None
+
+    for k in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), k):
+            found = search({r: (r in subset) for r in range(n)})
+            if found is None:
+                continue
+            assignment = {c: 0 for c in range(len(model.variables))}
+            for r, w in found.items():
+                for t in range(model.T):
+                    assignment[index[(r, w[t], w[t + 1], t)]] = 1
+                if w[-1] == goals[r]:
+                    assignment[index[(r, goals[r], model.inst.v_starts[r],
+                                      model.T)]] = 1
+            return assignment, sum(assignment[c]
+                                   for c in model.objective.tolist())
+    return {}, -1
 
 
 class SnapInfimum(NamedTuple):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import (joint_bfs_makespan, sampled_min_distance,
+from _oracles import (joint_bfs_makespan, model_rows, sampled_min_distance,
                       sharp_angle_rows, snap_clearance_infimum)
 from conftest import full_occupancy_instance, random_discrete_instance
 from triroute import io as tio
@@ -239,7 +239,7 @@ def test_constraint_semantics():
     inst = DiscreteInstance(grid=g, v_starts=(1, 6), v_goals=(6, 1))
     model = build_model(inst, 2, prune=False)
     angle_rows = sharp_angle_rows(model)
-    tri_rows = [(terms, rhs) for terms, s, rhs in model.constraints
+    tri_rows = [(terms, rhs) for terms, s, rhs in model_rows(model)
                 if s == "<=" and len(terms) > 2]
     col_tris = {}
     for k, (terms, rhs) in enumerate(tri_rows):

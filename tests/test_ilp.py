@@ -1,19 +1,26 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from _oracles import sharp_angle_rows
+from _oracles import (joint_bfs_makespan, model_rows, reference_exhaustive,
+                      sharp_angle_rows)
 from conftest import random_discrete_instance
-from triroute.discretize import DiscreteInstance
+from triroute import ilp
+from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import build_grid, build_workspace
 from triroute.ilp import (ExhaustiveGuardError, SolverError,
-                          build_model, export_lp, extract_plan, parse_solution,
-                          solve)
+                          build_model, column_names, export_lp, extract_plan,
+                          parse_solution, solve)
+from triroute.instances import dense_instance
 from triroute.lpsolve import parse_lp, solve_lp_text
+from triroute.plan import check_plan
+from triroute.triilp import solve_triilp, underestimated_makespan
 
 
 def _grid23():
@@ -24,24 +31,24 @@ def test_variable_naming():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(5,), v_goals=(7,))
     model = build_model(inst, 2)
-    names = {v.name for v in model.variables}
+    names = column_names(model)
     assert any(n.startswith("x_0_5_") for n in names)
-    from triroute.ilp import IlpVariable
-    assert IlpVariable(3, 5, 7, 2, "move").name == "x_3_5_7_2"
+    assert names == ["x_%d_%d_%d_%d" % tuple(v) for v in model.variables.tolist()]
 
 
 def test_constraint_families_present():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1, 5), v_goals=(5, 1))
     model = build_model(inst, 3)
-    senses = {s for _, s, _ in model.constraints}
+    rows = model_rows(model)
+    senses = {s for _, s, _ in rows}
     assert senses == {"=", "<="}
-    eq = [c for c in model.constraints if c[1] == "="]
-    le = [c for c in model.constraints if c[1] == "<="]
+    eq = [c for c in rows if c[1] == "="]
+    le = [c for c in rows if c[1] == "<="]
     # per robot: flow rows, two boundary couplings, one start forcing
     assert sum(1 for (_, _, rhs) in eq if rhs == 1) == inst.n
     assert le, "capacity families missing"
-    for terms, _, rhs in model.constraints:
+    for terms, _, rhs in rows:
         for _, col in terms:
             assert 0 <= col < len(model.variables)
 
@@ -161,7 +168,7 @@ def test_export_lp_round_trip_through_parser():
     model = build_model(inst, 3)
     text = export_lp(model)
     names, objective, rows = parse_lp(text)
-    assert set(names) == {v.name for v in model.variables}
+    assert set(names) == set(column_names(model))
     assert len(rows) == len(model.constraints)
     assert sum(1 for c in objective if c) == len(model.objective)
 
@@ -193,7 +200,7 @@ def test_solution_parser_rejects_non_numeric_values():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,))
     model = build_model(inst, 1)
-    name = model.variables[0].name
+    name = column_names(model)[0]
     with pytest.raises(SolverError, match="non-numeric"):
         parse_solution(model, f"{name} abc\n")
 
@@ -202,7 +209,7 @@ def test_solution_parser_threshold_and_infeasible():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,))
     model = build_model(inst, 1)
-    name = model.variables[model.objective[0]].name
+    name = column_names(model)[model.objective[0]]
     sol = parse_solution(model, f"{name} 0.73\n")
     assert sol.assignment[model.objective[0]] == 1
     empty = parse_solution(model, "")
@@ -214,7 +221,7 @@ def test_triangle_rows_imply_sharp_angle_rows():
     inst = DiscreteInstance(grid=g, v_starts=(1, 5), v_goals=(5, 1))
     model = build_model(inst, 2, prune=False)
     angle_rows = sharp_angle_rows(model)
-    tri_rows = [(terms, rhs) for terms, s, rhs in model.constraints
+    tri_rows = [(terms, rhs) for terms, s, rhs in model_rows(model)
                 if s == "<=" and len(terms) > 2]
     col_tris = {}
     for k, (terms, rhs) in enumerate(tri_rows):
@@ -293,3 +300,95 @@ def test_external_solver_child_finds_the_package_without_pythonpath():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) >= 0
+
+
+def _dense(ws, n, seed):
+    w = build_workspace(*ws)
+    inst, _, _ = discretize(dense_instance(w, n, seed), build_grid(w))
+    return inst
+
+
+# sha256 of export_lp at the first horizon of the three external-solver
+# benchmark instances and of one small model, recorded from the model as
+# first written: the solver's run time depends on the row and term order
+LP_SHA256 = {
+    ((3, 5), 16, 0):
+        "5ac2f96ff2de35488421373bb06783dbade4295fa625c6537ae29013c544e381",
+    ((4, 4), 18, 0):
+        "169fa04bc5a05aeaad2978fc138728ebe13670115831bda4cae47f0a5a606d21",
+    ((3, 5), 20, 0):
+        "46c23ea907a744c403deca27e9df94fe859d10c96696b3575c3fab05600b76ff",
+    ((2, 3), 4, 0):
+        "2dc336a28a0e5be7325e7c81e064ec05d8a08f47756e7dccc1df6c1e08d19c11",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LP_SHA256))
+def test_export_lp_text_is_pinned(case):
+    inst = _dense(*case)
+    text = export_lp(build_model(inst, underestimated_makespan(inst)))
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[case]
+
+
+def test_unpruned_models_route_no_faster_than_the_optimum():
+    # an unpruned model has step-0 columns leaving every vertex; without
+    # the origin rows a robot could set off from anywhere
+    g = _grid23()
+    checked = 0
+    for seed in range(40):
+        inst = random_discrete_instance(g, 2, seed)
+        opt = joint_bfs_makespan(g, inst.v_starts, inst.v_goals, cap=12)
+        for T in range(1, opt + 2):
+            model = build_model(inst, T, prune=False)
+            lp = solve_lp_text(export_lp(model))
+            assert (lp is not None) == (T >= opt), (seed, T)
+            if lp is not None:
+                text = "".join(f"{k} {x}\n" for k, x in zip(*lp))
+                plan = extract_plan(model, parse_solution(model, text))
+                assert check_plan(g, plan, inst.v_starts, inst.v_goals) == []
+            assert (solve(model).objective_value == 2) == (T >= opt), (seed, T)
+            checked += 1
+    assert checked == 154
+
+
+def test_exhaustive_matches_reference_search():
+    # the reference tries every goal subset with pairwise walk tests; its
+    # partial routings are not feasible points of the model, so there the
+    # single full-subset search reports the horizon infeasible
+    cases = []
+    for ws in ((2, 3), (3, 3)):
+        g = build_grid(build_workspace(*ws))
+        for n in range(2, 6):
+            for seed in range(3):
+                cases += [random_discrete_instance(g, n, 100 * n + seed),
+                          _dense(ws, n, seed)]
+    full = infeasible = 0
+    for inst in cases:
+        lo = max(1, underestimated_makespan(inst))
+        models = [build_model(inst, T) for T in (lo, lo + 1)]
+        models.append(build_model(inst, min(lo, 3 if inst.n <= 3 else 2),
+                                  prune=False))
+        for model in models:
+            ref, objective = reference_exhaustive(model)
+            sol = solve(model)
+            if objective == inst.n:
+                assert sol.objective_value == inst.n
+                assert sol.assignment.tolist() == [
+                    ref[c] for c in range(len(model.variables))]
+                full += 1
+            else:
+                assert not sol.feasible and sol.objective_value == -1
+                infeasible += 1
+    assert (full, infeasible) == (84, 60)
+
+
+def test_one_walk_search_per_horizon(monkeypatch):
+    # 6 discs whose first horizon is infeasible: the goal-subset loop ran
+    # 64 failing searches there
+    calls = []
+    search = ilp._search
+    monkeypatch.setattr(ilp, "_search",
+                        lambda choices: calls.append(1) or search(choices))
+    plan, rep = solve_triilp(_dense((2, 3), 6, 2))
+    assert (rep.makespan, rep.iterations) == (5, 2)
+    assert len(calls) == 2

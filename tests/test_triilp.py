@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from _oracles import joint_bfs_makespan
 from conftest import random_discrete_instance
-from triroute.discretize import DiscreteInstance
+from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import bfs_distances, bfs_path, build_grid, build_workspace
+from triroute.instances import dense_instance
 from triroute.plan import check_plan
 from triroute.triilp import (HorizonExceededError, solve_split, solve_triilp,
                              split_k_way, underestimated_makespan)
@@ -159,3 +161,28 @@ def test_suite_aggregate_ratio_formula(minimal_grid):
     from triroute.validate import optimality_metrics
     m = optimality_metrics([(r.makespan, r.underestimate) for r in reports])
     assert abs(m.aggregate - agg) < 1e-12
+
+
+# 6-disc dense_instance draws that took 14 s and 39 s with a search per
+# goal subset and pairwise walk tests, with the optimal plans found then
+HEAVY_TAIL_PLANS = {
+    ((2, 3), 6, 105): [(0, 7, 11, 5, 8, 15), (4, 7, 8, 1, 5, 12),
+                       (8, 7, 9, 0, 5, 12), (11, 7, 6, 0, 8, 9),
+                       (15, 7, 5, 0, 11, 8)],
+    ((3, 3), 6, 131): [(0, 7, 11, 14, 21, 5), (0, 7, 8, 11, 18, 9),
+                       (0, 11, 5, 12, 14, 13), (4, 12, 5, 9, 11, 13),
+                       (7, 15, 4, 5, 8, 12), (11, 18, 4, 1, 5, 12),
+                       (14, 21, 7, 0, 5, 11)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEAVY_TAIL_PLANS))
+def test_heavy_tail_instances_keep_their_plans(case):
+    ws, n, seed = case
+    w = build_workspace(*ws)
+    inst, _, _ = discretize(dense_instance(w, n, seed), build_grid(w))
+    c0 = time.process_time()
+    plan, rep = solve_triilp(inst)
+    assert time.process_time() - c0 < 5.0
+    assert rep.makespan == len(HEAVY_TAIL_PLANS[case]) - 1
+    assert plan.steps == HEAVY_TAIL_PLANS[case]
