@@ -20,6 +20,7 @@ from .ilp import ExhaustiveGuardError, SolverError
 from .instances import GenerationError, dense_instance, random_instance
 from .paft import (InfeasibleInstanceError, PlannerInvariantError, SwapEngine,
                    SwapSearchError, isag, paft)
+from .plan import DiscretePlan
 from .prover import SweepError, format_certificate, verify
 from .triilp import (HorizonExceededError, SolveReport, solve_split,
                      solve_triilp, underestimated_makespan)
@@ -68,9 +69,6 @@ def _run_method(method: str, dinst, backend: str, solver_cmd: str | None,
 
 
 def _print_report(pairs: list[tuple[str, object]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k.ljust(width)}  {v}")
     for k, v in pairs:
         print(f"{k}={v}")
 
@@ -202,7 +200,7 @@ def cmd_render(args) -> int:
     dplan = cplan = None
     if args.plan:
         loaded = tio.read_plan(args.plan)
-        if hasattr(loaded, "steps"):
+        if isinstance(loaded, DiscretePlan):
             dplan = loaded
             if dplan.n != inst.n:
                 raise tio.ParseError("plan robot count differs from instance")

@@ -17,13 +17,19 @@ planners need: the 60-degree ("sharp") angle list, up to three
 interleaving hexagon covers (rings around every degree-6 vertex, grouped
 by a 3-coloring of the lattice), and two families of vertex-disjoint
 paths: "horizontal" waving paths that cover every vertex, and "vertical"
-column-pair waves that miss the rightmost column.
+column-pair waves that miss the rightmost column.  The vertex coordinates
+as an array (``TriGrid.coords``) and the table of directed arcs the ILP
+model is built on (``TriGrid.arcs``) are built on first use and kept
+with the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 EDGE_LEN = 4.0 / math.sqrt(3.0)   # lattice edge length
 ROW_STEP = 2.0                    # spacing between vertex columns
@@ -115,6 +121,59 @@ class TriGrid:
 
     def has_vertex(self, col: int, row: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.row_len[row]
+
+    @cached_property
+    def arcs(self) -> Arcs:
+        """The arc table, built on first use and kept with the grid."""
+        return Arcs.of(self)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (V, 2) float64 vertex coordinates, built on first use."""
+        xy = np.array([(p.x, p.y) for p in self.vertices],
+                      dtype=np.float64).reshape(-1, 2)
+        xy.flags.writeable = False
+        return xy
+
+
+@dataclass(frozen=True)
+class Arcs:
+    """The grid's directed arcs i -> j, j in the closed neighbourhood of i
+    (a stay is the arc i -> i), numbered in (i, j) order.  The lookup
+    tables are padded with A, one past the last arc."""
+
+    tail: np.ndarray      # (A,)
+    head: np.ndarray      # (A,)
+    arc_of: np.ndarray    # (V, V): arc i -> j, A where there is none
+    out: np.ndarray       # (V, W): arcs leaving each vertex, by head
+    into: np.ndarray      # (V, W): arcs entering each vertex, by tail
+    edge: np.ndarray      # (E, 2): arcs (i, j), (j, i) of each edge i < j
+    triangle: np.ndarray  # (F, 6): (a,b) (b,a) (a,c) (c,a) (b,c) (c,b)
+
+    @classmethod
+    def of(cls, grid: TriGrid) -> "Arcs":
+        V = grid.n_vertices
+        closed = [sorted([v] + grid.adjacency[v]) for v in range(V)]
+        deg = np.array([len(c) for c in closed])
+        tail = np.repeat(np.arange(V), deg)
+        head = np.array([j for c in closed for j in c])
+        A = len(tail)
+        arc_of = np.full((V + 1, V), A)       # row V: the padding vertex
+        arc_of[tail, head] = np.arange(A)
+        W = int(deg.max())
+        pad = np.arange(W) >= deg[:, None]
+        out = np.where(pad, A, (np.cumsum(deg) - deg)[:, None] + np.arange(W))
+        nbr = np.full((V, W), V)
+        nbr[~pad] = head
+        into = arc_of[nbr, np.arange(V)[:, None]]
+        e = np.array(grid.edges, dtype=int).reshape(-1, 2)
+        a, b, c = np.array(grid.triangles, dtype=int).reshape(-1, 3).T
+        return cls(tail=tail, head=head, arc_of=arc_of[:V], out=out, into=into,
+                   edge=np.stack([arc_of[e[:, 0], e[:, 1]],
+                                  arc_of[e[:, 1], e[:, 0]]], 1),
+                   triangle=np.stack([arc_of[a, b], arc_of[b, a], arc_of[a, c],
+                                      arc_of[c, a], arc_of[b, c], arc_of[c, b]],
+                                     1))
 
 
 def build_workspace(n1: int, n2: int) -> Workspace:

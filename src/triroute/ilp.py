@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import TriGrid, bfs_distances
+from .geometry import Arcs, bfs_distances
 from .plan import DiscretePlan
 
 
@@ -55,46 +55,6 @@ SOLVER_TIMEOUT_S = 600.0  # wall-clock limit on one external solver call
 
 EQ, LE = 0, 1             # row senses, indices into SENSES
 SENSES = ("=", "<=")
-
-
-@dataclass(frozen=True)
-class Arcs:
-    """The grid's directed arcs i -> j, j in the closed neighbourhood of i
-    (a stay is the arc i -> i), numbered in (i, j) order.  The lookup
-    tables are padded with A, one past the last arc."""
-
-    tail: np.ndarray      # (A,)
-    head: np.ndarray      # (A,)
-    arc_of: np.ndarray    # (V, V): arc i -> j, A where there is none
-    out: np.ndarray       # (V, W): arcs leaving each vertex, by head
-    into: np.ndarray      # (V, W): arcs entering each vertex, by tail
-    edge: np.ndarray      # (E, 2): arcs (i, j), (j, i) of each edge i < j
-    triangle: np.ndarray  # (F, 6): (a,b) (b,a) (a,c) (c,a) (b,c) (c,b)
-
-    @classmethod
-    def of(cls, grid: TriGrid) -> "Arcs":
-        V = grid.n_vertices
-        closed = [sorted([v] + grid.adjacency[v]) for v in range(V)]
-        deg = np.array([len(c) for c in closed])
-        tail = np.repeat(np.arange(V), deg)
-        head = np.array([j for c in closed for j in c])
-        A = len(tail)
-        arc_of = np.full((V + 1, V), A)       # row V: the padding vertex
-        arc_of[tail, head] = np.arange(A)
-        W = int(deg.max())
-        pad = np.arange(W) >= deg[:, None]
-        out = np.where(pad, A, (np.cumsum(deg) - deg)[:, None] + np.arange(W))
-        nbr = np.full((V, W), V)
-        nbr[~pad] = head
-        into = arc_of[nbr, np.arange(V)[:, None]]
-        e = np.array(grid.edges, dtype=int).reshape(-1, 2)
-        a, b, c = np.array(grid.triangles, dtype=int).reshape(-1, 3).T
-        return cls(tail=tail, head=head, arc_of=arc_of[:V], out=out, into=into,
-                   edge=np.stack([arc_of[e[:, 0], e[:, 1]],
-                                  arc_of[e[:, 1], e[:, 0]]], 1),
-                   triangle=np.stack([arc_of[a, b], arc_of[b, a], arc_of[a, c],
-                                      arc_of[c, a], arc_of[b, c], arc_of[c, b]],
-                                     1))
 
 
 @dataclass(frozen=True)
@@ -147,21 +107,31 @@ def _infeasible() -> Solution:
                     feasible=False)
 
 
-def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
+def hop_distances(inst: DiscreteInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(n, V) hop distances from every robot's start and from its goal."""
+    grid = inst.grid
+    shape = (inst.n, grid.n_vertices)
+    return tuple(np.array([bfs_distances(grid, v) for v in ends]).reshape(shape)
+                 for ends in (inst.v_starts, inst.v_goals))
+
+
+def build_model(inst: DiscreteInstance, T: int, prune: bool = True,
+                hops: tuple[np.ndarray, np.ndarray] | None = None) -> IlpModel:
+    """The model at horizon T.  ``hops`` is ``hop_distances(inst)``, which
+    a caller trying several horizons computes once; pruning reads it."""
     if T < 1:
         raise ValueError("horizon T must be at least 1")
     grid = inst.grid
     n, V = inst.n, grid.n_vertices
-    arcs = Arcs.of(grid)
+    arcs = grid.arcs
     A = len(arcs.tail)
     starts = np.array(inst.v_starts, dtype=int)
     goals = np.array(inst.v_goals, dtype=int)
     if prune:
-        fwd = np.array([bfs_distances(grid, v) for v in starts.tolist()])
-        bwd = np.array([bfs_distances(grid, v) for v in goals.tolist()])
+        fwd, bwd = hop_distances(inst) if hops is None else hops
         t = np.arange(T)[:, None]
-        keep = ((fwd.reshape(n, V)[:, None, arcs.tail] <= t)
-                & (bwd.reshape(n, V)[:, None, arcs.head] <= T - 1 - t))
+        keep = ((fwd[:, None, arcs.tail] <= t)
+                & (bwd[:, None, arcs.head] <= T - 1 - t))
     else:
         keep = np.ones((n, T, A), dtype=bool)
 
@@ -456,14 +426,14 @@ def extract_plan(model: IlpModel, sol: Solution) -> DiscretePlan:
     succ[key] = j[moving]
     succ = succ.reshape(T, n, V)
     robots = np.arange(n)
-    pos = np.array(model.inst.v_starts, dtype=int)
-    rows = [tuple(model.inst.v_starts)]
+    pos = np.array(model.inst.v_starts, dtype=np.intp)
+    rows = np.empty((T + 1, n), dtype=np.intp)
+    rows[0] = pos
     for step in range(T):
         count = active[step, robots, pos]
         bad = np.flatnonzero(count != 1)
         if bad.size:
             raise SolverError(f"robot {bad[0]} has {count[bad[0]]} active moves "
                               f"at step {step}")
-        pos = succ[step, robots, pos]
-        rows.append(tuple(pos.tolist()))
-    return DiscretePlan(steps=rows)
+        rows[step + 1] = pos = succ[step, robots, pos]
+    return DiscretePlan(rows)

@@ -89,9 +89,9 @@ def write_instance(path: str, inst: ContinuousInstance) -> None:
 
 def format_discrete_plan(plan: DiscretePlan) -> str:
     lines = [f"{PLAN_HEADER} discrete", f"robots {plan.n}",
-             f"steps {len(plan.steps)}"]
-    for t, row in enumerate(plan.steps):
-        lines.append("step " + str(t) + " " + " ".join(str(v) for v in row))
+             f"steps {len(plan.positions)}"]
+    for t, row in enumerate(plan.positions.tolist()):
+        lines.append("step " + str(t) + " " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -138,18 +138,20 @@ def _parse_discrete(lines: list[str]) -> DiscretePlan:
         count = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParseError("bad plan preamble") from exc
-    steps = []
+    vertices: list[int] = []
     for ln in lines[3:]:
         parts = ln.split()
         if parts[0] != "step":
             raise ParseError(f"bad step line: {ln!r}")
-        row = tuple(int(v) for v in parts[2:])
-        if len(row) != n:
-            raise ParseError(f"step row has {len(row)} entries, wanted {n}")
-        steps.append(row)
-    if len(steps) != count:
-        raise ParseError(f"plan has {len(steps)} steps, header said {count}")
-    return DiscretePlan(steps=steps)
+        if len(parts) - 2 != n:
+            raise ParseError(f"step row has {len(parts) - 2} entries, wanted {n}")
+        try:
+            vertices.extend(int(v) for v in parts[2:])
+        except ValueError as exc:
+            raise ParseError(f"bad step line: {ln!r}") from exc
+    if len(lines) - 3 != count:
+        raise ParseError(f"plan has {len(lines) - 3} steps, header said {count}")
+    return DiscretePlan(np.array(vertices, dtype=np.intp).reshape(count, n))
 
 
 def _parse_continuous(lines: list[str]) -> ContinuousPlan:

@@ -31,6 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
 from .discretize import DiscreteInstance
 from .geometry import EDGE_LEN, TriGrid, bfs_distances
 from .plan import DiscretePlan
@@ -335,7 +337,8 @@ class _Router:
 
     Disc ids 0..n_real-1 are the instance robots; higher ids are virtual
     discs standing in for empty vertices.  Steps where only virtual
-    discs move are not recorded (physically nothing happens).
+    discs move are not recorded (physically nothing happens).  A recorded
+    step stores only its real moves; ``finish`` builds the plan array.
     """
 
     def __init__(self, grid: TriGrid, engine: SwapEngine | None = None):
@@ -344,7 +347,9 @@ class _Router:
         self.occ = [-1] * grid.n_vertices
         self.pos: list[int] = []
         self.n_real = 0
-        self.rows: list[tuple[int, ...]] = []
+        self.starts: tuple[int, ...] = ()
+        self.moved: list[int] = []   # robot, v - u of every real move
+        self.ends: list[int] = []    # len(moved) after each recorded step
 
     def load(self, starts: tuple[int, ...]) -> None:
         self.n_real = len(starts)
@@ -353,7 +358,8 @@ class _Router:
             if self.occ[v] != -1:
                 raise ValueError("duplicate start vertex")
             self.occ[v] = r
-        self.rows = [tuple(starts)]
+        self.starts = tuple(starts)
+        self.moved, self.ends = [], []
 
     def add_virtual(self, v: int) -> int:
         if self.occ[v] != -1:
@@ -366,27 +372,37 @@ class _Router:
     def apply_step(self, moves: list[tuple[int, int]]) -> None:
         if not moves:
             return
-        real_moved = False
         discs = []
         for u, _ in moves:
             d = self.occ[u]
             if d == -1:
                 raise PlannerInvariantError(f"move from empty vertex {u}")
             discs.append(d)
-            if d < self.n_real:
-                real_moved = True
         for u, _ in moves:
             self.occ[u] = -1
+        moved, n_real = self.moved, self.n_real
+        recorded = len(moved)
         for (u, v), d in zip(moves, discs):
             if self.occ[v] != -1:
                 raise PlannerInvariantError(f"two discs target vertex {v}")
             self.occ[v] = d
             self.pos[d] = v
-        if real_moved:
-            self.rows.append(tuple(self.pos[:self.n_real]))
+            if d < n_real:
+                moved += (d, v - u)
+        if len(moved) > recorded:
+            self.ends.append(len(moved))
 
     def finish(self) -> DiscretePlan:
-        return DiscretePlan(steps=self.rows)
+        """The recorded steps as one array: row 0 is the start, every move
+        adds v - u to its robot's column, and a running sum down the
+        columns gives each step's vertices."""
+        T = len(self.ends)
+        robot, delta = np.array(self.moved, dtype=np.intp).reshape(-1, 2).T
+        step = np.repeat(np.arange(1, T + 1), np.diff([0, *self.ends]) // 2)
+        pos = np.zeros((T + 1, self.n_real), dtype=np.intp)
+        pos[0] = self.starts
+        pos[step, robot] = delta
+        return DiscretePlan(np.cumsum(pos, axis=0, out=pos))
 
     # sequential single-disc machinery (boundary corners)
 
@@ -654,7 +670,7 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
     """Cell pipeline: partition, circulations toward goal cells, sort."""
     d_g = max_goal_distance(inst)
     if d_g == 0:
-        plan = DiscretePlan(steps=[tuple(inst.v_starts)])
+        plan = DiscretePlan.from_steps([inst.v_starts])
         return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=0.0,
                                 cell_count=1, circulation_steps=0,
                                 swap_constant=0)

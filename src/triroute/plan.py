@@ -1,29 +1,55 @@
 """Synchronous discrete plans on the triangular grid and their legality rules.
 
-A plan is a list of per-step robot position rows.  A step is legal when
-per-robot motion is along an edge or a stay, positions stay injective,
-no edge is crossed in both directions at once, and no two robots move
-within the same lattice triangle (the sharp-angle exclusion).
+A plan is one ``(T + 1, n)`` integer array: row t holds every robot's
+vertex at step t.  ``DiscretePlan.steps`` rebuilds the rows as tuples
+for readers that want them.  A step is legal when per-robot motion is
+along an edge or a stay, positions stay injective, no edge is crossed
+in both directions at once, and no two robots move within the same
+lattice triangle (the sharp-angle exclusion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import TriGrid
 
 
-@dataclass
+def _positions(steps) -> np.ndarray:
+    """Rows of vertex ids as a ``(len(steps), n)`` intp array."""
+    a = np.array(steps, dtype=np.intp)
+    return a.reshape(len(a), -1) if len(a) else a.reshape(0, 0)
+
+
+@dataclass(eq=False)
 class DiscretePlan:
-    steps: list[tuple[int, ...]]   # steps[t][r] = vertex of robot r at step t
+    positions: np.ndarray   # (T + 1, n) intp: positions[t, r] = vertex of
+                            # robot r at step t
+
+    @classmethod
+    def from_steps(cls, steps) -> DiscretePlan:
+        """A plan from per-step rows of vertex ids."""
+        return cls(_positions(steps))
+
+    @property
+    def steps(self) -> list[tuple[int, ...]]:
+        """Per step the tuple of robot vertices, built from the array on
+        every access; assigning rows replaces the array."""
+        return [tuple(row) for row in self.positions.tolist()]
+
+    @steps.setter
+    def steps(self, steps) -> None:
+        self.positions = _positions(steps)
 
     @property
     def T(self) -> int:
-        return len(self.steps) - 1
+        return len(self.positions) - 1
 
     @property
     def n(self) -> int:
-        return len(self.steps[0]) if self.steps else 0
+        return self.positions.shape[1]
 
 
 def _edge_triangle_map(grid: TriGrid) -> dict[tuple[int, int], list[int]]:
@@ -38,31 +64,25 @@ def check_plan(grid: TriGrid, plan: DiscretePlan,
                v_starts: tuple[int, ...] | None = None,
                v_goals: tuple[int, ...] | None = None) -> list[str]:
     """All violations of the plan rules (empty list = valid plan)."""
-    errors: list[str] = []
-    if not plan.steps:
+    pos = plan.positions
+    if not len(pos):
         return ["plan has no steps"]
-    n = plan.n
-    for t, row in enumerate(plan.steps):
-        if len(row) != n:
-            errors.append(f"step {t}: row length {len(row)} != {n}")
-            return errors
-        if len(set(row)) != n:
-            errors.append(f"step {t}: positions not injective")
+    ordered = np.sort(pos, axis=1)
+    errors = [f"step {t}: positions not injective" for t in
+              np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(1)).tolist()]
 
-    if v_starts is not None and tuple(plan.steps[0]) != tuple(v_starts):
+    if v_starts is not None and pos[0].tolist() != list(v_starts):
         errors.append("step 0 does not match start configuration")
-    if v_goals is not None and tuple(plan.steps[-1]) != tuple(v_goals):
+    if v_goals is not None and pos[-1].tolist() != list(v_goals):
         errors.append(f"step {plan.T} does not match goal configuration")
 
     etri = _edge_triangle_map(grid)
     adj = [set(a) for a in grid.adjacency]
-    for t in range(plan.T):
-        cur, nxt = plan.steps[t], plan.steps[t + 1]
+    moved = pos[1:] != pos[:-1]
+    for t in np.flatnonzero(moved.any(1)).tolist():
         moves = []
-        for r in range(n):
-            u, v = cur[r], nxt[r]
-            if u == v:
-                continue
+        for r in np.flatnonzero(moved[t]).tolist():
+            u, v = int(pos[t, r]), int(pos[t + 1, r])
             if v not in adj[u]:
                 errors.append(f"step {t}: robot {r} jumps {u}->{v}")
                 continue

@@ -105,7 +105,8 @@ def render(ws: Workspace, grid: TriGrid | None = None,
                 svg.polyline([p for _, p in pts], disc_color(r), 1.2)
         elif dplan is not None and grid is not None:
             for r in range(dplan.n):
-                svg.polyline([grid.vertices[row[r]] for row in dplan.steps],
+                svg.polyline([grid.vertices[v]
+                              for v in dplan.positions[:, r].tolist()],
                              disc_color(r), 1.2)
 
     if inst is not None:
@@ -117,7 +118,7 @@ def render(ws: Workspace, grid: TriGrid | None = None,
             positions = [_interp(pts, at) for pts in cplan.trajectories]
         elif dplan is not None and grid is not None:
             k = min(max(int(round(at)), 0), dplan.T)
-            positions = [grid.vertices[v] for v in dplan.steps[k]]
+            positions = [grid.vertices[v] for v in dplan.positions[k].tolist()]
         elif inst is not None:
             positions = list(inst.starts)
     if positions is not None:

@@ -8,9 +8,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .discretize import DiscreteInstance
 from .geometry import bfs_distances, bfs_path
-from .ilp import build_model, extract_plan, solve
+from .ilp import build_model, extract_plan, hop_distances, solve
 from .plan import DiscretePlan
 
 
@@ -56,7 +58,7 @@ def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
     t0 = time.perf_counter()
     lo = underestimated_makespan(inst)
     if lo == 0:
-        plan = DiscretePlan(steps=[tuple(inst.v_starts)])
+        plan = DiscretePlan.from_steps([inst.v_starts])
         return plan, SolveReport(makespan=0, underestimate=0,
                                  optimality_ratio=1.0,
                                  wall_time=time.perf_counter() - t0,
@@ -64,10 +66,11 @@ def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
     margin = inst.grid.n_vertices if horizon_margin is None else horizon_margin
     ceiling = lo + margin
     iterations = 0
+    hops = hop_distances(inst)
     T = lo
     while T <= ceiling:
         iterations += 1
-        model = build_model(inst, T)
+        model = build_model(inst, T, hops=hops)
         sol = solve(model, backend=backend, solver_cmd=solver_cmd)
         if sol.objective_value == inst.n:
             plan = extract_plan(model, sol)
@@ -120,16 +123,17 @@ def solve_split(inst: DiscreteInstance, k: int, backend: str = "exhaustive",
     if k == 1:
         return solve_triilp(inst, backend=backend, solver_cmd=solver_cmd)
     subs = split_k_way(inst, k)
-    steps: list[tuple[int, ...]] = [tuple(inst.v_starts)]
+    parts = []
     total = 0
     iterations = 0
     for sub in subs:
         plan, rep = solve_triilp(sub, backend=backend, solver_cmd=solver_cmd)
         total += rep.makespan
         iterations += rep.iterations
-        steps.extend(plan.steps[1:])  # drop the duplicated junction row
+        # drop the junction row the previous sub-plan ended on
+        parts.append(plan.positions[1:] if parts else plan.positions)
     lo = underestimated_makespan(inst)
-    return (DiscretePlan(steps=steps),
+    return (DiscretePlan(np.concatenate(parts)),
             SolveReport(makespan=total, underestimate=lo,
                         optimality_ratio=_ratio(total, lo),
                         wall_time=time.perf_counter() - t0,

@@ -7,7 +7,12 @@ exceed 1), and snap-out (the goal snap reversed).
 
 A continuous plan holds one float64 array per disc whose rows are the
 breakpoints ``(t, x, y)`` in time order; the disc moves linearly from one
-row to the next.  ``ContinuousPlan.trajectories`` rebuilds the
+row to the next.  In the grid phase a disc gets a breakpoint only at the
+first and last step and where it starts or stops moving: in dense plans
+most discs wait most of the time, and a wait is one row.  The positions
+at every time are those of one breakpoint per step.  So are validation's
+windows whenever every step moves some disc, as in PAFT, ISAG and
+optimal ILP plans.  ``ContinuousPlan.trajectories`` rebuilds the
 ``(time, Vec2)`` lists from those arrays for readers that want points.
 
 Validation computes the exact minimum center distance for every disc pair
@@ -124,24 +129,41 @@ class ValidationReport:
         return self.boundary_ok and self.min_pair_clearance >= CONTACT - TOL
 
 
-def _vertex_xy(grid: TriGrid) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in grid.vertices], dtype=np.float64)
+def _grid_rows(grid: TriGrid, dplan: DiscretePlan, t0: float
+               ) -> list[np.ndarray]:
+    """Per disc the grid-phase breakpoints ``(t0 + k * EDGE_LEN, vertex)``
+    at the first and last step and at every step where the disc arrives
+    or leaves.  A step inside a stationary run is dropped: the disc
+    stands at that vertex anyway."""
+    pos = dplan.positions
+    T, n = dplan.T, dplan.n
+    if not n:
+        return []
+    moved = pos[1:] != pos[:-1]                 # (T, n): step k -> k + 1
+    keep = np.ones((T + 1, n), dtype=bool)
+    np.logical_or(moved[:-1], moved[1:], out=keep[1:-1])
+    r, k = np.nonzero(keep.T)                   # disc-major, steps in order
+    rows = np.empty((len(r), 3))
+    rows[:, 0] = t0 + k * EDGE_LEN
+    rows[:, 1:] = grid.coords[pos[k, r]]
+    ends = np.searchsorted(r, np.arange(1, n + 1)).tolist()
+    return [rows[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
                snap_s: SnapResult, snap_g: SnapResult) -> ContinuousPlan:
     """Timed piecewise-linear trajectories for the full three-phase plan.
 
-    A breakpoint is kept when its time exceeds the disc's previous one by
-    more than 1e-15 or its position differs.  Grid-phase times grow by one
-    edge length per step, so that only ever drops the snap-in and
-    snap-out points."""
+    The grid phase keeps a breakpoint only where a disc starts or stops
+    moving, and at its end.  A snap-in or snap-out point is kept when its
+    time exceeds the disc's previous one by more than 1e-15 or its
+    position differs."""
     n = inst.n
     if dplan.n != n:
         raise SynthesisError("plan robot count differs from instance")
-    if tuple(dplan.steps[0]) != tuple(snap_s.assignment):
+    if dplan.positions[0].tolist() != list(snap_s.assignment):
         raise SynthesisError("plan does not start at the snapped start vertices")
-    if tuple(dplan.steps[-1]) != tuple(snap_g.assignment):
+    if dplan.positions[-1].tolist() != list(snap_g.assignment):
         raise SynthesisError("plan does not end at the snapped goal vertices")
 
     t_in = snap_s.phase_duration
@@ -149,18 +171,15 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
     t_out = snap_g.phase_duration
     makespan = t_in + t_grid + t_out
 
-    steps = np.asarray(dplan.steps, dtype=np.intp)
-    body = np.empty((n, dplan.T, 3))
-    body[:, :, 0] = t_in + np.arange(1, dplan.T + 1) * EDGE_LEN
-    body[:, :, 1:] = _vertex_xy(grid)[steps[1:].T]
-
+    # step 0 is the snap-in point
+    body = [p[1:] for p in _grid_rows(grid, dplan, t_in)]
     paths = []
     for r in range(n):
         s, e, g = inst.starts[r], snap_s.segments[r][1], inst.goals[r]
         head = [(0.0, s.x, s.y)]
         if t_in > 1e-15 or (s.x, s.y) != (e.x, e.y):
             head.append((t_in, e.x, e.y))
-        lt, lx, ly = body[r, -1].tolist() if dplan.T else head[-1]
+        lt, lx, ly = body[r][-1].tolist() if dplan.T else head[-1]
         tail = []
         if makespan > lt + 1e-15 or (lx, ly) != (g.x, g.y):
             tail.append((makespan, g.x, g.y))
@@ -174,13 +193,12 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
 
 
 def synthesize_discrete(grid: TriGrid, dplan: DiscretePlan) -> ContinuousPlan:
-    """Trajectories for a purely discrete instance (endpoints on vertices)."""
+    """Trajectories for a purely discrete instance (endpoints on vertices),
+    with breakpoints at the first and last step and where a disc starts
+    or stops moving."""
     makespan = dplan.T * EDGE_LEN
-    steps = np.asarray(dplan.steps, dtype=np.intp)
-    block = np.empty((dplan.n, len(steps), 3))
-    block[:, :, 0] = np.arange(len(steps)) * EDGE_LEN
-    block[:, :, 1:] = _vertex_xy(grid)[steps.T]
-    return ContinuousPlan(list(block), makespan=makespan, snap_in=0.0,
+    paths = _grid_rows(grid, dplan, 0.0)
+    return ContinuousPlan(paths, makespan=makespan, snap_in=0.0,
                           grid_duration=makespan, snap_out=0.0)
 
 

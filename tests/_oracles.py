@@ -431,14 +431,19 @@ def reference_format_continuous_plan(plan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_synthesize(inst, grid, dplan, snap_s, snap_g):
+def reference_synthesize(inst, grid, dplan, snap_s, snap_g, dense=False):
     """Per disc the (time, point) breakpoints of the three-phase plan, one
-    point at a time: a point is kept when its time exceeds the previous
-    one's by more than 1e-15 or its position differs."""
+    point at a time.  A grid step's point is kept at the last step and
+    where the disc arrives at or leaves its vertex, or at every step when
+    ``dense``; that and the snap-in and snap-out points are then kept
+    when their time exceeds the previous one's by more than 1e-15 or
+    their position differs."""
+    steps = dplan.steps
+    T = len(steps) - 1
     t_in = snap_s.phase_duration
-    makespan = t_in + dplan.T * EDGE + snap_g.phase_duration
+    makespan = t_in + T * EDGE + snap_g.phase_duration
     out = []
-    for r in range(len(dplan.steps[0])):
+    for r in range(len(steps[0])):
         pts = [(0.0, inst.starts[r])]
 
         def append(t, p):
@@ -447,10 +452,34 @@ def reference_synthesize(inst, grid, dplan, snap_s, snap_g):
                 pts.append((t, p))
 
         append(t_in, snap_s.segments[r][1])
-        for k in range(1, len(dplan.steps)):
-            append(t_in + k * EDGE, grid.vertices[dplan.steps[k][r]])
+        for k in range(1, T + 1):
+            v = steps[k][r]
+            if (dense or k == T or v != steps[k - 1][r]
+                    or v != steps[k + 1][r]):
+                append(t_in + k * EDGE, grid.vertices[v])
         append(makespan, inst.goals[r])
         if pts[-1][0] < makespan - 1e-15:
             pts.append((makespan, inst.goals[r]))
         out.append(pts)
     return out
+
+
+def dense_discrete_paths(grid, steps) -> list[np.ndarray]:
+    """Per disc a ``(T + 1, 3)`` array ``(k * EDGE, vertex)`` with a
+    breakpoint at every step k of a discrete plan: a valid input for
+    ``validate`` with as many windows per disc as the plan has steps."""
+    pos = np.asarray(steps, dtype=int).reshape(len(steps), -1)
+    xy = np.array([(p.x, p.y) for p in grid.vertices])
+    block = np.empty((pos.shape[1], len(pos), 3))
+    block[:, :, 0] = np.arange(len(pos)) * EDGE
+    block[:, :, 1:] = xy[pos.T]
+    return list(block)
+
+
+def reference_format_discrete_plan(steps) -> str:
+    """The discrete plan text from per-step rows of vertex ids."""
+    lines = ["plan 1 discrete", f"robots {len(steps[0]) if steps else 0}",
+             f"steps {len(steps)}"]
+    for t, row in enumerate(steps):
+        lines.append("step " + str(t) + " " + " ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"

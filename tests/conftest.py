@@ -6,8 +6,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from triroute.discretize import DiscreteInstance
+from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import build_grid, build_workspace
+from triroute.instances import random_instance
+from triroute.paft import SwapEngine, paft
+from triroute.triilp import solve_split, solve_triilp
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +49,27 @@ def full_occupancy_instance(grid, seed):
     return DiscreteInstance(grid=grid,
                             v_starts=tuple(range(grid.n_vertices)),
                             v_goals=tuple(goals))
+
+
+@pytest.fixture(scope="session")
+def ilp_suite():
+    """The continuous ILP cases of the acceptance validity suite:
+    (instance, grid, plan, start snap, goal snap)."""
+    def case(n1, n2, seed, route):
+        ws = build_workspace(n1, n2)
+        inst = random_instance(ws, 2 + seed % 3, seed)
+        g = build_grid(ws)
+        dinst, ss, sg = discretize(inst, g)
+        return inst, g, route(dinst)[0], ss, sg
+
+    return ([case(2, 3, seed, solve_triilp) for seed in range(20)]
+            + [case(3, 3, seed, lambda d: solve_split(d, 2))
+               for seed in range(50, 70)])
+
+
+@pytest.fixture(scope="session")
+def paft_full(medium_grid):
+    """A full-occupancy PAFT plan on 4x5."""
+    inst = full_occupancy_instance(medium_grid, 0)
+    plan, _ = paft(inst, SwapEngine(medium_grid))
+    return plan

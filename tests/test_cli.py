@@ -69,7 +69,7 @@ def test_instance_round_trip(tmp_path):
 def test_plan_round_trips(tmp_path):
     from triroute.plan import DiscretePlan
 
-    plan = DiscretePlan(steps=[(1, 2), (2, 3), (3, 4)])
+    plan = DiscretePlan.from_steps([(1, 2), (2, 3), (3, 4)])
     text = tio.format_discrete_plan(plan)
     back = tio.parse_plan(text)
     assert back.steps == plan.steps
@@ -106,6 +106,20 @@ def test_solve_writes_validated_plan(tmp_path):
     assert run("solve", str(inst_path), "--out", str(plan_path)) == 0
     loaded = tio.read_plan(str(plan_path))
     assert isinstance(loaded, ContinuousPlan)
+
+
+def test_solve_report_prints_each_field_once(tmp_path, capsys):
+    inst_path = tmp_path / "r.oldr"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "3",
+               "--seed", "5", "--out", str(inst_path)) == 0
+    capsys.readouterr()
+    assert run("solve", str(inst_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [ln.split("=", 1)[0] for ln in lines]
+    assert all("=" in ln and " " not in k for ln, k in zip(lines, keys))
+    assert keys == ["method", "robots", "discrete_makespan", "underestimate",
+                    "ratio", "continuous_makespan", "min_pair_clearance",
+                    "wall_time", "plan_file"]
 
 
 def test_solve_methods_cross_comparison(tmp_path, capsys):

@@ -392,3 +392,21 @@ def test_one_walk_search_per_horizon(monkeypatch):
     plan, rep = solve_triilp(_dense((2, 3), 6, 2))
     assert (rep.makespan, rep.iterations) == (5, 2)
     assert len(calls) == 2
+
+
+def test_grid_tables_built_once_per_search(monkeypatch):
+    # two horizons: one arc table per grid, one BFS per start and goal
+    from triroute import geometry
+    arc_tables, bfs = [], []
+    of, distances = geometry.Arcs.of.__func__, ilp.bfs_distances
+    monkeypatch.setattr(geometry.Arcs, "of", classmethod(
+        lambda cls, grid: arc_tables.append(1) or of(cls, grid)))
+    monkeypatch.setattr(ilp, "bfs_distances",
+                        lambda grid, v: bfs.append(v) or distances(grid, v))
+    inst = _dense((2, 3), 6, 2)
+    plan, rep = solve_triilp(inst)
+    assert rep.iterations == 2
+    assert len(arc_tables) == 1 and len(bfs) == 2 * inst.n
+    assert inst.grid.arcs is inst.grid.arcs
+    solve_triilp(inst)
+    assert len(arc_tables) == 1 and len(bfs) == 4 * inst.n

@@ -248,7 +248,7 @@ def test_disjoint_swaps_compose_in_parallel():
         for v, d in occ.items():
             pos[d] = v
         rows.append(tuple(pos))
-    plan = DiscretePlan(steps=rows)
+    plan = DiscretePlan.from_steps(rows)
     assert not check_plan(g, plan)
 
 

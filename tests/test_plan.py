@@ -1,0 +1,87 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from _oracles import reference_format_discrete_plan
+from triroute import io as tio
+from triroute.plan import DiscretePlan, check_plan
+
+# sha256 of the discrete plan text, recorded when plans were lists of
+# tuples: the ilp_suite plans' texts joined in order, and the 4x5
+# full-occupancy PAFT plan
+ILP_SUITE_TEXT_SHA = \
+    "8cf4338c19fa3214287a4b386b5891b59438b4777ff95c19ccfa25584a34df77"
+PAFT_FULL_TEXT_SHA = \
+    "8e4678b274272e7e57cd63ab6d02a9271e754529d9333dd1c791a628e34d6bc9"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_steps_view_is_the_array_rows(paft_full):
+    plan = paft_full
+    assert plan.positions.dtype == np.intp
+    assert plan.positions.shape == (plan.T + 1, plan.n)
+    steps = plan.steps
+    assert steps == [tuple(row) for row in plan.positions.tolist()]
+    assert all(type(v) is int for v in steps[1])
+    assert hash(tuple(steps)) == hash(tuple(plan.steps))
+    steps[0] = ()                      # a copy, not the plan
+    assert plan.steps[0] == tuple(plan.positions[0].tolist())
+
+
+def test_steps_assignment_replaces_the_array():
+    plan = DiscretePlan.from_steps([(1, 2), (2, 3)])
+    plan.steps = [(4, 5), (5, 6), (6, 7)]
+    assert plan.T == 2 and plan.n == 2
+    assert plan.positions.tolist() == [[4, 5], [5, 6], [6, 7]]
+    empty = DiscretePlan.from_steps([(), ()])
+    assert (empty.T, empty.n) == (1, 0)
+
+
+def test_discrete_text_unchanged_and_round_trips(ilp_suite, paft_full):
+    texts = []
+    for plan in [case[2] for case in ilp_suite] + [paft_full]:
+        text = tio.format_discrete_plan(plan)
+        assert text == reference_format_discrete_plan(plan.steps)
+        back = tio.parse_plan(text)
+        assert back.positions.dtype == np.intp
+        assert np.array_equal(back.positions, plan.positions)
+        assert tio.format_discrete_plan(back) == text
+        texts.append(text)
+    assert _sha("".join(texts[:-1])) == ILP_SUITE_TEXT_SHA
+    assert _sha(texts[-1]) == PAFT_FULL_TEXT_SHA
+
+
+@pytest.mark.parametrize("text", [
+    "plan 1 discrete\nrobots 2\nsteps 1\nstep 0 1\n",
+    "plan 1 discrete\nrobots 1\nsteps 1\nstep 0 x\n",
+    "plan 1 discrete\nrobots 1\nsteps 2\nstep 0 1\n",
+], ids=["short row", "non-integer", "count"])
+def test_malformed_discrete_plan_raises_parse_error(text):
+    with pytest.raises(tio.ParseError):
+        tio.parse_plan(text)
+
+
+def test_check_plan_reports_each_rule(minimal_grid):
+    g = minimal_grid
+    a, b, c = g.triangles[0]
+    far = next(v for v in range(g.n_vertices)
+               if v != a and v not in g.adjacency[a])
+    cases = {
+        "not injective": [(a, b), (a, a)],
+        "jumps": [(a,), (far,)],
+        "head-on": [(a, b), (b, a)],
+        "concurrent moves on triangle": [(a, b), (b, c)],
+    }
+    for expect, steps in cases.items():
+        errors = check_plan(g, DiscretePlan.from_steps(steps))
+        assert any(expect in e for e in errors), (expect, errors)
+    assert check_plan(g, DiscretePlan.from_steps([])) == ["plan has no steps"]
+    ok = DiscretePlan.from_steps([(a, c), (b, c)])
+    assert check_plan(g, ok, (a, c), (b, c)) == []
+    assert check_plan(g, ok, (c, a), (c, b)) == [
+        "step 0 does not match start configuration",
+        "step 1 does not match goal configuration"]

@@ -4,16 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import (reference_format_continuous_plan, reference_synthesize,
-                      reference_validate)
-from conftest import full_occupancy_instance
+from _oracles import (dense_discrete_paths, reference_format_continuous_plan,
+                      reference_synthesize, reference_validate)
 from triroute import io as tio
 from triroute.discretize import ContinuousInstance, discretize
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
 from triroute.instances import random_instance
-from triroute.paft import SwapEngine, paft
 from triroute.plan import DiscretePlan
-from triroute.triilp import solve_split, solve_triilp
+from triroute.triilp import solve_triilp
 from triroute.validate import (CHUNK_WINDOWS, ContinuousPlan, SynthesisError,
                                max_segment_speed, optimality_metrics,
                                synthesize, synthesize_discrete, validate)
@@ -33,7 +31,7 @@ def test_synthesize_zero_makespan_when_identity(minimal_grid):
     pts = (g.vertices[5], g.vertices[9])
     inst = ContinuousInstance(workspace=ws, starts=pts, goals=pts)
     dinst, ss, sg = discretize(inst, g)
-    plan = DiscretePlan(steps=[tuple(ss.assignment)])
+    plan = DiscretePlan.from_steps([tuple(ss.assignment)])
     cp = synthesize(inst, g, plan, ss, sg)
     assert cp.makespan == 0.0
 
@@ -42,8 +40,8 @@ def test_zero_disc_plan_through_every_layer(minimal_grid):
     g = minimal_grid
     inst = ContinuousInstance(workspace=g.workspace, starts=(), goals=())
     dinst, ss, sg = discretize(inst, g)
-    for cp in (synthesize(inst, g, DiscretePlan(steps=[()]), ss, sg),
-               synthesize_discrete(g, DiscretePlan(steps=[(), ()]))):
+    for cp in (synthesize(inst, g, DiscretePlan.from_steps([()]), ss, sg),
+               synthesize_discrete(g, DiscretePlan.from_steps([(), ()]))):
         rep = validate(cp, g.workspace)
         assert rep.valid and rep.min_pair_clearance == math.inf
         assert max_segment_speed(cp) == 0.0 and cp.trajectories == []
@@ -60,7 +58,7 @@ def test_synthesize_single_edge_step(minimal_grid):
     inst = ContinuousInstance(workspace=ws, starts=(g.vertices[a],),
                               goals=(g.vertices[b],))
     dinst, ss, sg = discretize(inst, g)
-    plan = DiscretePlan(steps=[(a,), (b,)])
+    plan = DiscretePlan.from_steps([(a,), (b,)])
     cp = synthesize(inst, g, plan, ss, sg)
     assert abs(cp.makespan - EDGE_LEN) < 1e-12
     assert abs(cp.makespan - 2.3094) < 1e-4
@@ -80,7 +78,7 @@ def test_synthesize_rejects_mismatched_endpoints(minimal_grid):
     ws = g.workspace
     inst = random_instance(ws, 2, seed=1)
     dinst, ss, sg = discretize(inst, g)
-    bad = DiscretePlan(steps=[tuple(reversed(ss.assignment)),
+    bad = DiscretePlan.from_steps([tuple(reversed(ss.assignment)),
                               tuple(sg.assignment)])
     with pytest.raises(SynthesisError):
         synthesize(inst, g, bad, ss, sg)
@@ -90,7 +88,7 @@ def test_validate_shared_edge_swap_collides(minimal_grid):
     g = minimal_grid
     a = 5
     b = g.adjacency[a][0]
-    plan = DiscretePlan(steps=[(a, b), (b, a)])
+    plan = DiscretePlan.from_steps([(a, b), (b, a)])
     rep = validate(synthesize_discrete(g, plan), g.workspace)
     assert not rep.valid
     assert rep.violations
@@ -110,7 +108,7 @@ def test_validate_wide_angle_concurrent_moves_ok(minimal_grid):
                     dc = g.vertices[d] - g.vertices[c]
                     if abs(da.x - dc.x) < 1e-9 and abs(da.y - dc.y) < 1e-9 \
                             and d != b:
-                        plan = DiscretePlan(steps=[(a, c), (b, d)])
+                        plan = DiscretePlan.from_steps([(a, c), (b, d)])
                         rep = validate(synthesize_discrete(g, plan),
                                        g.workspace)
                         assert rep.valid
@@ -121,7 +119,7 @@ def test_validate_wide_angle_concurrent_moves_ok(minimal_grid):
 def test_validate_sharp_angle_concurrent_moves_collide(minimal_grid):
     g = minimal_grid
     a, b, c = g.triangles[0]
-    plan = DiscretePlan(steps=[(a, b), (b, c)])
+    plan = DiscretePlan.from_steps([(a, b), (b, c)])
     rep = validate(synthesize_discrete(g, plan), g.workspace)
     assert not rep.valid
     # following at 60 degrees pinches to half an edge length
@@ -191,30 +189,6 @@ def test_optimality_metrics():
 
 # ------------------------------------------------- array layers vs oracles
 
-@pytest.fixture(scope="module")
-def ilp_suite():
-    """The continuous ILP cases of the acceptance validity suite:
-    (instance, grid, plan, start snap, goal snap)."""
-    def case(n1, n2, seed, route):
-        ws = build_workspace(n1, n2)
-        inst = random_instance(ws, 2 + seed % 3, seed)
-        g = build_grid(ws)
-        dinst, ss, sg = discretize(inst, g)
-        return inst, g, route(dinst)[0], ss, sg
-
-    return ([case(2, 3, seed, solve_triilp) for seed in range(20)]
-            + [case(3, 3, seed, lambda d: solve_split(d, 2))
-               for seed in range(50, 70)])
-
-
-@pytest.fixture(scope="module")
-def paft_full(medium_grid):
-    """A full-occupancy PAFT plan on 4x5."""
-    inst = full_occupancy_instance(medium_grid, 0)
-    plan, _ = paft(inst, SwapEngine(medium_grid))
-    return plan
-
-
 def _shifted(cp, r, dx):
     """A copy of the plan with disc r's interior breakpoints moved by dx."""
     paths = [p.copy() for p in cp.paths]
@@ -235,7 +209,7 @@ def test_validate_matches_reference_on_colliding_plans(minimal_grid):
     g = minimal_grid
     a, b, c = g.triangles[0]
     for steps in ([(a, b), (b, a)], [(a, b), (b, c)]):   # midpoint, sharp
-        rep = _same_report(synthesize_discrete(g, DiscretePlan(steps=steps)),
+        rep = _same_report(synthesize_discrete(g, DiscretePlan.from_steps(steps)),
                            g.workspace)
         assert rep.violations
 
@@ -257,16 +231,22 @@ def test_validate_matches_reference_on_ilp_suite(ilp_suite):
         _same_report(synthesize(inst, g, plan, ss, sg), inst.workspace)
 
 
+def _dense(grid, steps):
+    """The plan's trajectories with a breakpoint at every step."""
+    makespan = (len(steps) - 1) * EDGE_LEN
+    return ContinuousPlan(dense_discrete_paths(grid, steps), makespan, 0.0,
+                          makespan, 0.0)
+
+
 def test_validate_matches_reference_on_full_occupancy_paft(medium_grid,
                                                           paft_full):
     ws = medium_grid.workspace
-    cp = synthesize_discrete(medium_grid, paft_full)
+    cp = _dense(medium_grid, paft_full.steps)
     assert len(cp.paths[0]) - 1 > 10 * CHUNK_WINDOWS
     assert _same_report(cp, ws).valid
     # a disc pushed into its neighbours over some 200 windows: violations
     # across chunks, in window order
-    head = synthesize_discrete(
-        medium_grid, DiscretePlan(steps=paft_full.steps[:200]))
+    head = _dense(medium_grid, paft_full.steps[:200])
     rep = _same_report(_shifted(head, 7, 1.0), ws)
     windows = {round(t / EDGE_LEN) for _, t, _ in rep.violations}
     assert len(rep.violations) > 50 and len(windows) > 2 * CHUNK_WINDOWS
@@ -277,12 +257,51 @@ def test_synthesize_matches_reference(ilp_suite, minimal_grid):
     pts = (g.vertices[5], g.vertices[9])
     inst = ContinuousInstance(workspace=g.workspace, starts=pts, goals=pts)
     dinst, ss, sg = discretize(inst, g)
-    identity = (inst, g, DiscretePlan(steps=[tuple(ss.assignment)]), ss, sg)
+    identity = (inst, g, DiscretePlan.from_steps([ss.assignment]), ss, sg)
     for case in [identity, *ilp_suite]:
         cp = synthesize(*case)
         assert cp.trajectories == reference_synthesize(*case)
         assert all(p.dtype == np.float64 and p.shape[1] == 3
                    for p in cp.paths)
+
+
+def _check_sparse_against_dense(sparse, dense, ws):
+    """Sparse breakpoints are a subsequence of the dense ones, each
+    dropped row lies inside a stationary run, the sparse plan passes
+    through the dense positions at every dense time, bit for bit, and
+    validate reports the same on both."""
+    for sp, dp in zip(sparse.paths, dense.paths, strict=True):
+        at = np.searchsorted(dp[:, 0], sp[:, 0])
+        assert np.all(np.diff(at) > 0)
+        assert dp[at].tobytes() == sp.tobytes()
+        dropped = np.setdiff1d(np.arange(len(dp)), at)
+        assert np.all((dropped > 0) & (dropped < len(dp) - 1))
+        for nb in (dropped - 1, dropped + 1):
+            assert dp[nb, 1:].tobytes() == dp[dropped, 1:].tobytes()
+        for c in (1, 2):
+            assert (np.interp(dp[:, 0], sp[:, 0], sp[:, c]).tobytes()
+                    == dp[:, c].tobytes())
+    rep, ref = validate(sparse, ws), validate(dense, ws)
+    assert rep.min_pair_clearance.hex() == ref.min_pair_clearance.hex()
+    assert rep.violations == ref.violations
+    assert rep.boundary_ok == ref.boundary_ok
+
+
+def test_sparse_synthesis_matches_dense_plan(ilp_suite, medium_grid,
+                                             paft_full):
+    for case in ilp_suite:
+        inst = case[0]
+        sparse = synthesize(*case)
+        dense = ContinuousPlan.from_points(
+            reference_synthesize(*case, dense=True), sparse.makespan,
+            sparse.snap_in, sparse.grid_duration, sparse.snap_out)
+        _check_sparse_against_dense(sparse, dense, inst.workspace)
+    sparse = synthesize_discrete(medium_grid, paft_full)
+    dense = _dense(medium_grid, paft_full.steps)
+    _check_sparse_against_dense(sparse, dense, medium_grid.workspace)
+    # most discs wait most of the time on a full-occupancy plan
+    rows = sum(len(p) for p in sparse.paths)
+    assert 3 * rows < sum(len(p) for p in dense.paths)
 
 
 def test_format_matches_reference_and_round_trips(ilp_suite, medium_grid,
