@@ -372,21 +372,21 @@ class _Router:
     def apply_step(self, moves: list[tuple[int, int]]) -> None:
         if not moves:
             return
+        occ = self.occ
         discs = []
         for u, _ in moves:
-            d = self.occ[u]
+            d = occ[u]
             if d == -1:
                 raise PlannerInvariantError(f"move from empty vertex {u}")
             discs.append(d)
-        for u, _ in moves:
-            self.occ[u] = -1
-        moved, n_real = self.moved, self.n_real
+            occ[u] = -1
+        pos, moved, n_real = self.pos, self.moved, self.n_real
         recorded = len(moved)
         for (u, v), d in zip(moves, discs):
-            if self.occ[v] != -1:
+            if occ[v] != -1:
                 raise PlannerInvariantError(f"two discs target vertex {v}")
-            self.occ[v] = d
-            self.pos[d] = v
+            occ[v] = d
+            pos[d] = v
             if d < n_real:
                 moved += (d, v - u)
         if len(moved) > recorded:
