@@ -79,7 +79,7 @@ def test_synthesize_rejects_mismatched_endpoints(minimal_grid):
     inst = random_instance(ws, 2, seed=1)
     dinst, ss, sg = discretize(inst, g)
     bad = DiscretePlan.from_steps([tuple(reversed(ss.assignment)),
-                              tuple(sg.assignment)])
+                                   tuple(sg.assignment)])
     with pytest.raises(SynthesisError):
         synthesize(inst, g, bad, ss, sg)
 
@@ -209,8 +209,8 @@ def test_validate_matches_reference_on_colliding_plans(minimal_grid):
     g = minimal_grid
     a, b, c = g.triangles[0]
     for steps in ([(a, b), (b, a)], [(a, b), (b, c)]):   # midpoint, sharp
-        rep = _same_report(synthesize_discrete(g, DiscretePlan.from_steps(steps)),
-                           g.workspace)
+        cp = synthesize_discrete(g, DiscretePlan.from_steps(steps))
+        rep = _same_report(cp, g.workspace)
         assert rep.violations
 
 
