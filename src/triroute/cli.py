@@ -59,9 +59,10 @@ def _run_method(method: str, dinst, backend: str, solver_cmd: str | None,
     t0 = time.perf_counter()
     if name == "isag":
         plan = isag(dinst, engine)
+        lo = underestimated_makespan(dinst)
     else:
-        plan, _ = paft(dinst, engine)
-    lo = underestimated_makespan(dinst)
+        plan, rep = paft(dinst, engine)
+        lo = rep.max_goal_distance
     ratio = 1.0 if lo == 0 else plan.T / lo
     return plan, SolveReport(makespan=plan.T, underestimate=lo,
                              optimality_ratio=ratio,

@@ -5,8 +5,8 @@ always a legal synchronous step (every turn is 120 degrees), and two
 overlapping hexagons generate enough rotations to transpose any two
 adjacent discs in the pair region while returning everyone else home.
 The rotation word depends only on the region's shape up to the
-lattice's rotations and reflections, so it is searched once per shape
-class.  Those cached swap schedules are the workhorse:
+lattice's rotations and reflections, so a fixed table holds one word per
+shape class.  The swap schedules built from it are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
@@ -27,15 +27,14 @@ all, so instances that demand it are rejected as infeasible.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .discretize import DiscreteInstance
 from .geometry import EDGE_LEN, TriGrid, bfs_distances
 from .plan import DiscretePlan
+from .triilp import underestimated_makespan
 
 
 class InfeasibleInstanceError(ValueError):
@@ -50,7 +49,6 @@ class PlannerInvariantError(RuntimeError):
     """A router invariant failed; the plan built so far is unusable."""
 
 
-_SEARCH_CAP = 400_000
 _LEAF = 10
 
 
@@ -98,97 +96,30 @@ def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
     return tuple((v, ring[(i + d) % len(ring)]) for i, v in enumerate(ring))
 
 
-def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
-                          start: tuple[int, ...], target: tuple[int, ...]
-                          ) -> list[object] | None:
-    """Shortest generator word mapping start to target (None if absent)."""
-    if start == target:
-        return []
-    # a generator sends the disc on slot s to slot perm[s], so the next
-    # state reads slot j from the inverse image of j
-    fw_moves = [(tag, itemgetter(*_invert(p))) for tag, p in gens]
-    bw_moves = [(tag, itemgetter(*p)) for tag, p in gens]
-    fw: dict[tuple[int, ...], tuple] = {start: None}
-    bw: dict[tuple[int, ...], tuple] = {target: None}
-    fq, bq = deque([start]), deque([target])
-
-    def path_fw(state) -> list[object]:
-        out = []
-        while fw[state] is not None:
-            state, tag = fw[state]
-            out.append(tag)
-        return list(reversed(out))
-
-    def path_bw(state) -> list[object]:
-        out = []
-        while bw[state] is not None:
-            state, tag = bw[state]
-            out.append(tag)
-        return out
-
-    while fq and bq:
-        if len(fw) + len(bw) > _SEARCH_CAP:
-            return None
-        if len(fq) <= len(bq):
-            for _ in range(len(fq)):
-                st = fq.popleft()
-                for tag, move in fw_moves:
-                    ns = move(st)
-                    if ns in fw:
-                        continue
-                    fw[ns] = (st, tag)
-                    if ns in bw:
-                        return path_fw(ns) + path_bw(ns)
-                    fq.append(ns)
-        else:
-            for _ in range(len(bq)):
-                st = bq.popleft()
-                for tag, move in bw_moves:
-                    ns = move(st)
-                    if ns in bw:
-                        continue
-                    bw[ns] = (st, tag)
-                    if ns in fw:
-                        return path_fw(ns) + path_bw(ns)
-                    bq.append(ns)
-    return None
-
-
-# neighbours of an axial lattice point, counterclockwise like geometry._ring
-_HEX_RING = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
-
-
-def _canonical_word(key: tuple) -> list[tuple[int, int]] | None:
-    """Shortest word of (ring, direction) turns that swaps a and b and
-    returns every other slot home, for a canonical shape: abstract axial
-    rings around the origin and the partner center."""
-    c2, a, b = key
-    rings = [[(cq + dq, cr + dr) for dq, dr in _HEX_RING]
-             for cq, cr in ((0, 0), c2)]
-    slots = sorted(set(rings[0]) | set(rings[1]))
-    idx = {v: i for i, v in enumerate(slots)}
-    gens = []
-    for which in (0, 1):
-        for d in (1, -1):
-            perm = list(range(len(slots)))
-            for u, v in _rotation(rings[which], d):
-                perm[idx[u]] = idx[v]
-            gens.append(((which, d), tuple(perm)))
-    ident = tuple(range(len(slots)))
-    tgt = list(ident)
-    tgt[idx[a]], tgt[idx[b]] = tgt[idx[b]], tgt[idx[a]]
-    return _bidirectional_search(gens, ident, tuple(tgt))
+# One rotation word per canonical region shape (see
+# SwapEngine._canonical_shape): key (partner center, a, b) in axial
+# offsets from the base center; "A" turns the base ring and "B" the
+# partner's, "+" by one position counterclockwise and "-" clockwise.
+# Each word is the shortest one that swaps a and b and returns every
+# other slot home; tests/_oracles.py regenerates them by a bidirectional
+# search.  These are the shapes of the first-ranked regions on every
+# buildable grid up to 12x12.
+_SWAP_WORDS = {
+    ((-2, 1), (-3, 1), (-3, 2)): "A+A+B+A+B+B+A+B-B-A-B-A+A+A+B+B+A+B-B-",
+    ((-2, 1), (-3, 1), (-2, 0)): "A+B+A+A+B-B-A+B+B+A+A+A+B-A-B-B-A+B+B+",
+    ((-2, 1), (-2, 0), (-1, 0)): "A+B+A+A+A+B-B-A-B+B+A-A-B-A-B-A-B+",
+    ((-2, 1), (-1, 0), (-1, 1)): "A+B+A+B+A+A+B-B-A+B+B+A+A+A+B-A-B-",
+    ((-1, 0), (-2, 0), (-2, 1)): "A+B+A+B-B-A+B-B-A+B+B+A+B+A-B+",
+    ((-1, 0), (-2, 0), (-1, 0)): "A+A+B-A+A+B-A-B-A-B+A-B-A-A-B-",
+    ((-1, 0), (-2, 1), (-1, 0)): "A+A+B+A+B-A+B+A+B+A-A-B+A-A-B+",
+    ((-1, 0), (-2, 1), (-1, 1)): "A+B+A+B-A+B+A+B+A-A-B+A-A-B+A+",
+    ((-1, 0), (-1, 0), (-1, 1)): "A+A+B+A+B-A+B+A+A+B+A-A-B+A-A-B+A-",
+    ((-1, 0), (-1, 0), (0, 0)): "A+B+A-B+A+B+A-A-B+B+A-B+B+A-B-A-B+",
+}
 
 
 class SwapEngine:
-    """Finds and caches adjacent-pair swap schedules on a grid."""
+    """Builds and caches adjacent-pair swap schedules on a grid."""
 
     def __init__(self, grid: TriGrid):
         self.grid = grid
@@ -196,7 +127,6 @@ class SwapEngine:
         for center in sorted(grid.ring_of):
             for v in grid.ring_of[center]:
                 self._member.setdefault(v, []).append(center)
-        self._cache: dict[tuple, list | None] = {}
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
         self.c_swap = 0
 
@@ -204,7 +134,9 @@ class SwapEngine:
         m, k = self.grid.row_of[v], self.grid.col_of[v]
         return (k - m // 2, m)
 
-    def _candidate_pairs(self, a: int, b: int) -> list[tuple[int, int]]:
+    def _region(self, a: int, b: int) -> tuple[int, int]:
+        """Best-ranked pair of ring centers whose rings cover a and b:
+        two rings of one cover first, then the smallest center ids."""
         ca = self._member.get(a, [])
         cb = self._member.get(b, [])
         pairs = set()
@@ -225,7 +157,9 @@ class SwapEngine:
             same_cover = 0 if abs(d - math.sqrt(3.0) * EDGE_LEN) < 1e-6 else 1
             return (same_cover, p)
 
-        return sorted(pairs, key=rank)
+        if not pairs:
+            raise SwapSearchError(f"no pair of rings covers ({a}, {b})")
+        return min(pairs, key=rank)
 
     def _canonical_shape(self, c1: int, c2: int, a: int, b: int
                          ) -> tuple[tuple, int, int]:
@@ -250,21 +184,20 @@ class SwapEngine:
                         best = (key, swapped, reflected)
         return best
 
-    def _rotation_word(self, c1: int, c2: int, a: int, b: int) -> list | None:
+    def _rotation_word(self, c1: int, c2: int, a: int, b: int) -> list:
         """Rotation word transposing a and b on the rings of c1 and c2.
 
-        Words are searched and cached once per canonical shape; a cached
-        word maps back by swapping the ring roles and, for a reflection,
-        reversing every turn (rings are ordered counterclockwise).
+        The canonical shape's word maps back by swapping the ring roles
+        and, for a reflection, reversing every turn (rings are ordered
+        counterclockwise).
         """
         key, swapped, reflected = self._canonical_shape(c1, c2, a, b)
-        if key not in self._cache:
-            self._cache[key] = _canonical_word(key)
-        word = self._cache[key]
+        word = _SWAP_WORDS.get(key)
         if word is None:
-            return None
+            raise SwapSearchError(f"no rotation word for region shape {key}")
         sign = -1 if reflected else 1
-        return [(which ^ swapped, sign * d) for which, d in word]
+        return [("AB".index(ring) ^ swapped, sign if turn == "+" else -sign)
+                for ring, turn in zip(word[::2], word[1::2])]
 
     def _materialize(self, c1: int, c2: int, a: int, b: int,
                      word: list) -> SwapSchedule:
@@ -294,16 +227,11 @@ class SwapEngine:
             return cached
         if b not in self.grid.adjacency[a]:
             raise ValueError(f"vertices {a}, {b} are not adjacent")
-        tried = 0
-        for c1, c2 in self._candidate_pairs(a, b):
-            word = self._rotation_word(c1, c2, a, b)
-            tried += 1
-            if word is not None:
-                sched = self._materialize(c1, c2, a, b, word)
-                self._pair_cache[key] = sched
-                return sched
-        raise SwapSearchError(
-            f"no rotation word for pair ({a}, {b}) after {tried} regions")
+        c1, c2 = self._region(a, b)
+        sched = self._materialize(c1, c2, a, b,
+                                  self._rotation_word(c1, c2, a, b))
+        self._pair_cache[key] = sched
+        return sched
 
 
 def _avoid_path(grid: TriGrid, source: int, target: int,
@@ -658,17 +586,10 @@ def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
     return _route(inst, engine)[0]
 
 
-def max_goal_distance(inst: DiscreteInstance) -> int:
-    worst = 0
-    for s, g in zip(inst.v_starts, inst.v_goals):
-        worst = max(worst, bfs_distances(inst.grid, s)[g])
-    return worst
-
-
 def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
          ) -> tuple[DiscretePlan, PaftReport]:
     """Cell pipeline: partition, circulations toward goal cells, sort."""
-    d_g = max_goal_distance(inst)
+    d_g = underestimated_makespan(inst)
     if d_g == 0:
         plan = DiscretePlan.from_steps([inst.v_starts])
         return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=0.0,

@@ -202,18 +202,6 @@ def synthesize_discrete(grid: TriGrid, dplan: DiscretePlan) -> ContinuousPlan:
                           grid_duration=makespan, snap_out=0.0)
 
 
-def max_segment_speed(plan: ContinuousPlan) -> float:
-    """Fastest segment speed over all discs, 0 for a plan without motion."""
-    if not plan.paths:
-        return 0.0
-    d = np.diff(np.concatenate(plan.paths), axis=0)
-    # differences across the boundary between two discs are no segments
-    inside = np.ones(len(d), dtype=bool)
-    inside[np.cumsum([len(p) for p in plan.paths])[:-1] - 1] = False
-    d = d[inside & (d[:, 0] > 0)]
-    return float(np.max(np.hypot(d[:, 1], d[:, 2]) / d[:, 0], initial=0.0))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of (2, ...) coordinate planes, x term first."""
     return a[0] * b[0] + a[1] * b[1]

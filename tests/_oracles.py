@@ -3,14 +3,17 @@
 These deliberately avoid the library's own code paths: joint-state BFS
 for optimal makespans, brute-force nearest vertices, dense time sampling
 for minimum distances, a from-scratch lattice enumeration, and a direct
-search for the snap-phase clearance infimum, and the ILP's original
-goal-subset walk search.
+search for the snap-phase clearance infimum, the ILP's original
+goal-subset walk search, and the permutation search that regenerates
+the planner's table of swap rotation words.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -483,3 +486,121 @@ def reference_format_discrete_plan(steps) -> str:
     for t, row in enumerate(steps):
         lines.append("step " + str(t) + " " + " ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def max_segment_speed(plan) -> float:
+    """Fastest segment speed over all discs, 0 for a plan without motion."""
+    if not plan.paths:
+        return 0.0
+    d = np.diff(np.concatenate(plan.paths), axis=0)
+    # differences across the boundary between two discs are no segments
+    inside = np.ones(len(d), dtype=bool)
+    inside[np.cumsum([len(p) for p in plan.paths])[:-1] - 1] = False
+    d = d[inside & (d[:, 0] > 0)]
+    return float(np.max(np.hypot(d[:, 1], d[:, 2]) / d[:, 0], initial=0.0))
+
+
+_SEARCH_CAP = 400_000
+
+
+def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def bidirectional_search(gens: list[tuple[object, tuple[int, ...]]],
+                         start: tuple[int, ...], target: tuple[int, ...]
+                         ) -> list[object] | None:
+    """Shortest generator word mapping start to target (None if absent)."""
+    if start == target:
+        return []
+    # a generator sends the disc on slot s to slot perm[s], so the next
+    # state reads slot j from the inverse image of j
+    fw_moves = [(tag, itemgetter(*_invert(p))) for tag, p in gens]
+    bw_moves = [(tag, itemgetter(*p)) for tag, p in gens]
+    fw: dict[tuple[int, ...], tuple] = {start: None}
+    bw: dict[tuple[int, ...], tuple] = {target: None}
+    fq, bq = deque([start]), deque([target])
+
+    def path_fw(state) -> list[object]:
+        out = []
+        while fw[state] is not None:
+            state, tag = fw[state]
+            out.append(tag)
+        return list(reversed(out))
+
+    def path_bw(state) -> list[object]:
+        out = []
+        while bw[state] is not None:
+            state, tag = bw[state]
+            out.append(tag)
+        return out
+
+    while fq and bq:
+        if len(fw) + len(bw) > _SEARCH_CAP:
+            return None
+        if len(fq) <= len(bq):
+            for _ in range(len(fq)):
+                st = fq.popleft()
+                for tag, move in fw_moves:
+                    ns = move(st)
+                    if ns in fw:
+                        continue
+                    fw[ns] = (st, tag)
+                    if ns in bw:
+                        return path_fw(ns) + path_bw(ns)
+                    fq.append(ns)
+        else:
+            for _ in range(len(bq)):
+                st = bq.popleft()
+                for tag, move in bw_moves:
+                    ns = move(st)
+                    if ns in bw:
+                        continue
+                    bw[ns] = (st, tag)
+                    if ns in fw:
+                        return path_fw(ns) + path_bw(ns)
+                    bq.append(ns)
+    return None
+
+
+def ring_generators(rings, slots) -> list[tuple[tuple[int, int],
+                                                tuple[int, ...]]]:
+    """The four turns ((ring index, +1 or -1), slot permutation) of two
+    counterclockwise rings over the sorted slot list."""
+    idx = {v: i for i, v in enumerate(slots)}
+    gens = []
+    for which in (0, 1):
+        for d in (1, -1):
+            ring = rings[which]
+            perm = list(range(len(slots)))
+            for i, v in enumerate(ring):
+                perm[idx[v]] = idx[ring[(i + d) % len(ring)]]
+            gens.append(((which, d), tuple(perm)))
+    return gens
+
+
+# neighbours of an axial lattice point, counterclockwise like geometry._ring
+_HEX_RING = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
+
+
+def canonical_word(key: tuple) -> str | None:
+    """Shortest word that swaps a and b and returns every other slot home,
+    for a canonical shape key (c2, a, b): abstract axial rings around the
+    origin ("A") and the partner center ("B"), written as the planner's
+    table writes it ("A+" turns ring A one position counterclockwise)."""
+    c2, a, b = key
+    rings = [[(cq + dq, cr + dr) for dq, dr in _HEX_RING]
+             for cq, cr in ((0, 0), c2)]
+    slots = sorted(set(rings[0]) | set(rings[1]))
+    idx = {v: i for i, v in enumerate(slots)}
+    ident = tuple(range(len(slots)))
+    tgt = list(ident)
+    tgt[idx[a]], tgt[idx[b]] = tgt[idx[b]], tgt[idx[a]]
+    word = bidirectional_search(ring_generators(rings, slots), ident,
+                                tuple(tgt))
+    if word is None:
+        return None
+    return "".join("AB"[which] + ("+" if d > 0 else "-") for which, d in word)

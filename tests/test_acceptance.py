@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import (joint_bfs_makespan, model_rows, sampled_min_distance,
-                      sharp_angle_rows, snap_clearance_infimum)
+from _oracles import (joint_bfs_makespan, max_segment_speed, model_rows,
+                      sampled_min_distance, sharp_angle_rows,
+                      snap_clearance_infimum)
 from conftest import full_occupancy_instance, random_discrete_instance
 from triroute import io as tio
 from triroute.cli import main as cli_main
@@ -26,8 +27,8 @@ from triroute.plan import check_plan
 from triroute.prover import min_pair_distance_batch, verify
 from triroute.triilp import (solve_split, solve_triilp,
                              underestimated_makespan)
-from triroute.validate import (max_segment_speed, optimality_metrics,
-                               synthesize, synthesize_discrete, validate)
+from triroute.validate import (optimality_metrics, synthesize,
+                               synthesize_discrete, validate)
 
 CLEAR = 2.0 - 1e-9
 

@@ -2,19 +2,22 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from _oracles import bidirectional_search, canonical_word, ring_generators
 from conftest import full_occupancy_instance, random_discrete_instance
+from triroute.cli import main as cli_main
 from triroute.discretize import DiscreteInstance
 from triroute.geometry import build_grid, build_workspace
 from triroute.paft import (InfeasibleInstanceError, SwapEngine,
-                           SwapSearchError, build_cell_partition, isag,
-                           max_goal_distance, paft)
+                           SwapSearchError, build_cell_partition, isag, paft)
 from triroute.plan import DiscretePlan, check_plan
+from triroute.triilp import underestimated_makespan
 
 PAFT = importlib.import_module("triroute.paft")  # the package re-exports paft()
 
@@ -93,7 +96,7 @@ def _shape_class(g, sched, a, b):
 def test_engine_schedule_constant_across_translates():
     # pairs whose chosen region has the same shape up to translation,
     # rotation and reflection get schedules of identical length (one
-    # cached search per shape class)
+    # table word per shape class)
     g = build_grid(build_workspace(5, 5))
     eng = SwapEngine(g)
 
@@ -126,48 +129,46 @@ def _direct_word_length(g, c1, c2, a, b, memo):
     rings = (g.ring_of[c1], g.ring_of[c2])
     slots = sorted(set(rings[0]) | set(rings[1]))
     idx = {v: i for i, v in enumerate(slots)}
-    gens = []
-    for which in (0, 1):
-        for d in (1, -1):
-            ring = rings[which]
-            perm = list(range(len(slots)))
-            for i, v in enumerate(ring):
-                perm[idx[v]] = idx[ring[(i + d) % len(ring)]]
-            gens.append(((which, d), tuple(perm)))
+    gens = ring_generators(rings, slots)
     target = list(range(len(slots)))
     target[idx[a]], target[idx[b]] = target[idx[b]], target[idx[a]]
     problem = (tuple(p for _, p in gens), tuple(target))
     if problem not in memo:
-        word = PAFT._bidirectional_search(gens, tuple(range(len(slots))),
-                                          tuple(target))
+        word = bidirectional_search(gens, tuple(range(len(slots))),
+                                    tuple(target))
         memo[problem] = None if word is None else len(word)
     return memo[problem]
 
 
 def test_engine_words_match_direct_search(monkeypatch):
-    # every covered adjacent pair: the schedule built from a word cached per
-    # symmetry class is as short as a search on the pair's own rings, nets
-    # exactly the transposition, and each engine searches few shapes
+    # every covered adjacent pair: the schedule built from the table word
+    # of its symmetry class is as short as a search on the pair's own
+    # rings and nets exactly the transposition; no search runs in the
+    # library, and each pair looks up exactly one word
+    assert not [name for name in ("_bidirectional_search", "_canonical_word",
+                                  "_invert", "_HEX_RING", "_SEARCH_CAP")
+                if hasattr(PAFT, name)]
+    assert not hasattr(SwapEngine(build_grid(build_workspace(2, 3))), "_cache")
     memo: dict = {}
-    search = PAFT._bidirectional_search
+    lookup = SwapEngine._rotation_word
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return search(*args)
+        return lookup(*args)
 
     for n1, n2 in [(2, 3), (4, 5), (6, 7), (9, 10)]:
         g = build_grid(build_workspace(n1, n2))
         eng = SwapEngine(g)
         calls.clear()
-        monkeypatch.setattr(PAFT, "_bidirectional_search", counted)
+        monkeypatch.setattr(SwapEngine, "_rotation_word", counted)
         scheds = {}
         for a in sorted(g.covered):
             for b in g.adjacency[a]:
                 if b > a and b in g.covered:
                     scheds[a, b] = eng.schedule_for_pair(a, b)
-        monkeypatch.setattr(PAFT, "_bidirectional_search", search)
-        assert 1 <= len(calls) <= 10, (n1, n2, len(calls))
+        monkeypatch.setattr(SwapEngine, "_rotation_word", lookup)
+        assert len(calls) == len(scheds), (n1, n2, len(calls))
         for (a, b), sched in scheds.items():
             c1, c2 = sched.centers
             assert len(sched.steps) == _direct_word_length(g, c1, c2, a, b,
@@ -183,8 +184,8 @@ def test_engine_words_match_direct_search(monkeypatch):
 
 
 def test_engine_schedules_do_not_depend_on_request_order():
-    # words are searched on the canonical shape, not on whichever
-    # congruent pair asked first, so warm-up order cannot change a plan
+    # words belong to the canonical shape, not to whichever congruent
+    # pair asked first, so warm-up order cannot change a plan
     g = build_grid(build_workspace(4, 5))
     pairs = [(a, b) for a in sorted(g.covered) for b in g.adjacency[a]
              if b > a and b in g.covered]
@@ -196,6 +197,69 @@ def test_engine_schedules_do_not_depend_on_request_order():
     for a, b in pairs:
         assert (forward.schedule_for_pair(a, b).steps
                 == backward.schedule_for_pair(a, b).steps), (a, b)
+
+
+def test_swap_word_table_matches_oracle_search():
+    # the oracle's bidirectional search regenerates every table word exactly
+    assert len(PAFT._SWAP_WORDS) == 10
+    for key, word in PAFT._SWAP_WORDS.items():
+        assert canonical_word(key) == word, key
+        assert len(word) // 2 in (15, 17, 19), key
+
+
+def _covered_pairs(g):
+    return [(a, b) for a in sorted(g.covered) for b in g.adjacency[a]
+            if b > a and b in g.covered]
+
+
+def test_first_ranked_regions_are_all_in_table():
+    # every buildable grid up to 12x12 (n2 = 2 is too short to build):
+    # the first-ranked region of every covered adjacent pair has a word
+    seen = set()
+    for n1 in range(2, 13):
+        for n2 in range(3, 13):
+            g = build_grid(build_workspace(n1, n2))
+            eng = SwapEngine(g)
+            for a, b in _covered_pairs(g):
+                key = eng._canonical_shape(*eng._region(a, b), a, b)[0]
+                assert key in PAFT._SWAP_WORDS, (n1, n2, a, b, key)
+                seen.add(key)
+    assert seen == set(PAFT._SWAP_WORDS)
+
+
+def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
+                                                    capsys):
+    g = build_grid(build_workspace(2, 3))
+    a, b = _covered_pairs(g)[0]
+    eng = SwapEngine(g)
+    key = eng._canonical_shape(*eng._region(a, b), a, b)[0]
+    monkeypatch.delitem(PAFT._SWAP_WORDS, key)
+    with pytest.raises(SwapSearchError, match=re.escape(f"region shape {key}")):
+        eng.schedule_for_pair(a, b)
+    monkeypatch.undo()
+
+    # the CLI maps the missing word to exit 4: remove the first shape a
+    # paft solve of the instance asks for
+    inst_path = str(tmp_path / "m.oldr")
+    assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "4",
+                     "--pattern", "dense", "--seed", "3",
+                     "--out", inst_path]) == 0
+    shape, keys = SwapEngine._canonical_shape, []
+
+    def recorded(self, *args):
+        found = shape(self, *args)
+        keys.append(found[0])
+        return found
+
+    monkeypatch.setattr(SwapEngine, "_canonical_shape", recorded)
+    assert cli_main(["solve", inst_path, "--method", "paft"]) == 0
+    monkeypatch.undo()
+    assert keys
+    monkeypatch.delitem(PAFT._SWAP_WORDS, keys[0])
+    capsys.readouterr()
+    assert cli_main(["solve", inst_path, "--method", "paft"]) == 4
+    err = capsys.readouterr().err
+    assert "solver failure" in err and str(keys[0]) in err
 
 
 def test_swap_execution_locality(minimal_grid):
@@ -304,7 +368,7 @@ def test_cell_partition_invariant():
     g = build_grid(build_workspace(4, 5))
     for seed in range(5):
         inst = random_discrete_instance(g, 8, seed)
-        d_g = max_goal_distance(inst)
+        d_g = underestimated_makespan(inst)
         part = build_cell_partition(g, d_g)
         for s, t in zip(inst.v_starts, inst.v_goals):
             cs, ct = part.cell_of[s], part.cell_of[t]
@@ -324,9 +388,9 @@ def test_paft_single_cell_degenerates_to_isag(minimal_grid):
     g = minimal_grid
     inst = full_occupancy_instance(g, seed=4)
     plan, rep = paft(inst)
-    if rep.cell_count == 1:
-        assert rep.circulation_steps == 0
-        assert plan.steps == isag(inst).steps
+    assert rep.cell_count == 1
+    assert rep.circulation_steps == 0
+    assert plan.steps == isag(inst).steps
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
 
 
@@ -400,13 +464,16 @@ def test_boundary_settlement_tight_holes(minimal_grid):
     assert not check_plan(g, plan2, inst2.v_starts, inst2.v_goals)
 
 
-def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid):
+def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid,
+                                                         monkeypatch):
     g = minimal_grid
     a = min(g.covered)
     b = next(v for v in g.adjacency[a] if v in g.covered)
     eng = SwapEngine(g)
     eng.schedule_for_pair(a, b)
-    eng._cache = {k: w[:-1] if w else w for k, w in eng._cache.items()}
+    # drop the last turn of every table word
+    monkeypatch.setattr(PAFT, "_SWAP_WORDS",
+                        {k: w[:-2] for k, w in PAFT._SWAP_WORDS.items()})
     eng._pair_cache.clear()
     with pytest.raises(SwapSearchError, match="not the transposition"):
         eng.schedule_for_pair(a, b)
@@ -418,20 +485,23 @@ def test_planner_invariants_survive_python_O():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "assert False, 'asserts are still on'\n"
+        "import importlib\n"
         "from triroute.geometry import build_grid, build_workspace\n"
         "from triroute.paft import (PlannerInvariantError, SwapEngine,\n"
         "                           SwapSearchError, _Router)\n"
+        "P = importlib.import_module('triroute.paft')\n"
         "g = build_grid(build_workspace(2, 3))\n"
         "a = min(g.covered)\n"
         "b = next(v for v in g.adjacency[a] if v in g.covered)\n"
         "eng = SwapEngine(g)\n"
         "eng.schedule_for_pair(a, b)\n"
-        "eng._cache = {k: w[:-1] if w else w for k, w in eng._cache.items()}\n"
+        "P._SWAP_WORDS = {k: w[:-2] for k, w in P._SWAP_WORDS.items()}\n"
         "eng._pair_cache.clear()\n"
         "try:\n"
         "    eng.schedule_for_pair(a, b)\n"
-        "except SwapSearchError:\n"
-        "    print('SwapSearchError')\n"
+        "except SwapSearchError as exc:\n"
+        "    if 'not the transposition' in str(exc):\n"
+        "        print('SwapSearchError')\n"
         "router = _Router(g)\n"
         "router.load((0,))\n"
         "try:\n"

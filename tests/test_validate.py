@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import (dense_discrete_paths, reference_format_continuous_plan,
-                      reference_synthesize, reference_validate)
+from _oracles import (dense_discrete_paths, max_segment_speed,
+                      reference_format_continuous_plan, reference_synthesize,
+                      reference_validate)
 from triroute import io as tio
 from triroute.discretize import ContinuousInstance, discretize
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
@@ -13,8 +14,8 @@ from triroute.instances import random_instance
 from triroute.plan import DiscretePlan
 from triroute.triilp import solve_triilp
 from triroute.validate import (CHUNK_WINDOWS, ContinuousPlan, SynthesisError,
-                               max_segment_speed, optimality_metrics,
-                               synthesize, synthesize_discrete, validate)
+                               optimality_metrics, synthesize,
+                               synthesize_discrete, validate)
 
 
 def _pipeline(ws, n, seed):
