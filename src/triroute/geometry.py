@@ -17,10 +17,11 @@ planners need: the 60-degree ("sharp") angle list, up to three
 interleaving hexagon covers (rings around every degree-6 vertex, grouped
 by a 3-coloring of the lattice), and two families of vertex-disjoint
 paths: "horizontal" waving paths that cover every vertex, and "vertical"
-column-pair waves that miss the rightmost column.  The vertex coordinates
-as an array (``TriGrid.coords``) and the table of directed arcs the ILP
-model is built on (``TriGrid.arcs``) are built on first use and kept
-with the grid.
+column-pair waves that miss the rightmost column.  Built on first use
+and kept with the grid: the vertex coordinates (``TriGrid.coords``), the
+directed arcs of the ILP model (``TriGrid.arcs``) and the all-pairs hop
+distances (``TriGrid.hops``) that every lower bound, pruning mask and
+goal potential reads, at one BFS per vertex and V^2 int64 of memory.
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ class TriGrid:
     def arcs(self) -> Arcs:
         """The arc table, built on first use and kept with the grid."""
         return Arcs.of(self)
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """Read-only (V, V) int64 hop distances, -1 where unreachable;
+        row u holds the distances from u.  Built on first use."""
+        d = np.array([bfs_distances(self, v) for v in range(self.n_vertices)])
+        d.flags.writeable = False
+        return d
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -464,9 +473,7 @@ def bfs_distances(g: TriGrid, source: int) -> list[int]:
 
 def bfs_path(g: TriGrid, source: int, target: int) -> list[int]:
     """A shortest path, deterministic (lowest-id parent wins)."""
-    if source == target:
-        return [source]
-    dist = bfs_distances(g, source)
+    dist = g.hops[source].tolist()
     if dist[target] < 0:
         raise ValueError("target unreachable")
     path = [target]

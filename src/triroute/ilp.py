@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import Arcs, bfs_distances
+from .geometry import Arcs
 from .plan import DiscretePlan
 
 
@@ -107,18 +107,8 @@ def _infeasible() -> Solution:
                     feasible=False)
 
 
-def hop_distances(inst: DiscreteInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(n, V) hop distances from every robot's start and from its goal."""
-    grid = inst.grid
-    shape = (inst.n, grid.n_vertices)
-    return tuple(np.array([bfs_distances(grid, v) for v in ends]).reshape(shape)
-                 for ends in (inst.v_starts, inst.v_goals))
-
-
-def build_model(inst: DiscreteInstance, T: int, prune: bool = True,
-                hops: tuple[np.ndarray, np.ndarray] | None = None) -> IlpModel:
-    """The model at horizon T.  ``hops`` is ``hop_distances(inst)``, which
-    a caller trying several horizons computes once; pruning reads it."""
+def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
+    """The model at horizon T; pruning reads the grid's hop table."""
     if T < 1:
         raise ValueError("horizon T must be at least 1")
     grid = inst.grid
@@ -128,7 +118,7 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True,
     starts = np.array(inst.v_starts, dtype=int)
     goals = np.array(inst.v_goals, dtype=int)
     if prune:
-        fwd, bwd = hop_distances(inst) if hops is None else hops
+        fwd, bwd = grid.hops[starts], grid.hops[goals]
         t = np.arange(T)[:, None]
         keep = ((fwd[:, None, arcs.tail] <= t)
                 & (bwd[:, None, arcs.head] <= T - 1 - t))

@@ -6,6 +6,8 @@ repr(), so write -> read round-trips are lossless.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .discretize import (ContinuousInstance, InadmissibleInstanceError,
@@ -32,7 +34,7 @@ def format_instance(inst: ContinuousInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str, validate: bool = True) -> ContinuousInstance:
+def parse_instance(text: str) -> ContinuousInstance:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != INSTANCE_HEADER:
         raise ParseError(f"missing header {INSTANCE_HEADER!r}")
@@ -55,31 +57,32 @@ def parse_instance(text: str, validate: bool = True) -> ContinuousInstance:
             sx, sy, gx, gy = (float(p) for p in parts[2:])
         except ValueError as exc:
             raise ParseError(f"bad disc line: {ln!r}") from exc
+        if not all(map(math.isfinite, (sx, sy, gx, gy))):
+            raise ParseError(f"non-finite coordinate in disc line: {ln!r}")
         if disc_id != k + 1:
             raise ParseError(f"disc ids must be contiguous from 1, got {disc_id}")
         starts.append(Vec2(sx, sy))
         goals.append(Vec2(gx, gy))
     inst = ContinuousInstance(workspace=ws, starts=tuple(starts),
                               goals=tuple(goals))
-    if validate:
-        report = validate_separation(inst)
-        if not report.ok:
-            v = (report.start_violations + report.goal_violations)[0]
-            raise InadmissibleInstanceError(
-                f"separation violated: discs {v[0] + 1}, {v[1] + 1} at "
-                f"distance {v[2]:.6f} <= 8/3")
-        bad = check_clearance(inst)
-        if bad:
-            which, i, margin = bad[0]
-            raise InadmissibleInstanceError(
-                f"{which} of disc {i + 1} is {margin:.6f} from the boundary "
-                f"(needs 1)")
+    report = validate_separation(inst)
+    if not report.ok:
+        v = (report.start_violations + report.goal_violations)[0]
+        raise InadmissibleInstanceError(
+            f"separation violated: discs {v[0] + 1}, {v[1] + 1} at "
+            f"distance {v[2]:.6f} <= 8/3")
+    bad = check_clearance(inst)
+    if bad:
+        which, i, margin = bad[0]
+        raise InadmissibleInstanceError(
+            f"{which} of disc {i + 1} is {margin:.6f} from the boundary "
+            f"(needs 1)")
     return inst
 
 
-def read_instance(path: str, validate: bool = True) -> ContinuousInstance:
+def read_instance(path: str) -> ContinuousInstance:
     with open(path) as f:
-        return parse_instance(f.read(), validate=validate)
+        return parse_instance(f.read())
 
 
 def write_instance(path: str, inst: ContinuousInstance) -> None:

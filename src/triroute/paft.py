@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import EDGE_LEN, TriGrid, bfs_distances
+from .geometry import EDGE_LEN, TriGrid
 from .plan import DiscretePlan
 from .triilp import underestimated_makespan
 
@@ -495,10 +495,8 @@ class _Router:
         free riders.  Stops at the first iteration with no improving ring
         or after cap rounds.
         """
-        dist: dict[int, list[int]] = {}
-        for d, tv in target_of.items():
-            if d < self.n_real:
-                dist[d] = bfs_distances(self.grid, tv)
+        dist = {d: self.grid.hops[tv].tolist()
+                for d, tv in target_of.items() if d < self.n_real}
         steps = {(c, dr): _rotation(self.grid.ring_of[c], dr)
                  for c in sorted(self.grid.ring_of) for dr in (1, -1)}
         done = 0

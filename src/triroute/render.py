@@ -7,6 +7,8 @@ usable as golden files.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .discretize import ContinuousInstance
 from .geometry import TriGrid, Vec2, Workspace
 from .plan import DiscretePlan
@@ -46,8 +48,8 @@ class _Svg:
             f'<circle cx="{self.x(c.x)}" cy="{self.y(c.y)}" r="{_f(r * _SCALE)}" '
             f'fill="{fill}" stroke="{stroke}" opacity="{_f(opacity)}"/>')
 
-    def polyline(self, pts: list[Vec2], stroke: str, width: float) -> None:
-        coords = " ".join(f"{self.x(p.x)},{self.y(p.y)}" for p in pts)
+    def polyline(self, xy: list[list[float]], stroke: str, width: float) -> None:
+        coords = " ".join(f"{self.x(x)},{self.y(y)}" for x, y in xy)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_f(width)}"/>')
@@ -65,16 +67,19 @@ class _Svg:
         return "\n".join([head, *self.parts, "</svg>"]) + "\n"
 
 
-def _interp(pts: list[tuple[float, Vec2]], t: float) -> Vec2:
-    if t <= pts[0][0]:
-        return pts[0][1]
-    for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-        if t <= t1:
-            if t1 <= t0:
-                return p1
-            f = (t - t0) / (t1 - t0)
-            return Vec2(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
-    return pts[-1][1]
+def _interp(path: np.ndarray, t: float) -> Vec2:
+    """Position at time t on rows (t, x, y): linear on the first segment
+    ending at or after t, clamped to the first and last rows."""
+    if t <= path[0, 0]:
+        return Vec2(*path[0, 1:].tolist())
+    later = np.flatnonzero(path[1:, 0] >= t)
+    if not len(later):
+        return Vec2(*path[-1, 1:].tolist())
+    (t0, x0, y0), (t1, x1, y1) = path[later[0]:later[0] + 2].tolist()
+    if t1 <= t0:
+        return Vec2(x1, y1)
+    f = (t - t0) / (t1 - t0)
+    return Vec2(x0 + f * (x1 - x0), y0 + f * (y1 - y0))
 
 
 def render(ws: Workspace, grid: TriGrid | None = None,
@@ -101,12 +106,11 @@ def render(ws: Workspace, grid: TriGrid | None = None,
 
     if mode == "trace":
         if cplan is not None:
-            for r, pts in enumerate(cplan.trajectories):
-                svg.polyline([p for _, p in pts], disc_color(r), 1.2)
+            for r, path in enumerate(cplan.paths):
+                svg.polyline(path[:, 1:].tolist(), disc_color(r), 1.2)
         elif dplan is not None and grid is not None:
             for r in range(dplan.n):
-                svg.polyline([grid.vertices[v]
-                              for v in dplan.positions[:, r].tolist()],
+                svg.polyline(grid.coords[dplan.positions[:, r]].tolist(),
                              disc_color(r), 1.2)
 
     if inst is not None:
@@ -115,7 +119,7 @@ def render(ws: Workspace, grid: TriGrid | None = None,
     positions: list[Vec2] | None = None
     if mode == "snapshot":
         if cplan is not None:
-            positions = [_interp(pts, at) for pts in cplan.trajectories]
+            positions = [_interp(path, at) for path in cplan.paths]
         elif dplan is not None and grid is not None:
             k = min(max(int(round(at)), 0), dplan.T)
             positions = [grid.vertices[v] for v in dplan.positions[k].tolist()]

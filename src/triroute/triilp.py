@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import bfs_distances, bfs_path
-from .ilp import build_model, extract_plan, hop_distances, solve
+from .geometry import bfs_path
+from .ilp import build_model, extract_plan, solve
 from .plan import DiscretePlan
 
 
@@ -32,13 +32,11 @@ class SolveReport:
 
 def underestimated_makespan(inst: DiscreteInstance) -> int:
     """Max over robots of the hop distance start -> goal, ignoring others."""
-    worst = 0
-    for s, g in zip(inst.v_starts, inst.v_goals):
-        d = bfs_distances(inst.grid, s)[g]
-        if d < 0:
+    d = inst.grid.hops[list(inst.v_starts), list(inst.v_goals)]
+    for s, g, dist in zip(inst.v_starts, inst.v_goals, d.tolist()):
+        if dist < 0:
             raise ValueError(f"goal {g} unreachable from start {s}")
-        worst = max(worst, d)
-    return worst
+    return int(d.max(initial=0))
 
 
 def _ratio(makespan: int, underestimate: int) -> float:
@@ -66,11 +64,10 @@ def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
     margin = inst.grid.n_vertices if horizon_margin is None else horizon_margin
     ceiling = lo + margin
     iterations = 0
-    hops = hop_distances(inst)
     T = lo
     while T <= ceiling:
         iterations += 1
-        model = build_model(inst, T, hops=hops)
+        model = build_model(inst, T)
         sol = solve(model, backend=backend, solver_cmd=solver_cmd)
         if sol.objective_value == inst.n:
             plan = extract_plan(model, sol)
@@ -103,7 +100,7 @@ def split_k_way(inst: DiscreteInstance, k: int) -> list[DiscreteInstance]:
             d = len(path) - 1
             want = path[(m * d) // k]
             if want in taken:
-                dist = bfs_distances(grid, want)
+                dist = grid.hops[want].tolist()
                 free = [v for v in range(grid.n_vertices)
                         if v not in taken and dist[v] >= 0]
                 want = min(free, key=lambda v: (dist[v], v))

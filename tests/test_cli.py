@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -5,11 +6,13 @@ import pytest
 
 from triroute import io as tio
 from triroute.cli import EXIT_PROOF_FAILED, main
-from triroute.discretize import validate_separation
-from triroute.geometry import Vec2, build_grid, build_workspace
+from triroute.discretize import discretize, validate_separation
+from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points, random_instance
 from triroute.paft import SwapEngine, _Router
-from triroute.validate import ContinuousPlan
+from triroute.render import render
+from triroute.triilp import solve_triilp
+from triroute.validate import ContinuousPlan, synthesize, synthesize_discrete
 
 
 def run(*args):
@@ -166,6 +169,23 @@ def test_exit_codes(tmp_path):
     assert run("frobnicate") == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [2, 5], ids=["start", "goal"])
+def test_non_finite_coordinate_exits_2(tmp_path, capsys, field, value):
+    # every separation and clearance comparison is false for NaN, so the
+    # parser itself must reject it, naming the line
+    disc = "disc 2 7.0 3.0 7.0 3.0".split()
+    disc[field] = value
+    path = tmp_path / "nf.oldr"
+    path.write_text("oldr 1\nworkspace 2 3\ndisc 1 3.0 3.0 3.0 3.0\n"
+                    + " ".join(disc) + "\n")
+    assert run("solve", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and " ".join(disc) in err
+    with pytest.raises(tio.ParseError, match="non-finite"):
+        tio.read_instance(str(path))
+
+
 def _truncate_rotation_words(monkeypatch):
     rotation_word = SwapEngine._rotation_word
 
@@ -295,6 +315,44 @@ def test_render_static_and_snapshot(tmp_path):
     assert run("render", "--instance", str(inst_path), "--out", str(out)) == 0
     text = out.read_text()
     assert "<circle" in text and "<line" in text
+
+
+# sha256 of SVG renders of a 2x3 ILP plan (dense_instance, 5 discs,
+# seed 3) and the 4x5 full-occupancy PAFT plan, recorded when render
+# still drew from the (time, Vec2) point lists
+RENDER_SHA256 = {
+    "ilp trace": "066e646c686652123524f75b80ac708dc020a77e1a0308085229a11472a39983",
+    "paft trace": "ff3ebf8d3a2b958a071ea22ae8a620a991d20b76e4d3c1460e28e7421c28811e",
+    "ilp 0": "5b3acb62f391985caa121924daa95dbfaec81ace90a05dab85f62612846acc58",
+    "paft 0": "126c227552b130b65f666b5a08fbcc2be77440f0e2cd8dc8437e570291cd9161",
+    "ilp 0.3": "8fbcec0111e46b8b91f16365a1a30f0fc597497847af510405066a7230d5c2ea",
+    "paft 0.3": "56173ed3385e51f7d04e68455c3793d9f906697706e84aa43d8662dea02bbe9a",
+    "ilp 3": "9598b2296f7376b8b35f91d4cfe2d4240f58713440db340ff9a656df219b94aa",
+    "paft 3": "78a7287c8cd3af65261dfde31c2ed11b40476d596c6a1adc676bd4a2fa8168f1",
+    "ilp 4.6188": "0b70a19fa5c9e83b8c0faad7375f3826f000ec7469965b0833e9affcc877a7b3",
+    "paft 4.6188": "e6439ed62cc7223563d714c4570abd91955c6e1919db80a036d9c635675e5cfb",
+    "ilp 1e+09": "f72dccc67f37ea577c12d350386e677b34390cc82baa5922f7918bb09a287630",
+    "paft 1e+09": "9b7fa853f35b5b059797d013d9ae3733617bec39c047464262c8ae29920f5d9a",
+}
+
+
+def test_render_bytes_are_pinned(paft_full, medium_grid):
+    ws = build_workspace(2, 3)
+    g = build_grid(ws)
+    inst = dense_instance(ws, 5, 3)
+    dinst, ss, sg = discretize(inst, g)
+    ilp = synthesize(inst, g, solve_triilp(dinst)[0], ss, sg)
+    full = synthesize_discrete(medium_grid, paft_full)
+    svgs = {"ilp trace": render(ws, grid=g, inst=inst, cplan=ilp, mode="trace"),
+            "paft trace": render(medium_grid.workspace, grid=medium_grid,
+                                 cplan=full, mode="trace")}
+    # before the plan, inside a segment, on a breakpoint, after the end
+    for t in (0.0, 0.3, 3.0, 2 * EDGE_LEN, 1e9):
+        svgs[f"ilp {t:g}"] = render(ws, grid=g, inst=inst, cplan=ilp, at=t)
+        svgs[f"paft {t:g}"] = render(medium_grid.workspace, grid=medium_grid,
+                                   cplan=full, at=t)
+    got = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in svgs.items()}
+    assert got == RENDER_SHA256
 
 
 MALFORMED_PLANS = {

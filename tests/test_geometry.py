@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _oracles import brute_nearest, lattice_count
+from _oracles import brute_nearest, joint_bfs_makespan, lattice_count
 from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
                                Vec2, _attach_path_families, bfs_distances, bfs_path, build_grid,
                                build_hex_covers, build_workspace, density_limit,
@@ -293,6 +293,26 @@ def test_bfs_helpers(minimal_grid):
     assert len(path) - 1 == dist[13]
     for a, b in zip(path, path[1:]):
         assert b in g.adjacency[a]
+
+
+def test_hop_table_matches_single_robot_search():
+    # every pair on 2x3, a seeded sample of pairs on 4x5
+    g = build_grid(build_workspace(2, 3))
+    V = g.n_vertices
+    pairs = [(u, v) for u in range(V) for v in range(V)]
+    big = build_grid(build_workspace(4, 5))
+    rng = random.Random(5)
+    sampled = [(rng.randrange(big.n_vertices), rng.randrange(big.n_vertices))
+               for _ in range(60)]
+    for grid, cases in ((g, pairs), (big, sampled)):
+        hops = grid.hops
+        assert hops.shape == (grid.n_vertices, grid.n_vertices)
+        for u, v in cases:
+            assert hops[u, v] == joint_bfs_makespan(grid, (u,), (v,))
+        assert not hops.flags.writeable
+        with pytest.raises(ValueError):
+            hops[0, 1] = 7
+        assert grid.hops is hops
 
 
 def test_build_hex_covers_explicit_call(small_grid):

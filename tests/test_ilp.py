@@ -395,18 +395,24 @@ def test_one_walk_search_per_horizon(monkeypatch):
 
 
 def test_grid_tables_built_once_per_search(monkeypatch):
-    # two horizons: one arc table per grid, one BFS per start and goal
+    # two horizons: one arc table and one BFS per vertex for the hop table,
+    # all on the first search of a fresh grid; later searches and PAFT on
+    # the same grid read the kept tables
     from triroute import geometry
+    from triroute.paft import paft
     arc_tables, bfs = [], []
-    of, distances = geometry.Arcs.of.__func__, ilp.bfs_distances
+    of, distances = geometry.Arcs.of.__func__, geometry.bfs_distances
     monkeypatch.setattr(geometry.Arcs, "of", classmethod(
         lambda cls, grid: arc_tables.append(1) or of(cls, grid)))
-    monkeypatch.setattr(ilp, "bfs_distances",
+    monkeypatch.setattr(geometry, "bfs_distances",
                         lambda grid, v: bfs.append(v) or distances(grid, v))
     inst = _dense((2, 3), 6, 2)
     plan, rep = solve_triilp(inst)
     assert rep.iterations == 2
-    assert len(arc_tables) == 1 and len(bfs) == 2 * inst.n
+    assert len(arc_tables) == 1
+    assert sorted(bfs) == list(range(inst.grid.n_vertices))
     assert inst.grid.arcs is inst.grid.arcs
+    assert inst.grid.hops is inst.grid.hops
     solve_triilp(inst)
-    assert len(arc_tables) == 1 and len(bfs) == 4 * inst.n
+    paft(inst)
+    assert len(arc_tables) == 1 and len(bfs) == inst.grid.n_vertices
