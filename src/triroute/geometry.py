@@ -19,9 +19,9 @@ by a 3-coloring of the lattice), and two families of vertex-disjoint
 paths: "horizontal" waving paths that cover every vertex, and "vertical"
 column-pair waves that miss the rightmost column.  Built on first use
 and kept with the grid: the vertex coordinates (``TriGrid.coords``), the
-directed arcs of the ILP model (``TriGrid.arcs``) and the all-pairs hop
-distances (``TriGrid.hops``) that every lower bound, pruning mask and
-goal potential reads, at one BFS per vertex and V^2 int64 of memory.
+directed arcs of the ILP model (``TriGrid.arcs``) and, per source asked
+for, one BFS row of hop distances (``TriGrid.hops_from``, V int64) that
+every lower bound, pruning mask and goal potential reads.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class TriGrid:
     ring_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     locked: frozenset[int] = frozenset()   # vertices with only sharp edge pairs
     covered: frozenset[int] = frozenset()  # vertices on at least one hexagon
+    _hop_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -128,13 +129,14 @@ class TriGrid:
         """The arc table, built on first use and kept with the grid."""
         return Arcs.of(self)
 
-    @cached_property
-    def hops(self) -> np.ndarray:
-        """Read-only (V, V) int64 hop distances, -1 where unreachable;
-        row u holds the distances from u.  Built on first use."""
-        d = np.array([bfs_distances(self, v) for v in range(self.n_vertices)])
-        d.flags.writeable = False
-        return d
+    def hops_from(self, source: int) -> np.ndarray:
+        """Read-only (V,) int64 hop distances from source, -1 where
+        unreachable.  One BFS on first use, then kept with the grid."""
+        if source not in self._hop_rows:
+            row = np.array(bfs_distances(self, source), dtype=np.int64)
+            row.flags.writeable = False
+            self._hop_rows[source] = row
+        return self._hop_rows[source]
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -473,11 +475,10 @@ def bfs_distances(g: TriGrid, source: int) -> list[int]:
 
 def bfs_path(g: TriGrid, source: int, target: int) -> list[int]:
     """A shortest path, deterministic (lowest-id parent wins)."""
-    dist = g.hops[source].tolist()
+    dist = g.hops_from(source).tolist()
     if dist[target] < 0:
         raise ValueError("target unreachable")
-    path = [target]
-    cur = target
+    path, cur = [target], target
     while cur != source:
         cur = min(v for v in g.adjacency[cur] if dist[v] == dist[cur] - 1)
         path.append(cur)

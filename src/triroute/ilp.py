@@ -108,7 +108,7 @@ def _infeasible() -> Solution:
 
 
 def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
-    """The model at horizon T; pruning reads the grid's hop table."""
+    """The model at horizon T; pruning reads the grid's hop rows."""
     if T < 1:
         raise ValueError("horizon T must be at least 1")
     grid = inst.grid
@@ -118,7 +118,8 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     starts = np.array(inst.v_starts, dtype=int)
     goals = np.array(inst.v_goals, dtype=int)
     if prune:
-        fwd, bwd = grid.hops[starts], grid.hops[goals]
+        ends = (*inst.v_starts, *inst.v_goals)
+        fwd, bwd = np.array([grid.hops_from(v) for v in ends]).reshape(2, n, V)
         t = np.arange(T)[:, None]
         keep = ((fwd[:, None, arcs.tail] <= t)
                 & (bwd[:, None, arcs.head] <= T - 1 - t))

@@ -6,8 +6,6 @@ repr(), so write -> read round-trips are lossless.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .discretize import (ContinuousInstance, InadmissibleInstanceError,
@@ -57,7 +55,7 @@ def parse_instance(text: str) -> ContinuousInstance:
             sx, sy, gx, gy = (float(p) for p in parts[2:])
         except ValueError as exc:
             raise ParseError(f"bad disc line: {ln!r}") from exc
-        if not all(map(math.isfinite, (sx, sy, gx, gy))):
+        if not np.isfinite((sx, sy, gx, gy)).all():
             raise ParseError(f"non-finite coordinate in disc line: {ln!r}")
         if disc_id != k + 1:
             raise ParseError(f"disc ids must be contiguous from 1, got {disc_id}")

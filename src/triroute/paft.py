@@ -495,7 +495,7 @@ class _Router:
         free riders.  Stops at the first iteration with no improving ring
         or after cap rounds.
         """
-        dist = {d: self.grid.hops[tv].tolist()
+        dist = {d: self.grid.hops_from(tv).tolist()
                 for d, tv in target_of.items() if d < self.n_real}
         steps = {(c, dr): _rotation(self.grid.ring_of[c], dr)
                  for c in sorted(self.grid.ring_of) for dr in (1, -1)}

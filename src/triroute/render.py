@@ -68,8 +68,7 @@ class _Svg:
 
 
 def _interp(path: np.ndarray, t: float) -> Vec2:
-    """Position at time t on rows (t, x, y): linear on the first segment
-    ending at or after t, clamped to the first and last rows."""
+    """Position at time t on rows (t, x, y), clamped to the first and last."""
     if t <= path[0, 0]:
         return Vec2(*path[0, 1:].tolist())
     later = np.flatnonzero(path[1:, 0] >= t)

@@ -32,11 +32,12 @@ class SolveReport:
 
 def underestimated_makespan(inst: DiscreteInstance) -> int:
     """Max over robots of the hop distance start -> goal, ignoring others."""
-    d = inst.grid.hops[list(inst.v_starts), list(inst.v_goals)]
-    for s, g, dist in zip(inst.v_starts, inst.v_goals, d.tolist()):
-        if dist < 0:
+    d = 0
+    for s, g in zip(inst.v_starts, inst.v_goals):
+        if (dist := int(inst.grid.hops_from(s)[g])) < 0:
             raise ValueError(f"goal {g} unreachable from start {s}")
-    return int(d.max(initial=0))
+        d = max(d, dist)
+    return d
 
 
 def _ratio(makespan: int, underestimate: int) -> float:
@@ -100,7 +101,7 @@ def split_k_way(inst: DiscreteInstance, k: int) -> list[DiscreteInstance]:
             d = len(path) - 1
             want = path[(m * d) // k]
             if want in taken:
-                dist = grid.hops[want].tolist()
+                dist = grid.hops_from(want).tolist()
                 free = [v for v in range(grid.n_vertices)
                         if v not in taken and dist[v] >= 0]
                 want = min(free, key=lambda v: (dist[v], v))

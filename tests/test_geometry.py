@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _oracles import brute_nearest, joint_bfs_makespan, lattice_count
@@ -295,7 +296,7 @@ def test_bfs_helpers(minimal_grid):
         assert b in g.adjacency[a]
 
 
-def test_hop_table_matches_single_robot_search():
+def test_hop_rows_match_single_robot_search():
     # every pair on 2x3, a seeded sample of pairs on 4x5
     g = build_grid(build_workspace(2, 3))
     V = g.n_vertices
@@ -305,14 +306,15 @@ def test_hop_table_matches_single_robot_search():
     sampled = [(rng.randrange(big.n_vertices), rng.randrange(big.n_vertices))
                for _ in range(60)]
     for grid, cases in ((g, pairs), (big, sampled)):
-        hops = grid.hops
-        assert hops.shape == (grid.n_vertices, grid.n_vertices)
         for u, v in cases:
-            assert hops[u, v] == joint_bfs_makespan(grid, (u,), (v,))
-        assert not hops.flags.writeable
+            assert grid.hops_from(u)[v] == joint_bfs_makespan(grid, (u,), (v,))
+        u = cases[0][0]
+        row = grid.hops_from(u)
+        assert row.shape == (grid.n_vertices,) and row.dtype == np.int64
+        assert not row.flags.writeable
         with pytest.raises(ValueError):
-            hops[0, 1] = 7
-        assert grid.hops is hops
+            row[1] = 7
+        assert grid.hops_from(u) is row
 
 
 def test_build_hex_covers_explicit_call(small_grid):

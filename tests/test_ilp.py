@@ -395,9 +395,9 @@ def test_one_walk_search_per_horizon(monkeypatch):
 
 
 def test_grid_tables_built_once_per_search(monkeypatch):
-    # two horizons: one arc table and one BFS per vertex for the hop table,
+    # two horizons: one arc table and one BFS per distinct start or goal,
     # all on the first search of a fresh grid; later searches and PAFT on
-    # the same grid read the kept tables
+    # the same grid read the kept rows
     from triroute import geometry
     from triroute.paft import paft
     arc_tables, bfs = [], []
@@ -410,9 +410,26 @@ def test_grid_tables_built_once_per_search(monkeypatch):
     plan, rep = solve_triilp(inst)
     assert rep.iterations == 2
     assert len(arc_tables) == 1
-    assert sorted(bfs) == list(range(inst.grid.n_vertices))
+    assert sorted(bfs) == sorted(set(inst.v_starts) | set(inst.v_goals))
     assert inst.grid.arcs is inst.grid.arcs
-    assert inst.grid.hops is inst.grid.hops
+    searched = len(bfs)
     solve_triilp(inst)
     paft(inst)
-    assert len(arc_tables) == 1 and len(bfs) == inst.grid.n_vertices
+    assert len(arc_tables) == 1 and len(bfs) == searched
+
+
+def test_few_discs_search_only_their_own_ends(monkeypatch):
+    # a sparse model on a 200-vertex grid runs one BFS per start and goal,
+    # not one per vertex
+    from triroute import geometry
+    bfs = []
+    distances = geometry.bfs_distances
+    monkeypatch.setattr(geometry, "bfs_distances",
+                        lambda grid, v: bfs.append(v) or distances(grid, v))
+    grid = build_grid(build_workspace(9, 10))
+    inst = DiscreteInstance(grid=grid, v_starts=(0, 57, 120),
+                            v_goals=(199, 3, 88))
+    T = underestimated_makespan(inst)
+    for horizon in (T, T + 1):
+        build_model(inst, horizon)
+    assert sorted(bfs) == sorted(inst.v_starts + inst.v_goals)

@@ -16,12 +16,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # One traced set-up and one traced solve_case per kind, as run.py does
-# them; prints the per-pass totals as JSON.
+# them; prints the per-pass totals and the tracer's metric names as JSON.
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, "perfbench")
 import run
-from tracing import Tracer
+from tracing import LAYER_METRICS, SETUP_METRICS, Tracer
 
 tr = run.load_triroute()
 tracer = Tracer(tr)
@@ -40,10 +40,11 @@ for pass_no, (name, ws, inst, eng, backend) in enumerate(cases):
     tracer.begin_case(name, pass_no)
     run.solve_case(tr, case, grids, eng, backend)
     tracer.end_case()
-print(json.dumps({p: dict(c) for p, c in tracer.pass_totals().items()}))
+print(json.dumps({
+    "totals": {p: dict(c) for p, c in tracer.pass_totals().items()},
+    "setup": list(SETUP_METRICS), "layer": list(LAYER_METRICS)}))
 """
 
-SETUP = ["geometry.build_grid_s", "paft.engine_warm_s", "paft.swap_schedules"]
 PIPELINE = ["io.parse_instance_s", "discretize.discretize_s",
             "validate.synthesize_s", "validate.breakpoints",
             "validate.validate_s", "validate.windows", "validate.pair_windows",
@@ -70,8 +71,13 @@ def test_traced_solves_record_every_metric_on_their_path():
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    totals = json.loads(proc.stdout.strip().splitlines()[-1])
-    expected = {"-1": SETUP, "0": PIPELINE + ILP,
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    setup, totals = out["setup"], out["totals"]
+    # every metric the tracer defines, bar its own overhead, is on a path
+    # checked here, so a metric added to the tracer cannot go unchecked
+    assert (set(setup + PIPELINE + ILP + EXTERNAL + PAFT)
+            == set(out["layer"]) - {"trace.overhead_s"})
+    expected = {"-1": setup, "0": PIPELINE + ILP,
                 "1": PIPELINE + ILP + EXTERNAL, "2": PIPELINE + PAFT}
     zero = {p: [m for m in names if not totals.get(p, {}).get(m)]
             for p, names in expected.items()}
