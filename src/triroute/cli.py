@@ -121,6 +121,8 @@ def cmd_solve(args) -> int:
 
 def cmd_prove(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",") if e]
+    if not epsilons:
+        raise tio.ParseError(f"--epsilons {args.epsilons!r} names no epsilon")
     passed = False
     for eps in epsilons:
         cert = verify(eps)
@@ -205,6 +207,11 @@ def cmd_render(args) -> int:
             dplan = loaded
             if dplan.n != inst.n:
                 raise tio.ParseError("plan robot count differs from instance")
+            off = dplan.positions[(dplan.positions < 0)
+                                  | (dplan.positions >= grid.n_vertices)]
+            if off.size:
+                raise tio.ParseError(f"plan names vertex {off[0]}, not on the "
+                                     f"grid of {grid.n_vertices} vertices")
         else:
             cplan = loaded
             if len(cplan.paths) != inst.n:

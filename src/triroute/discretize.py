@@ -54,8 +54,8 @@ class SeparationReport:
 @dataclass
 class SnapResult:
     assignment: list[int]                      # vertex id per disc
-    d_max: float                               # max snap distance (<= 4/3)
-    phase_duration: float                      # equals d_max
+    d_max: float                               # max snap distance (<= 4/3),
+                                               # the snap phase's duration
     segments: list[tuple[Vec2, Vec2]]          # straight line per disc
 
 
@@ -128,8 +128,7 @@ def snap(inst: ContinuousInstance, grid: TriGrid, which: str) -> SnapResult:
 
     segments = [(p, grid.vertices[v]) for p, v in zip(points, assignment)]
     d_max = max((p.dist(q) for p, q in segments), default=0.0)
-    return SnapResult(assignment=assignment, d_max=d_max,
-                      phase_duration=d_max, segments=segments)
+    return SnapResult(assignment=assignment, d_max=d_max, segments=segments)
 
 
 def discretize(inst: ContinuousInstance, grid: TriGrid

@@ -1,28 +1,24 @@
 """Time-expanded network ILP for multi-robot routing on the triangular grid.
 
 Binary variables x_{r,i,j,t} say robot r moves from vertex i to j (j in
-N(i), which includes i itself for stays) between steps t and t+1, plus
-one virtual goal-to-start variable per robot at the horizon T.  The
-objective maximizes the number of robots that reach their goals at T.
+N(i), which includes i itself for stays) between steps t and t+1.  The
+model is a pure feasibility model with a zero objective: its feasible
+points are exactly the routings that bring every robot to its goal at T.
 
 Constraint families:
   flow       per robot/vertex/step: arrivals at t equal departures at t+1
-  boundary   start departures = goal arrivals at T-1 = virtual variable,
-             with the start departure sum additionally forced to 1
+  boundary   per robot: start departures = 1, goal arrivals at T-1 = 1
   vertex     at most one robot occupies (departs) a vertex per step
   edge       an edge cannot be crossed in both directions at one step
   triangle   at most one move within any lattice triangle per step
   origin     no step-0 departure from a vertex other than the start
              (emitted only where such columns exist, i.e. unpruned)
 
-The boundary rows tie every robot's virtual variable to 1, so a feasible
-point always has objective n: a model is either feasible with every
-robot at its goal or infeasible (reported as objective -1).
-
 The model is held as arrays: one (robot, i, j, t) row per column and
 the constraint rows in COO form.  Reachability pruning drops x_{r,i,j,t}
 when i is not reachable from the start in t steps or the goal is not
-reachable from j in the remaining steps.
+reachable from j in the remaining steps.  ``extract_plan`` checks a
+solution's walks before it turns them into a plan.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .plan import DiscretePlan
 
 
 class SolverError(RuntimeError):
-    """External solver invocation or output parsing failed."""
+    """External solver invocation, output parsing or solution check failed."""
 
 
 class ExhaustiveGuardError(RuntimeError):
@@ -84,10 +80,8 @@ class IlpModel:
     arcs: Arcs
     index: np.ndarray        # (n, T, A + 1): column of robot r on arc a at
                              # step t, -1 when pruned (slot A is padding)
-    variables: np.ndarray    # (m, 4): robot, i, j, t of each column; the
-                             # virtual goal-to-start column has t = T
+    variables: np.ndarray    # (m, 4): robot, i, j, t of each column
     constraints: Rows
-    objective: np.ndarray    # the virtual column of each robot
     pruned_count: int
 
     @property
@@ -98,13 +92,15 @@ class IlpModel:
 @dataclass
 class Solution:
     assignment: np.ndarray       # 0/1 per column; empty when infeasible
-    objective_value: int         # -1 when the model is infeasible
-    feasible: bool = True
+    objective_value: int         # n robots routed, or -1 when infeasible
+
+    @property
+    def feasible(self) -> bool:
+        return self.objective_value >= 0
 
 
 def _infeasible() -> Solution:
-    return Solution(assignment=np.zeros(0, dtype=np.int8), objective_value=-1,
-                    feasible=False)
+    return Solution(assignment=np.zeros(0, dtype=np.int8), objective_value=-1)
 
 
 def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
@@ -126,19 +122,11 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     else:
         keep = np.ones((n, T, A), dtype=bool)
 
-    # columns robot by robot in (t, arc) order, each block closed by the
-    # robot's virtual column
-    kept = keep.reshape(n, T * A)
-    count = kept.sum(1)
-    virtual = np.cumsum(count + 1) - 1
-    first = virtual - count
+    # columns robot by robot in (t, arc) order
     index = np.full((n, T, A + 1), -1)
-    index[:, :, :A] = np.where(
-        keep, (first[:, None] + np.cumsum(kept, 1) - 1).reshape(n, T, A), -1)
+    index[:, :, :A] = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
     r, t, a = np.nonzero(keep)
-    variables = np.empty((int(kept.sum()) + n, 4), dtype=int)
-    variables[index[r, t, a]] = np.stack([r, arcs.tail[a], arcs.head[a], t], 1)
-    variables[virtual] = np.stack([np.arange(n), goals, starts, np.full(n, T)], 1)
+    variables = np.stack([r, arcs.tail[a], arcs.head[a], t], 1)
 
     # Candidate rows hold +-(column + 1) per term, 0 where pruned.  Rows
     # and terms come in the order export_lp writes them, which the
@@ -147,12 +135,11 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     out, into = arcs.out, arcs.into
     W = out.shape[1]
     robots = np.arange(n)[:, None]
-    # per robot: the flow rows by (t, vertex), then the three boundary rows
+    # per robot: the flow rows by (t, vertex), then the two boundary rows
     flow = np.concatenate([s[:, :-1][:, :, into], -s[:, 1:][:, :, out]], axis=3)
-    boundary = np.zeros((n, 3, 2 * W), dtype=int)
-    boundary[:, 0, :W] = boundary[:, 2, :W] = s[robots, 0, out[starts]]
+    boundary = np.zeros((n, 2, 2 * W), dtype=int)
+    boundary[:, 0, :W] = s[robots, 0, out[starts]]
     boundary[:, 1, :W] = s[robots, T - 1, into[goals]]
-    boundary[:, :2, W] = -(virtual + 1)[:, None]
     n_flow = (T - 1) * V
     per_robot = np.concatenate([flow.reshape(n, n_flow, 2 * W), boundary], 1)
     # per step: the vertex, edge and triangle rows over all robots
@@ -167,17 +154,19 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     # only unpruned models have step-0 columns away from the start
     origin = np.where(arcs.tail != starts[:, None], s[:, 0, :A], 0)
 
+    # flow rows (= 0) are kept when they have a term, boundary rows (= 1)
+    # always: an empty one makes the model infeasible
+    is_boundary = np.tile(np.r_[np.zeros(n_flow, dtype=int), 1, 1], n)
     constraints = _rows([
-        (per_robot.reshape(n * (n_flow + 3), 2 * W),
-         np.tile(np.r_[np.ones(n_flow, dtype=int), 0, 0, 0], n), EQ,
-         np.tile(np.r_[np.zeros(n_flow, dtype=int), 0, 0, 1], n)),
+        (per_robot.reshape(n * (n_flow + 2), 2 * W), 1 - is_boundary, EQ,
+         is_boundary),
         (per_step.reshape(T * (V + E + F), n * W),
          np.tile(np.r_[np.ones(V, dtype=int), np.full(E + F, 2)], T), LE, 1),
         (origin, 1, EQ, 0),
     ])
     return IlpModel(inst=inst, T=T, arcs=arcs, index=index, variables=variables,
-                    constraints=constraints, objective=virtual,
-                    pruned_count=int(keep.size - kept.sum()))
+                    constraints=constraints,
+                    pruned_count=int(keep.size - keep.sum()))
 
 
 def _rows(blocks) -> Rows:
@@ -207,13 +196,7 @@ def column_names(model: IlpModel) -> list[str]:
 def export_lp(model: IlpModel) -> str:
     """LP-format text with deterministic ordering and x_r_i_j_t names."""
     names = column_names(model)
-    lines = ["Maximize"]
-    if len(model.objective):
-        obj = " + ".join(names[c] for c in model.objective.tolist())
-        lines.append(f" obj: {obj}")
-    else:
-        lines.append(" obj: 0")
-    lines.append("Subject To")
+    lines = ["Maximize", " obj: 0", "Subject To"]
     rows = model.constraints
     terms = [("+ " if k > 0 else "- ") + names[c]
              for c, k in zip(rows.col.tolist(), rows.coef.tolist())]
@@ -227,13 +210,9 @@ def export_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _objective_value(model: IlpModel, assignment: np.ndarray) -> int:
-    return int(assignment[model.objective].sum())
-
-
 def solve(model: IlpModel, backend: str = "exhaustive",
           solver_cmd: str | None = None) -> Solution:
-    """Optimize the model.
+    """Find a feasible point of the model, or report it infeasible.
 
     exhaustive: deterministic depth-first search for one goal-reaching
     time-expanded walk per robot, pairwise conflict-free; a full routing
@@ -332,7 +311,6 @@ def _solve_exhaustive(model: IlpModel) -> Solution:
     arc = model.arcs.arc_of[chosen[:, :-1], chosen[:, 1:]]
     assignment = np.zeros(len(model.variables), dtype=np.int8)
     assignment[model.index[np.arange(model.n)[:, None], np.arange(model.T), arc]] = 1
-    assignment[model.objective] = 1
     return Solution(assignment=assignment, objective_value=model.n)
 
 
@@ -378,7 +356,8 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
 
 
 def parse_solution(model: IlpModel, text: str) -> Solution:
-    """Parse "name value" lines; an empty file signals infeasibility."""
+    """Parse "name value" lines; an empty file signals infeasibility.  A
+    non-empty one claims to route every robot, which extract_plan checks."""
     names = {name: c for c, name in enumerate(column_names(model))}
     assignment = np.zeros(len(model.variables), dtype=np.int8)
     seen_any = False
@@ -400,31 +379,33 @@ def parse_solution(model: IlpModel, text: str) -> Solution:
         assignment[names[name]] = 1 if x >= 0.5 else 0
     if not seen_any:
         return _infeasible()
-    return Solution(assignment=assignment,
-                    objective_value=_objective_value(model, assignment))
+    return Solution(assignment=assignment, objective_value=model.n)
 
 
 def extract_plan(model: IlpModel, sol: Solution) -> DiscretePlan:
-    """Decode an all-robots-succeed solution into per-step positions."""
-    if sol.objective_value != model.n:
-        raise ValueError("can only extract a plan when every robot succeeds")
-    n, T, V = model.n, model.T, model.inst.grid.n_vertices
+    """Check a feasible solution's walks and decode them into per-step
+    positions.  Raises SolverError unless every robot has exactly one
+    active column per step, each leaving the vertex the previous one
+    reached (the start at step 0), and the last one reaches the goal."""
+    if not sol.feasible:
+        raise ValueError("can only extract a plan from a feasible solution")
+    n, T = model.n, model.T
     r, i, j, t = model.variables[np.flatnonzero(sol.assignment)].T
-    moving = t < T
-    key = ((t * n + r) * V + i)[moving]
-    active = np.bincount(key, minlength=T * n * V).reshape(T, n, V)
-    succ = np.zeros(T * n * V, dtype=int)
-    succ[key] = j[moving]
-    succ = succ.reshape(T, n, V)
-    robots = np.arange(n)
-    pos = np.array(model.inst.v_starts, dtype=np.intp)
-    rows = np.empty((T + 1, n), dtype=np.intp)
-    rows[0] = pos
-    for step in range(T):
-        count = active[step, robots, pos]
-        bad = np.flatnonzero(count != 1)
-        if bad.size:
-            raise SolverError(f"robot {bad[0]} has {count[bad[0]]} active moves "
-                              f"at step {step}")
-        rows[step + 1] = pos = succ[step, robots, pos]
-    return DiscretePlan(rows)
+    count = np.bincount(r * T + t, minlength=n * T)
+    if (bad := np.flatnonzero(count != 1)).size:
+        rb, tb = divmod(int(bad[0]), T)
+        raise SolverError(f"robot {rb} has {count[bad[0]]} active moves "
+                          f"at step {tb}")
+    tail = np.empty((n, T), dtype=np.intp)
+    head = np.empty((n, T), dtype=np.intp)
+    tail[r, t], head[r, t] = i, j
+    reached = np.column_stack([model.inst.v_starts, head]).astype(np.intp)
+    if (bad := np.argwhere(tail != reached[:, :-1])).size:
+        rb, tb = bad[0].tolist()
+        raise SolverError(f"robot {rb} leaves vertex {tail[rb, tb]} at step "
+                          f"{tb} but stands on vertex {reached[rb, tb]}")
+    if (bad := np.flatnonzero(head[:, -1] != model.inst.v_goals)).size:
+        rb = int(bad[0])
+        raise SolverError(f"robot {rb} ends on vertex {head[rb, -1]}, not on "
+                          f"its goal {model.inst.v_goals[rb]}")
+    return DiscretePlan(reached.T.copy())

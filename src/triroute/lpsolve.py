@@ -4,7 +4,8 @@ Reads the LP subset written by :func:`triroute.ilp.export_lp` (Maximize /
 Subject To / Binary / End sections, +-1 or explicit integer coefficients)
 and solves it with scipy's MILP interface.  On success the output file
 has one "name value" line per variable; an infeasible model produces an
-empty output file.
+empty output file.  A malformed or unreadable model, or an unwritable
+output, prints one ``lpsolve: ...`` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -82,8 +83,11 @@ def parse_lp(text: str) -> tuple[list[str], list[float],
                           None)
             if op_idx is None:
                 raise LpParseError(f"constraint without relation: {raw!r}")
-            terms = parse_terms(tokens[:op_idx])
-            rows.append((terms, tokens[op_idx], float(tokens[op_idx + 1])))
+            try:
+                rhs = float(tokens[op_idx + 1])
+            except (IndexError, ValueError):
+                raise LpParseError(f"bad right-hand side: {raw!r}") from None
+            rows.append((parse_terms(tokens[:op_idx]), tokens[op_idx], rhs))
         elif section == "binary":
             for tok in line.split():
                 col_of(tok)
@@ -138,14 +142,16 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) != 2:
         print("usage: python -m triroute.lpsolve MODEL.lp OUT.sol", file=sys.stderr)
         return 2
-    with open(args[0]) as f:
-        text = f.read()
-    result = solve_lp_text(text)
-    with open(args[1], "w") as f:
-        if result is not None:
-            names, values = result
-            for name, val in zip(names, values):
-                f.write(f"{name} {val}\n")
+    try:
+        with open(args[0]) as f:
+            result = solve_lp_text(f.read())
+        with open(args[1], "w") as f:
+            if result is not None:
+                for name, val in zip(*result):
+                    f.write(f"{name} {val}\n")
+    except (LpParseError, OSError) as exc:
+        print(f"lpsolve: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -166,9 +166,9 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
     if dplan.positions[-1].tolist() != list(snap_g.assignment):
         raise SynthesisError("plan does not end at the snapped goal vertices")
 
-    t_in = snap_s.phase_duration
+    t_in = snap_s.d_max
     t_grid = dplan.T * EDGE_LEN
-    t_out = snap_g.phase_duration
+    t_out = snap_g.d_max
     makespan = t_in + t_grid + t_out
 
     # step 0 is the snap-in point

@@ -205,8 +205,8 @@ def reference_exhaustive(model) -> tuple[dict[int, int], int]:
     """The exhaustive backend as first written: walks sorted by (moves,
     sequence), robots ordered by walk count, and goal subsets tried from
     largest to smallest with a pairwise compatibility test per candidate.
-    Returns (column -> 0/1, objective), or ({}, -1) when even the empty
-    subset fails."""
+    Returns (column -> 0/1, the number of robots whose walk ends at the
+    goal), or ({}, -1) when even the empty subset fails."""
     index = column_of(model)
     etri = _edge_tri_map(model.inst.grid)
     n, goals = model.n, model.inst.v_goals
@@ -248,11 +248,8 @@ def reference_exhaustive(model) -> tuple[dict[int, int], int]:
             for r, w in found.items():
                 for t in range(model.T):
                     assignment[index[(r, w[t], w[t + 1], t)]] = 1
-                if w[-1] == goals[r]:
-                    assignment[index[(r, goals[r], model.inst.v_starts[r],
-                                      model.T)]] = 1
-            return assignment, sum(assignment[c]
-                                   for c in model.objective.tolist())
+            return assignment, sum(1 for r, w in found.items()
+                                   if w[-1] == goals[r])
     return {}, -1
 
 
@@ -443,8 +440,8 @@ def reference_synthesize(inst, grid, dplan, snap_s, snap_g, dense=False):
     their position differs."""
     steps = dplan.steps
     T = len(steps) - 1
-    t_in = snap_s.phase_duration
-    makespan = t_in + T * EDGE + snap_g.phase_duration
+    t_in = snap_s.d_max
+    makespan = t_in + T * EDGE + snap_g.d_max
     out = []
     for r in range(len(steps[0])):
         pts = [(0.0, inst.starts[r])]

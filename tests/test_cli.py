@@ -224,11 +224,19 @@ with open(solution, "w") as f:
 """
 
 
+_ALL_ZERO = """\
+names = open(model).read().split("Binary")[1].split()[:-1]
+with open(solution, "w") as f:
+    f.writelines(name + " 0\\n" for name in names)
+"""
+
+
 @pytest.mark.parametrize("body, message", [
     (_GARBAGE_VALUE, "non-numeric value"),
     ("pass\n", "no solution file"),
     ("import time\ntime.sleep(60)\n", "timed out"),
-], ids=["garbage-value", "no-output-file", "hang"])
+    (_ALL_ZERO, "robot 0 has 0 active moves at step 0"),
+], ids=["garbage-value", "no-output-file", "hang", "all-zero"])
 def test_external_solver_faults_exit_4(tmp_path, monkeypatch, capsys, body,
                                        message):
     monkeypatch.setattr("triroute.ilp.SOLVER_TIMEOUT_S", 2.0)
@@ -380,6 +388,32 @@ def test_render_malformed_plan_exits_2(tmp_path, capsys):
     assert run("render", "--instance", str(inst_path), "--plan",
                str(plan_path), "--out", str(tmp_path / "m.svg")) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, vertex", [("trace", 999), ("snapshot", 999),
+                                          ("trace", -5), ("snapshot", -5)])
+def test_render_off_grid_plan_vertex_exits_2(tmp_path, capsys, mode, vertex):
+    # a discrete plan file carries no grid, so render checks its vertices
+    # against the instance's 2x3 grid (16 vertices)
+    inst_path = tmp_path / "o.oldr"
+    plan_path = tmp_path / "o.plan"
+    out = tmp_path / "o.svg"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "1",
+               "--seed", "6", "--out", str(inst_path)) == 0
+    plan_path.write_text("plan 1 discrete\nrobots 1\nsteps 2\n"
+                         f"step 0 {vertex}\nstep 1 {vertex}\n")
+    assert run("render", "--instance", str(inst_path), "--plan",
+               str(plan_path), "--mode", mode, "--out", str(out)) == 2
+    assert f"parse error: plan names vertex {vertex}," in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilons", ["", ","])
+def test_prove_without_epsilons_exits_2(tmp_path, capsys, epsilons):
+    cert = tmp_path / "c.cert"
+    assert run("prove", "--epsilons", epsilons, "--out", str(cert)) == 2
+    assert "names no epsilon" in capsys.readouterr().err
+    assert not cert.exists()
 
 
 def test_gen_determinism(tmp_path):

@@ -60,7 +60,6 @@ def test_snap_on_vertex_is_identity(minimal_grid):
     res = snap(inst, g, "starts")
     assert res.assignment == [2, 9]
     assert res.d_max == 0.0
-    assert res.phase_duration == 0.0
     assert all(a.dist(b) == 0.0 for a, b in res.segments)
 
 

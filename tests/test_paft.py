@@ -507,9 +507,19 @@ def test_planner_invariants_survive_python_O():
         "try:\n"
         "    router.apply_step([(1, 2)])\n"
         "except PlannerInvariantError:\n"
-        "    print('PlannerInvariantError')\n")
+        "    print('PlannerInvariantError')\n"
+        "from triroute.discretize import DiscreteInstance\n"
+        "from triroute.ilp import (SolverError, build_model, column_names,\n"
+        "                          extract_plan, parse_solution)\n"
+        "model = build_model(DiscreteInstance(g, (a,), (b,)), 1)\n"
+        "zeros = ''.join(name + ' 0\\n' for name in column_names(model))\n"
+        "try:\n"
+        "    extract_plan(model, parse_solution(model, zeros))\n"
+        "except SolverError:\n"
+        "    print('SolverError')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-O", "-c", code, src], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["SwapSearchError", "PlannerInvariantError"]
+    assert proc.stdout.split() == ["SwapSearchError", "PlannerInvariantError",
+                                   "SolverError"]
