@@ -139,6 +139,8 @@ def _parse_discrete(lines: list[str]) -> DiscretePlan:
         count = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParseError("bad plan preamble") from exc
+    if count < 1:
+        raise ParseError(f"plan needs at least one step, header said {count}")
     vertices: list[int] = []
     for ln in lines[3:]:
         parts = ln.split()
@@ -182,6 +184,8 @@ def _parse_continuous(lines: list[str]) -> ContinuousPlan:
                 rows.append((float(q[1]), float(q[2]), float(q[3])))
             except ValueError as exc:
                 raise ParseError(f"bad pt line: {ln!r}") from exc
+            if not np.isfinite(rows[-1]).all():
+                raise ParseError(f"non-finite value in pt line: {ln!r}")
         paths.append(np.array(rows))
         i += 1 + npts
     if len(paths) != n:

@@ -4,8 +4,9 @@ Reads the LP subset written by :func:`triroute.ilp.export_lp` (Maximize /
 Subject To / Binary / End sections, +-1 or explicit integer coefficients)
 and solves it with scipy's MILP interface.  On success the output file
 has one "name value" line per variable; an infeasible model produces an
-empty output file.  A malformed or unreadable model, or an unwritable
-output, prints one ``lpsolve: ...`` line to stderr and exits 2.
+empty output file.  A malformed or unreadable model, an unwritable
+output, or a ``milp`` run that settles neither way prints one
+``lpsolve: ...`` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 class LpParseError(ValueError):
     pass
+
+
+class MilpError(RuntimeError):
+    """``milp`` ended without settling feasibility (time limit, numerical
+    trouble, unbounded)."""
 
 
 def parse_lp(text: str) -> tuple[list[str], list[float],
@@ -101,7 +107,13 @@ def parse_lp(text: str) -> tuple[list[str], list[float],
 
 
 def solve_lp_text(text: str) -> tuple[list[str], list[int]] | None:
-    """Solve; returns (names, 0/1 values) or None when infeasible."""
+    """Solve; returns (names, 0/1 values) or None when infeasible.
+
+    A zero objective is first given to the root node alone, without
+    presolve; only when that settles neither feasibility nor
+    infeasibility does the default ``milp`` call run.  Any other
+    objective goes straight to the default call.
+    """
     names, objective, rows = parse_lp(text)
     nvar = len(names)
     if nvar == 0:
@@ -125,14 +137,20 @@ def solve_lp_text(text: str) -> tuple[list[str], list[int]] | None:
                 ub.append(rhs)
         mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), nvar))
         constraints.append(LinearConstraint(mat, lb, ub))
-    res = milp(c=-np.asarray(objective),
-               constraints=constraints,
-               integrality=np.ones(nvar),
-               bounds=Bounds(0, 1))
+    problem = dict(c=-np.asarray(objective), constraints=constraints,
+                   integrality=np.ones(nvar), bounds=Bounds(0, 1))
+    res = None
+    if not any(objective):
+        # A feasibility model: any point the root node finds is optimal,
+        # and on these time-expanded models the root without presolve
+        # usually settles feasibility in a fraction of presolve's time.
+        res = milp(**problem, options={"presolve": False, "node_limit": 1})
+    if res is None or res.status not in (0, 2):
+        res = milp(**problem)
     if res.status == 2:  # infeasible
         return None
     if not res.success:
-        raise RuntimeError(f"milp failed: status={res.status} {res.message}")
+        raise MilpError(f"milp failed: status={res.status} {res.message}")
     values = [int(round(x)) for x in res.x]
     return names, values
 
@@ -149,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             if result is not None:
                 for name, val in zip(*result):
                     f.write(f"{name} {val}\n")
-    except (LpParseError, OSError) as exc:
+    except (LpParseError, MilpError, OSError) as exc:
         print(f"lpsolve: {exc}", file=sys.stderr)
         return 2
     return 0

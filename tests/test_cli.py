@@ -369,6 +369,7 @@ MALFORMED_PLANS = {
     "negative count": "plan 1 continuous\nrobots 1\ndisc 1 -1\npt 0 1 1\n",
     "no points": "plan 1 continuous\nrobots 1\ndisc 1 0\n",
     "coordinate": "plan 1 continuous\nrobots 1\ndisc 1 1\npt 0 x 1\n",
+    "nan point": "plan 1 continuous\nrobots 1\ndisc 1 1\npt 0 nan 1\n",
 }
 
 
@@ -388,6 +389,29 @@ def test_render_malformed_plan_exits_2(tmp_path, capsys):
     assert run("render", "--instance", str(inst_path), "--plan",
                str(plan_path), "--out", str(tmp_path / "m.svg")) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["trace", "snapshot"])
+@pytest.mark.parametrize("text, message", [
+    ("plan 1 discrete\nrobots 1\nsteps 0\n",
+     "plan needs at least one step, header said 0"),
+    ("plan 1 continuous\nrobots 1\ndisc 1 2\npt 0 3 3\npt 1 nan 3\n",
+     "non-finite value in pt line: 'pt 1 nan 3'"),
+], ids=["no steps", "nan point"])
+def test_render_rejects_empty_or_non_finite_plan(tmp_path, capsys, mode,
+                                                 text, message):
+    # neither plan is caught by render's own checks: an empty discrete
+    # plan has no snapshot to draw, and NaN compares false everywhere
+    inst_path = tmp_path / "e.oldr"
+    plan_path = tmp_path / "e.plan"
+    out = tmp_path / "e.svg"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "1",
+               "--seed", "6", "--out", str(inst_path)) == 0
+    plan_path.write_text(text)
+    assert run("render", "--instance", str(inst_path), "--plan",
+               str(plan_path), "--mode", mode, "--out", str(out)) == 2
+    assert f"parse error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, vertex", [("trace", 999), ("snapshot", 999),

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from _oracles import (joint_bfs_makespan, model_rows, reference_exhaustive,
                       sharp_angle_rows)
 from conftest import random_discrete_instance
-from triroute import ilp
+from triroute import ilp, lpsolve, triilp
 from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import build_grid, build_workspace
 from triroute.ilp import (ExhaustiveGuardError, SolverError,
@@ -321,10 +322,12 @@ def test_lpsolve_reports_bad_input_in_one_line(tmp_path, capsys):
     assert "solver exited with 2: lpsolve: " in err and "Traceback" not in err
 
 
-def test_lpsolve_module_solves_small_lp(tmp_path):
+def test_lpsolve_module_solves_small_lp(tmp_path, milp_calls):
     text = ("Maximize\n obj: + a + b\nSubject To\n c0: + a + b <= 1\n"
             "Binary\n a\n b\nEnd\n")
     names, values = solve_lp_text(text)
+    # a non-zero objective goes straight to the default call
+    assert milp_calls == [(None, 0)]
     assert sorted(names) == ["a", "b"]
     assert sum(values) == 1
     model = tmp_path / "m.lp"
@@ -401,6 +404,116 @@ def test_export_lp_text_is_pinned(case):
     inst = _dense(*case)
     text = export_lp(build_model(inst, underestimated_makespan(inst)))
     assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[case]
+
+
+ROOT_ONLY = {"presolve": False, "node_limit": 1}
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """(options, status) of each ``milp`` call lpsolve makes."""
+    calls = []
+    real = lpsolve.milp
+
+    def spy(**kwargs):
+        options = dict(kwargs["options"]) if "options" in kwargs else None
+        res = real(**kwargs)       # milp pops entries from the options
+        calls.append((options, res.status))
+        return res
+
+    monkeypatch.setattr(lpsolve, "milp", spy)
+    return calls
+
+
+def _unsettled_root(monkeypatch):
+    """Make every root-only call end at its node limit, unsettled; return
+    the results of the calls that run in full."""
+    full = []
+    real = lpsolve.milp
+
+    def milp(**kwargs):
+        if kwargs.get("options") == ROOT_ONLY:
+            return SimpleNamespace(status=1, success=False, x=None,
+                                   message="Node limit reached.")
+        full.append(real(**kwargs))
+        return full[-1]
+
+    monkeypatch.setattr(lpsolve, "milp", milp)
+    return full
+
+
+def _routes(model, result):
+    text = "".join(f"{name} {value}\n" for name, value in zip(*result))
+    plan = extract_plan(model, parse_solution(model, text))
+    inst = model.inst
+    return check_plan(inst.grid, plan, inst.v_starts, inst.v_goals) == []
+
+
+def test_zero_objective_settled_by_one_root_call(milp_calls):
+    model = build_model(_dense((2, 3), 6, 2), 5)
+    result = solve_lp_text(export_lp(model))
+    assert milp_calls == [(ROOT_ONLY, 0)]
+    assert _routes(model, result)
+
+
+def test_unsettled_root_reruns_the_default_call(monkeypatch):
+    model = build_model(_dense((2, 3), 6, 2), 5)
+    full = _unsettled_root(monkeypatch)
+    names, values = solve_lp_text(export_lp(model))
+    assert len(full) == 1 and full[0].status == 0
+    assert values == [int(round(x)) for x in full[0].x]
+    assert _routes(model, (names, values))
+
+
+@pytest.mark.parametrize("case", [((3, 5), 16, 0), ((4, 4), 18, 0),
+                                  ((3, 5), 20, 0)])
+def test_benchmark_horizons_settled_at_the_root(milp_calls, case):
+    # the external-solver benchmark instances, each feasible at its lower
+    # bound: the root without presolve finds a routing there
+    inst = _dense(*case)
+    model = build_model(inst, underestimated_makespan(inst))
+    result = solve_lp_text(export_lp(model))
+    assert milp_calls == [(ROOT_ONLY, 0)]
+    assert _routes(model, result)
+
+
+# (workspace, discs, seed) -> infeasible horizons before the optimum
+INFEASIBLE_FIRST = {((2, 3), 6, 2): 1, ((2, 3), 6, 4): 2, ((2, 3), 5, 7): 2,
+                    ((3, 3), 5, 5): 2, ((3, 3), 6, 4): 1}
+
+
+@pytest.mark.parametrize("root", ["settles", "unsettled"])
+def test_lpsolve_agrees_with_exhaustive_at_every_horizon(monkeypatch, root):
+    # every horizon the search tries goes through the bundled solver in
+    # process too, on either side of the root-only rule
+    if root == "unsettled":
+        _unsettled_root(monkeypatch)
+    horizons = []
+
+    def both(model, **kwargs):
+        sol = solve(model, **kwargs)
+        result = solve_lp_text(export_lp(model))
+        assert (result is not None) == sol.feasible, (model.inst, model.T)
+        assert result is None or _routes(model, result)
+        horizons.append(sol.feasible)
+        return sol
+
+    monkeypatch.setattr(triilp, "solve", both)
+    for (ws, n, seed), infeasible in INFEASIBLE_FIRST.items():
+        horizons.clear()
+        triilp.solve_triilp(_dense(ws, n, seed))
+        assert horizons == [False] * infeasible + [True], (ws, n, seed)
+
+
+def test_lpsolve_reports_milp_failure_in_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(lpsolve, "milp", lambda **kwargs: SimpleNamespace(
+        status=4, success=False, x=None, message="HiGHS gave up."))
+    model, out = tmp_path / "m.lp", tmp_path / "m.sol"
+    model.write_text(export_lp(build_model(_dense((2, 3), 4, 0), 3)))
+    assert lpsolve.main([str(model), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "lpsolve: milp failed: status=4 HiGHS gave up.\n")
 
 
 def test_unpruned_models_route_no_faster_than_the_optimum():
