@@ -36,7 +36,8 @@ EXIT_VALIDATION = 5
 _METHOD_RE = re.compile(r"^triilp-split-(\d+)$")
 
 
-def _parse_method(name: str):
+def _parse_method(name: str) -> tuple[str, int | None]:
+    """(name, K) for ``triilp-split-K``, else (name, None)."""
     if name in ("triilp", "paft", "isag"):
         return name, None
     m = _METHOD_RE.match(name)
@@ -44,18 +45,48 @@ def _parse_method(name: str):
         k = int(m.group(1))
         if k < 1:
             raise tio.ParseError(f"bad split arity in method {name!r}")
-        return "triilp-split", k
+        return name, k
     raise tio.ParseError(f"unknown method {name!r}")
 
 
-def _run_method(method: str, dinst, backend: str, solver_cmd: str | None,
-                engine: SwapEngine | None = None):
-    """Returns (DiscretePlan, SolveReport)."""
-    name, k = _parse_method(method)
+def _workspace(word: str):
+    try:
+        n1, n2 = map(tio.integer, word.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"size {word!r} is not N1xN2") from None
+    return build_workspace(n1, n2)
+
+
+def _epsilons(text: str) -> list[float]:
+    epsilons = [tio.real(word) for word in text.split(",") if word]
+    if not epsilons:
+        raise ValueError(f"{text!r} names no epsilon")
+    if bad := [eps for eps in epsilons if eps <= 0]:
+        raise ValueError(f"epsilon {bad[0]!r} is not > 0")
+    return epsilons
+
+
+def _flag(convert, sep: str | None = None):
+    """An argparse type: one value, or a ``sep`` list of values, read by
+    a converter whose ValueError argparse prints after the flag."""
+    def parse(text: str):
+        try:
+            if sep is None:
+                return convert(text)
+            return [convert(word) for word in text.split(sep)]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _run_method(method: tuple[str, int | None], dinst, backend: str,
+                solver_cmd: str | None, engine: SwapEngine | None = None):
+    """Runs a ``_parse_method`` result; returns (DiscretePlan, SolveReport)."""
+    name, k = method
+    if k is not None:
+        return solve_split(dinst, k, backend=backend, solver_cmd=solver_cmd)
     if name == "triilp":
         return solve_triilp(dinst, backend=backend, solver_cmd=solver_cmd)
-    if name == "triilp-split":
-        return solve_split(dinst, k, backend=backend, solver_cmd=solver_cmd)
     t0 = time.perf_counter()
     if name == "isag":
         plan = isag(dinst, engine)
@@ -106,7 +137,7 @@ def cmd_solve(args) -> int:
             else:
                 f.write(tio.format_discrete_plan(plan))
     _print_report([
-        ("method", args.method),
+        ("method", args.method[0]),
         ("robots", inst.n),
         ("discrete_makespan", report.makespan),
         ("underestimate", report.underestimate),
@@ -120,9 +151,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    epsilons = [float(e) for e in args.epsilons.split(",") if e]
-    if not epsilons:
-        raise tio.ParseError(f"--epsilons {args.epsilons!r} names no epsilon")
+    epsilons = args.epsilons
     passed = False
     for eps in epsilons:
         cert = verify(eps)
@@ -138,19 +167,12 @@ def cmd_prove(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = []
-    for tok in args.sizes.split(","):
-        n1s, n2s = tok.lower().split("x")
-        sizes.append((int(n1s), int(n2s)))
-    robots = [int(r) for r in args.robots.split(",")]
-    methods = args.methods.split(",")
     rows = []
-    for n1, n2 in sizes:
-        ws = build_workspace(n1, n2)
+    for ws in args.sizes:
         grid = build_grid(ws)
         engine = SwapEngine(grid)
-        for n in robots:
-            for method in methods:
+        for n in args.robots:
+            for method in args.methods:
                 times, achieved, bounds, failures = [], [], [], 0
                 for k in range(args.count):
                     seed = args.seed + 1000 * k
@@ -171,14 +193,15 @@ def cmd_bench(args) -> int:
                         bounds.append(rep.underestimate)
                     except Exception as exc:  # noqa: BLE001 - suite continues
                         failures += 1
-                        print(f"# failure n1={n1} n2={n2} n={n} method={method} "
-                              f"seed={seed}: {exc}", file=sys.stderr)
+                        print(f"# failure n1={ws.n1} n2={ws.n2} n={n} "
+                              f"method={method[0]} seed={seed}: {exc}",
+                              file=sys.stderr)
                 mean_time = sum(times) / len(times) if times else float("nan")
                 denom = sum(bounds)
                 ratio = 1.0 if denom == 0 else sum(achieved) / denom
-                rows.append({"method": method, "n": n, "n1": n1, "n2": n2,
-                             "mean_time": mean_time, "ratio": ratio,
-                             "failures": failures})
+                rows.append({"method": method[0], "n": n, "n1": ws.n1,
+                             "n2": ws.n2, "mean_time": mean_time,
+                             "ratio": ratio, "failures": failures})
     header = ["method", "n", "mean_time", "ratio", "failures"]
     lines = ["\t".join(header)]
     for r in rows:
@@ -232,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance file")
     g.add_argument("--n1", type=int, required=True)
     g.add_argument("--n2", type=int, required=True)
-    g.add_argument("--count", type=int, required=True)
+    g.add_argument("--count", type=_flag(tio.count), required=True)
     g.add_argument("--pattern", choices=["dense", "random"], default="random")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--strict", action=argparse.BooleanOptionalAction,
@@ -243,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="route an instance and validate the plan")
     s.add_argument("instance")
-    s.add_argument("--method", default="triilp",
+    s.add_argument("--method", type=_flag(_parse_method), default="triilp",
                    help="triilp | triilp-split-K | paft | isag")
     s.add_argument("--backend", choices=["exhaustive", "external"],
                    default="exhaustive")
@@ -256,17 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("prove", help="run the separation sweep certificates")
-    p.add_argument("--epsilons", default="0.1,0.05,0.025",
+    p.add_argument("--epsilons", type=_flag(_epsilons),
+                   default="0.1,0.05,0.025",
                    help="comma list, processed in order, stops at first pass")
     p.add_argument("--out", default="separation.cert")
     p.set_defaults(func=cmd_prove)
 
     b = sub.add_parser("bench", help="benchmark methods over a suite")
-    b.add_argument("--sizes", default="2x3", help="comma list of N1xN2")
-    b.add_argument("--robots", default="4", help="comma list of robot counts")
-    b.add_argument("--methods", default="triilp")
+    b.add_argument("--sizes", type=_flag(_workspace, ","), default="2x3",
+                   help="comma list of N1xN2")
+    b.add_argument("--robots", type=_flag(tio.count, ","), default="4",
+                   help="comma list of robot counts")
+    b.add_argument("--methods", type=_flag(_parse_method, ","),
+                   default="triilp")
     b.add_argument("--pattern", choices=["dense", "random"], default="random")
-    b.add_argument("--count", type=int, default=3, help="instances per cell")
+    b.add_argument("--count", type=_flag(tio.positive), default=3,
+                   help="instances per cell")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--backend", choices=["exhaustive", "external"],
                    default="exhaustive")
@@ -279,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--instance", required=True)
     r.add_argument("--plan", default=None)
     r.add_argument("--mode", choices=["snapshot", "trace"], default="snapshot")
-    r.add_argument("--time", type=float, default=0.0)
+    r.add_argument("--time", type=_flag(tio.real), default=0.0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render)
     return ap

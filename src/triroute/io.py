@@ -1,80 +1,123 @@
 """Line-oriented text formats: instances (.oldr), plans (.plan).
 
 Every file opens with a versioned header.  Floats are written with
-repr(), so write -> read round-trips are lossless.
+repr(), so write -> read round-trips are lossless.  One record reader
+reads both formats, and every error it raises names the line.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .discretize import (ContinuousInstance, InadmissibleInstanceError,
                          check_clearance, validate_separation)
-from .geometry import Vec2, build_workspace
+from .geometry import BoundsError, Vec2, build_workspace
 from .plan import DiscretePlan
 from .validate import ContinuousPlan
 
 
 class ParseError(ValueError):
-    """Malformed instance or plan file."""
+    """Malformed instance or plan file; the message names the line."""
 
 
-INSTANCE_HEADER = "oldr 1"
-PLAN_HEADER = "plan 1"
+# Field converters return a field's value or raise ValueError; the CLI
+# reads its flags with them too.
+def integers(least: int = -2 ** 63, below: int = 2 ** 63,
+             problem: str = "{!r} is not a 64-bit integer"):
+    """Converter for an integer field in [least, below)."""
+    def convert(word: str) -> int:
+        if not least <= (value := int(word)) < below:
+            raise ValueError(problem.format(word))
+        return value
+    return convert
+
+
+integer = integers()
+count = integers(0, problem="{!r} is not a count (an integer >= 0)")
+positive = integers(1, problem="{!r} is not a positive count")
+
+
+def index(expected: int):
+    return integers(expected, expected + 1, f"expected {expected}, got {{!r}}")
+
+
+def real(word: str) -> float:
+    if not math.isfinite(value := float(word)):
+        raise ValueError(f"non-finite value {word!r}")
+    return value
+
+
+class _Records:
+    """Non-blank lines read one record at a time, then an empty end line."""
+
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        self._lines = [(k, ln.strip()) for k, ln in enumerate(lines, 1)
+                       if ln.strip()] + [(len(lines) + 1, "")]
+        self._next = 0
+
+    def __bool__(self) -> bool:
+        return self._next < len(self._lines) - 1
+
+    def fail(self, problem: str) -> ParseError:
+        k, line = self._lines[self._next - 1]
+        return ParseError(f"{problem} (line {k}: {line!r})")
+
+    def read(self, keyword: str, *fields, row=(None, 0)) -> list:
+        """The next line's fields: ``keyword``, one field per converter,
+        then with ``row=(convert, n)`` n more fields as one list."""
+        self._next = min(self._next + 1, len(self._lines))
+        words = self._lines[self._next - 1][1].split()
+        convert, want = row[0], 1 + len(fields) + row[1]
+        if words[:1] != [keyword] or len(words) != want:
+            raise self.fail(f"expected a {keyword!r} line of {want} words")
+        try:
+            values = [f(w) for f, w in zip(fields, words[1:])]
+            if convert:
+                values.append([convert(w) for w in words[1 + len(fields):]])
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None
+        return values
+
+    def end(self) -> None:
+        if self:
+            self._next += 1
+            raise self.fail("line after the last record")
 
 
 def format_instance(inst: ContinuousInstance) -> str:
     ws = inst.workspace
-    lines = [INSTANCE_HEADER, f"workspace {ws.n1} {ws.n2}"]
-    for i in range(inst.n):
-        s, g = inst.starts[i], inst.goals[i]
-        lines.append(f"disc {i + 1} {s.x!r} {s.y!r} {g.x!r} {g.y!r}")
+    lines = ["oldr 1", f"workspace {ws.n1} {ws.n2}"]
+    for i, (s, g) in enumerate(zip(inst.starts, inst.goals), 1):
+        lines.append(f"disc {i} {s.x!r} {s.y!r} {g.x!r} {g.y!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> ContinuousInstance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != INSTANCE_HEADER:
-        raise ParseError(f"missing header {INSTANCE_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("workspace "):
-        raise ParseError("missing workspace line")
+    records = _Records(text)
+    records.read("oldr", index(1))
+    n1, n2 = records.read("workspace", integer, integer)
     try:
-        _, n1s, n2s = lines[1].split()
-        ws = build_workspace(int(n1s), int(n2s))
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad workspace line: {lines[1]!r}") from exc
-    starts, goals = [], []
-    for k, ln in enumerate(lines[2:]):
-        parts = ln.split()
-        if len(parts) != 6 or parts[0] != "disc":
-            raise ParseError(f"bad disc line: {ln!r}")
-        try:
-            disc_id = int(parts[1])
-            sx, sy, gx, gy = (float(p) for p in parts[2:])
-        except ValueError as exc:
-            raise ParseError(f"bad disc line: {ln!r}") from exc
-        if not np.isfinite((sx, sy, gx, gy)).all():
-            raise ParseError(f"non-finite coordinate in disc line: {ln!r}")
-        if disc_id != k + 1:
-            raise ParseError(f"disc ids must be contiguous from 1, got {disc_id}")
-        starts.append(Vec2(sx, sy))
-        goals.append(Vec2(gx, gy))
-    inst = ContinuousInstance(workspace=ws, starts=tuple(starts),
-                              goals=tuple(goals))
+        ws = build_workspace(n1, n2)
+    except BoundsError as exc:
+        raise records.fail(str(exc)) from None
+    discs = []
+    while records:
+        discs.append(records.read("disc", index(len(discs) + 1),
+                                  real, real, real, real))
+    inst = ContinuousInstance(ws, tuple(Vec2(*d[1:3]) for d in discs),
+                              tuple(Vec2(*d[3:]) for d in discs))
     report = validate_separation(inst)
     if not report.ok:
-        v = (report.start_violations + report.goal_violations)[0]
-        raise InadmissibleInstanceError(
-            f"separation violated: discs {v[0] + 1}, {v[1] + 1} at "
-            f"distance {v[2]:.6f} <= 8/3")
-    bad = check_clearance(inst)
-    if bad:
-        which, i, margin = bad[0]
-        raise InadmissibleInstanceError(
-            f"{which} of disc {i + 1} is {margin:.6f} from the boundary "
-            f"(needs 1)")
+        i, j, d = (report.start_violations + report.goal_violations)[0]
+        raise InadmissibleInstanceError(f"separation violated: discs {i + 1}, "
+                                        f"{j + 1} at distance {d:.6f} <= 8/3")
+    if bad := check_clearance(inst):
+        which, i, m = bad[0]
+        raise InadmissibleInstanceError(f"{which} of disc {i + 1} is {m:.6f} "
+                                        "from the boundary (needs 1)")
     return inst
 
 
@@ -89,7 +132,7 @@ def write_instance(path: str, inst: ContinuousInstance) -> None:
 
 
 def format_discrete_plan(plan: DiscretePlan) -> str:
-    lines = [f"{PLAN_HEADER} discrete", f"robots {plan.n}",
+    lines = ["plan 1 discrete", f"robots {plan.n}",
              f"steps {len(plan.positions)}"]
     for t, row in enumerate(plan.positions.tolist()):
         lines.append("step " + str(t) + " " + " ".join(map(str, row)))
@@ -97,7 +140,7 @@ def format_discrete_plan(plan: DiscretePlan) -> str:
 
 
 def format_continuous_plan(plan: ContinuousPlan) -> str:
-    parts = [f"{PLAN_HEADER} continuous\nrobots {len(plan.paths)}\n"]
+    parts = [f"plan 1 continuous\nrobots {len(plan.paths)}\n"]
     if plan.paths:
         rows = np.concatenate(plan.paths)
         # times repeat across discs and coordinates across vertices: one
@@ -119,80 +162,32 @@ def format_continuous_plan(plan: ContinuousPlan) -> str:
 
 
 def parse_plan(text: str) -> DiscretePlan | ContinuousPlan:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty plan file")
-    head = lines[0].split()
-    if len(head) != 3 or " ".join(head[:2]) != PLAN_HEADER:
-        raise ParseError(f"missing header {PLAN_HEADER!r}")
-    mode = head[2]
+    """The grammar is in README "File formats"."""
+    records = _Records(text)
+    _, mode = records.read("plan", index(1), str)
+    if mode not in ("discrete", "continuous"):
+        raise records.fail(f"unknown plan mode {mode!r}")
+    n, = records.read("robots", count)
     if mode == "discrete":
-        return _parse_discrete(lines)
-    if mode == "continuous":
-        return _parse_continuous(lines)
-    raise ParseError(f"unknown plan mode {mode!r}")
-
-
-def _parse_discrete(lines: list[str]) -> DiscretePlan:
-    try:
-        n = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError("bad plan preamble") from exc
-    if count < 1:
-        raise ParseError(f"plan needs at least one step, header said {count}")
-    vertices: list[int] = []
-    for ln in lines[3:]:
-        parts = ln.split()
-        if parts[0] != "step":
-            raise ParseError(f"bad step line: {ln!r}")
-        if len(parts) - 2 != n:
-            raise ParseError(f"step row has {len(parts) - 2} entries, wanted {n}")
-        try:
-            vertices.extend(int(v) for v in parts[2:])
-        except ValueError as exc:
-            raise ParseError(f"bad step line: {ln!r}") from exc
-    if len(lines) - 3 != count:
-        raise ParseError(f"plan has {len(lines) - 3} steps, header said {count}")
-    return DiscretePlan(np.array(vertices, dtype=np.intp).reshape(count, n))
-
-
-def _parse_continuous(lines: list[str]) -> ContinuousPlan:
-    try:
-        n = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError("bad plan preamble") from exc
-    paths: list[np.ndarray] = []
-    i = 2
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] != "disc" or len(parts) != 3:
-            raise ParseError(f"bad disc line: {lines[i]!r}")
-        try:
-            npts = int(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad disc line: {lines[i]!r}") from exc
-        if not 1 <= npts <= len(lines) - i - 1:
-            raise ParseError(f"disc line {lines[i]!r} wants {npts} points, "
-                             f"{len(lines) - i - 1} lines follow")
-        rows = []
-        for ln in lines[i + 1:i + 1 + npts]:
-            q = ln.split()
-            if q[0] != "pt" or len(q) != 4:
-                raise ParseError(f"bad pt line: {ln!r}")
-            try:
-                rows.append((float(q[1]), float(q[2]), float(q[3])))
-            except ValueError as exc:
-                raise ParseError(f"bad pt line: {ln!r}") from exc
-            if not np.isfinite(rows[-1]).all():
-                raise ParseError(f"non-finite value in pt line: {ln!r}")
-        paths.append(np.array(rows))
-        i += 1 + npts
-    if len(paths) != n:
-        raise ParseError(f"plan has {len(paths)} discs, header said {n}")
-    makespan = max((p[-1, 0] for p in paths), default=0.0)
-    return ContinuousPlan(paths, makespan=float(makespan), snap_in=0.0,
-                          grid_duration=float(makespan), snap_out=0.0)
+        steps, = records.read("steps", positive)
+        rows = [records.read("step", index(t), row=(integer, n))[1]
+                for t in range(steps)]
+        plan = DiscretePlan(np.array(rows, dtype=np.intp).reshape(steps, n))
+    else:
+        paths = []
+        for d in range(1, n + 1):
+            _, points = records.read("disc", index(d), positive)
+            rows = []
+            for _ in range(points):
+                rows.append(records.read("pt", real, real, real))
+                if len(rows) > 1 and rows[-1][0] < rows[-2][0]:
+                    raise records.fail("time goes backwards")
+            paths.append(np.array(rows))
+        end = max((p[-1, 0] for p in paths), default=0.0)
+        plan = ContinuousPlan(paths, makespan=float(end), snap_in=0.0,
+                              grid_duration=float(end), snap_out=0.0)
+    records.end()
+    return plan
 
 
 def read_plan(path: str) -> DiscretePlan | ContinuousPlan:

@@ -3,8 +3,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, never time out on
+# a loaded machine, and keep to a few dozen examples each.
+settings.register_profile("triroute", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("triroute")
 
 from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import build_grid, build_workspace

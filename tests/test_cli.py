@@ -394,14 +394,14 @@ def test_render_malformed_plan_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["trace", "snapshot"])
 @pytest.mark.parametrize("text, message", [
     ("plan 1 discrete\nrobots 1\nsteps 0\n",
-     "plan needs at least one step, header said 0"),
+     "'0' is not a positive count (line 3: 'steps 0')"),
     ("plan 1 continuous\nrobots 1\ndisc 1 2\npt 0 3 3\npt 1 nan 3\n",
-     "non-finite value in pt line: 'pt 1 nan 3'"),
+     "non-finite value 'nan' (line 5: 'pt 1 nan 3')"),
 ], ids=["no steps", "nan point"])
 def test_render_rejects_empty_or_non_finite_plan(tmp_path, capsys, mode,
                                                  text, message):
-    # neither plan is caught by render's own checks: an empty discrete
-    # plan has no snapshot to draw, and NaN compares false everywhere
+    # the reader rejects both plans: an empty discrete plan has no
+    # snapshot to draw, and a NaN point has no place in the SVG
     inst_path = tmp_path / "e.oldr"
     plan_path = tmp_path / "e.plan"
     out = tmp_path / "e.svg"
@@ -446,3 +446,94 @@ def test_gen_determinism(tmp_path):
         assert run("gen", "--n1", "3", "--n2", "3", "--count", "5",
                    "--seed", "42", "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Plans the reader rejects, each with the line its error names; every one
+# but the last three was accepted with exit 0 before the record reader.
+BROKEN_PLANS = {
+    "step index": ("plan 1 discrete\nrobots 1\nsteps 2\nstep 0 5\nstep 7 5\n",
+                   5),
+    "robots keyword, discrete": (
+        "plan 1 discrete\nfoo 1\nsteps 1\nstep 0 5\n", 2),
+    "robots keyword, continuous": (
+        "plan 1 continuous\nfoo 1\ndisc 1 1\npt 0 3 3\n", 2),
+    "steps keyword": ("plan 1 discrete\nrobots 1\nfoo 1\nstep 0 5\n", 3),
+    "disc id": ("plan 1 continuous\nrobots 1\ndisc 7 1\npt 0 3 3\n", 3),
+    "time goes backwards": (
+        "plan 1 continuous\nrobots 1\ndisc 1 2\npt 0 3 3\npt -5 3 3\n", 5),
+    "line after the last step": (
+        "plan 1 discrete\nrobots 1\nsteps 1\nstep 0 5\nstep 1 5\n", 5),
+    "line after the last point": (
+        "plan 1 continuous\nrobots 1\ndisc 1 1\npt 0 3 3\npt 1 3 3\n", 5),
+    "huge robots, discrete": (
+        "plan 1 discrete\nrobots 1000000000000\nsteps 1\nstep 0 5\n", 4),
+    "huge robots, continuous": (
+        "plan 1 continuous\nrobots 1000000000000\ndisc 1 1\npt 0 3 3\n", 5),
+    "huge steps": ("plan 1 discrete\nrobots 1\nsteps 1000000000000\n"
+                   "step 0 5\n", 5),
+}
+
+
+@pytest.mark.parametrize("text, line", BROKEN_PLANS.values(),
+                         ids=BROKEN_PLANS.keys())
+def test_broken_plan_fails_naming_its_line(tmp_path, capsys, text, line):
+    # a header count is never allocated before its lines exist
+    with pytest.raises(tio.ParseError, match=rf"\(line {line}: "):
+        tio.parse_plan(text)
+    inst_path, plan_path = tmp_path / "b.oldr", tmp_path / "b.plan"
+    out = tmp_path / "b.svg"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "1",
+               "--seed", "6", "--out", str(inst_path)) == 0
+    plan_path.write_text(text)
+    assert run("render", "--instance", str(inst_path), "--plan",
+               str(plan_path), "--out", str(out)) == 2
+    assert "parse error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_times_may_repeat():
+    # synthesize writes two rows at t = 0 when a disc snaps in zero time
+    plan = tio.parse_plan("plan 1 continuous\nrobots 1\ndisc 1 3\n"
+                          "pt 0.0 3 3\npt 0.0 3 3\npt 1.5 4 3\n")
+    assert plan.paths[0][:, 0].tolist() == [0.0, 0.0, 1.5]
+
+
+def test_render_rejects_plan_robot_count_mismatch(tmp_path, capsys):
+    inst_path, plan_path = tmp_path / "c.oldr", tmp_path / "c.plan"
+    out = tmp_path / "c.svg"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "1",
+               "--seed", "6", "--out", str(inst_path)) == 0
+    for text in ["plan 1 discrete\nrobots 2\nsteps 1\nstep 0 1 2\n",
+                 "plan 1 continuous\nrobots 2\ndisc 1 1\npt 0 3 3\n"
+                 "disc 2 1\npt 0 6 3\n"]:
+        plan_path.write_text(text)
+        assert run("render", "--instance", str(inst_path), "--plan",
+                   str(plan_path), "--out", str(out)) == 2
+        assert ("parse error: plan robot count differs from instance"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag, token", [
+    (["render", "--instance", "i.oldr", "--time", "nan"], "--time", "nan"),
+    (["prove", "--epsilons", "nan"], "--epsilons", "nan"),
+    (["prove", "--epsilons", "0.05,inf"], "--epsilons", "inf"),
+    (["prove", "--epsilons", "0.05,0"], "--epsilons", "0.0"),
+    (["gen", "--n1", "2", "--n2", "3", "--count", "-1"], "--count", "-1"),
+    (["bench", "--count", "0"], "--count", "0"),
+    (["bench", "--sizes", "2x3,2x"], "--sizes", "2x"),
+    (["bench", "--sizes", "1x3"], "--sizes", "n1=1"),
+    (["bench", "--robots", "2,x"], "--robots", "x"),
+    (["bench", "--robots", "-2"], "--robots", "-2"),
+    (["bench", "--methods", "triilp,nope"], "--methods", "nope"),
+], ids=["time", "epsilon nan", "epsilon inf", "epsilon 0", "gen count",
+        "bench count", "size", "small size", "robots", "negative robots",
+        "method"])
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, args, flag,
+                                                token):
+    out = tmp_path / "out"
+    assert run(*args, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: " in captured.err
+    assert token in captured.err.split(f"argument {flag}: ")[1]
+    assert captured.out == "" and not out.exists()

@@ -166,12 +166,24 @@ def test_export_lp_empty_model():
 def test_export_lp_round_trip_through_parser():
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1, 9), v_goals=(9, 1))
-    model = build_model(inst, 3)
-    text = export_lp(model)
-    names, objective, rows = parse_lp(text)
-    assert set(names) == set(column_names(model))
-    assert len(rows) == len(model.constraints)
-    assert len(objective) == len(names) and not any(objective)
+    for prune in (True, False):
+        model = build_model(inst, 3, prune=prune)
+        names, matrix, lower, upper = parse_lp(export_lp(model))
+        rows, cols = model.constraints, column_names(model)
+        # columns are numbered in order of first use
+        assert names == list(dict.fromkeys(cols[c] for c in rows.col))
+        assert sorted(names) == sorted(cols)
+        parsed = [sorted(zip([names[c] for c in matrix.indices[a:b]],
+                             matrix.data[a:b].tolist()))
+                  for a, b in zip(matrix.indptr, matrix.indptr[1:])]
+        built = [sorted(zip([cols[c] for c in rows.col[a:b]],
+                            rows.coef[a:b].astype(float).tolist()))
+                 for a, b in zip(rows.indptr, rows.indptr[1:])]
+        assert parsed == built
+        assert upper.tolist() == rows.rhs.astype(float).tolist()
+        assert lower.tolist() == [float(r) if s == ilp.EQ else -np.inf
+                                  for s, r in zip(rows.sense, rows.rhs)]
+        assert len(rows) > 0 and (rows.sense == ilp.LE).any()
 
 
 def test_backends_agree():
@@ -322,20 +334,43 @@ def test_lpsolve_reports_bad_input_in_one_line(tmp_path, capsys):
     assert "solver exited with 2: lpsolve: " in err and "Traceback" not in err
 
 
+SMALL_LP = ("Maximize\n obj: 0\nSubject To\n c0: + b + a = 1\n"
+            " c1: + b - a <= 0\nBinary\n a\n b\nEnd\n")
+
+
 def test_lpsolve_module_solves_small_lp(tmp_path, milp_calls):
-    text = ("Maximize\n obj: + a + b\nSubject To\n c0: + a + b <= 1\n"
-            "Binary\n a\n b\nEnd\n")
-    names, values = solve_lp_text(text)
-    # a non-zero objective goes straight to the default call
-    assert milp_calls == [(None, 0)]
-    assert sorted(names) == ["a", "b"]
-    assert sum(values) == 1
+    names, values = solve_lp_text(SMALL_LP)
+    # the root-only call settles it; columns in order of first use
+    assert milp_calls == [(ROOT_ONLY, 0)]
+    assert names == ["b", "a"] and values == [0, 1]
     model = tmp_path / "m.lp"
     out = tmp_path / "m.sol"
-    model.write_text(text)
-    from triroute.lpsolve import main
-    assert main([str(model), str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2
+    model.write_text(SMALL_LP)
+    assert lpsolve.main([str(model), str(out)]) == 0
+    assert out.read_text() == "b 0\na 1\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    (" obj: 0", " obj: + a", 2),
+    (" c1: + b - a <= 0", " c1: + b - a >= 0", 5),
+    (" c0: + b + a = 1", " c0: + 2 b + a = 1", 4),
+    (" c0: + b + a = 1", " c0: - 1 - 1 = 1", 4),
+    (" c1: + b - a <= 0", " c1: + b - a <= nan", 5),
+    (" c1: + b - a <= 0", " c2: + b - a <= 0", 5),
+    (" c1: + b - a <= 0", " c1: + b a <= 0", 5),
+    (" b\nEnd", " c\nEnd", 6),
+    ("End\n", "End\nc2: + a = 1\n", 6),
+], ids=["objective", ">= row", "coefficient", "number for a name", "nan rhs",
+        "row label", "missing sign", "binary name", "after End"])
+def test_lpsolve_reads_only_the_export_lp_dialect(tmp_path, capsys, old, new,
+                                                  line):
+    model, out = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert old in SMALL_LP
+    model.write_text(SMALL_LP.replace(old, new))
+    assert lpsolve.main([str(model), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lpsolve: line {line}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solver_cmd_resolution(monkeypatch):
