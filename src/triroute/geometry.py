@@ -12,16 +12,21 @@ That bound is what makes nearest-vertex snapping injective and safe.
 Vertex ids run column-major: left to right, bottom to top inside a
 column.
 
-Besides vertices/edges/triangles the grid carries the structures the
-planners need: the 60-degree ("sharp") angle list, up to three
-interleaving hexagon covers (rings around every degree-6 vertex, grouped
-by a 3-coloring of the lattice), and two families of vertex-disjoint
-paths: "horizontal" waving paths that cover every vertex, and "vertical"
-column-pair waves that miss the rightmost column.  Built on first use
-and kept with the grid: the vertex coordinates (``TriGrid.coords``), the
-directed arcs of the ILP model (``TriGrid.arcs``) and, per source asked
-for, one BFS row of hop distances (``TriGrid.hops_from``, V int64) that
-every lower bound, pruning mask and goal potential reads.
+Everything else follows from one convention.  The vertex at slot k of
+column m has axial coordinates (q, r) = (k - m // 2, m) and sits at
+(1 + 2r, 1 + EDGE_LEN * (q + r/2)); its neighbours are the six
+``HEX_OFFSETS`` that exist, and the same six around a degree-6 vertex
+list its hexagon ring counterclockwise.  A ring's cover is its centre's
+colour (q - r) % 3, so the rings fall into up to three interleaving
+covers.  The sharp ("locked") corners are the degree-2 vertices: they
+lie on no hexagon, and the covers reach every other vertex.  The grid
+also carries two families of vertex-disjoint paths: "horizontal" waving
+paths that cover every vertex, and "vertical" column-pair waves that
+miss the rightmost column.  Built on first use and kept with the grid:
+the vertex coordinates (``TriGrid.coords``), the directed arcs of the
+ILP model (``TriGrid.arcs``) and, per source asked for, one BFS row of
+hop distances (``TriGrid.hops_from``, V int64) that every lower bound,
+pruning mask and goal potential reads.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ ROW_STEP = 2.0                    # spacing between vertex columns
 HALF_SHIFT = EDGE_LEN / 2.0       # in-column offset of odd columns
 CLEARANCE = 1.0                   # grid-to-boundary clearance
 GEO_TOL = 1e-9
+# axial (dq, dr) of the six neighbours, counterclockwise from -150 degrees
+HEX_OFFSETS = ((0, -1), (-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1))
 
 
 class BoundsError(ValueError):
@@ -54,9 +61,6 @@ class Vec2:
 
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -106,9 +110,9 @@ class TriGrid:
     n_rows: int = 0
     len_even: int = 0
     len_odd: int = 0
-    # swap machinery support
+    # degree-6 centre -> its hexagon ring, counterclockwise
     ring_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    locked: frozenset[int] = frozenset()   # vertices with only sharp edge pairs
+    locked: frozenset[int] = frozenset()   # degree-2 (sharp) corners
     covered: frozenset[int] = frozenset()  # vertices on at least one hexagon
     _hop_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -121,8 +125,9 @@ class TriGrid:
             raise IndexError(f"no vertex at col={col}, row={row}")
         return self.row_start[row] + col
 
-    def has_vertex(self, col: int, row: int) -> bool:
-        return 0 <= row < self.n_rows and 0 <= col < self.row_len[row]
+    def axial(self, v: int) -> tuple[int, int]:
+        """Axial lattice coordinates (q, r) of vertex v."""
+        return _axial(self.col_of[v], self.row_of[v])
 
     @cached_property
     def arcs(self) -> Arcs:
@@ -206,13 +211,8 @@ def density_limit() -> float:
 
 
 def _axial(col: int, row: int) -> tuple[int, int]:
-    # lattice basis e1=(EDGE_LEN, 0), e2=(HALF_SHIFT, ROW_STEP)
+    """Axial coordinates (q, r) of the vertex at slot col of column row."""
     return col - row // 2, row
-
-
-def _color(col: int, row: int) -> int:
-    a, b = _axial(col, row)
-    return (a - b) % 3
 
 
 def build_grid(ws: Workspace) -> TriGrid:
@@ -221,83 +221,47 @@ def build_grid(ws: Workspace) -> TriGrid:
     Keeps every lattice point inside [1, w-1] x [1, h-1] (1e-9 tie
     tolerance).  Identical inputs produce bit-identical grids.
     """
-    x_lo, x_hi = CLEARANCE, ws.w - CLEARANCE
-    y_lo, y_hi = CLEARANCE, ws.h - CLEARANCE
-
-    cols: list[list[float]] = []
-    col_i = 0
-    while True:
-        x = x_lo + ROW_STEP * col_i
-        if x > x_hi + GEO_TOL:
-            break
-        off = HALF_SHIFT if col_i % 2 else 0.0
-        ys = []
-        k = 0
-        while True:
-            y = y_lo + off + EDGE_LEN * k
-            if y > y_hi + GEO_TOL:
-                break
-            ys.append(y)
-            k += 1
-        cols.append(ys)
-        col_i += 1
-
-    n_rows = len(cols)
+    x_hi, y_hi = ws.w - CLEARANCE + GEO_TOL, ws.h - CLEARANCE + GEO_TOL
     vertices: list[Vec2] = []
     row_start, row_len, row_of, col_of = [], [], [], []
-    for m, ys in enumerate(cols):
+    m = 0
+    while (x := CLEARANCE + ROW_STEP * m) <= x_hi:
+        off = HALF_SHIFT if m % 2 else 0.0
         row_start.append(len(vertices))
-        row_len.append(len(ys))
-        for k, y in enumerate(ys):
-            vertices.append(Vec2(x_lo + ROW_STEP * m, y))
+        k = 0
+        while (y := CLEARANCE + off + EDGE_LEN * k) <= y_hi:
+            vertices.append(Vec2(x, y))
             row_of.append(m)
             col_of.append(k)
+            k += 1
+        row_len.append(k)
+        m += 1
 
-    grid = TriGrid(
-        workspace=ws,
-        vertices=vertices,
-        adjacency=[[] for _ in vertices],
-        edges=[],
-        triangles=[],
-        row_of=row_of,
-        col_of=col_of,
-        row_start=row_start,
-        row_len=row_len,
-        n_rows=n_rows,
-        len_even=row_len[0],
-        len_odd=row_len[1] if n_rows > 1 else 0,
-    )
-
-    # adjacency: same row +-1 col; row above/below at col offsets given by parity
-    edges = set()
-    for vid in range(len(vertices)):
-        m, k = row_of[vid], col_of[vid]
-        cand = [(k - 1, m), (k + 1, m)]
-        if m % 2 == 0:
-            cand += [(k - 1, m - 1), (k, m - 1), (k - 1, m + 1), (k, m + 1)]
-        else:
-            cand += [(k, m - 1), (k + 1, m - 1), (k, m + 1), (k + 1, m + 1)]
-        for ck, cm in cand:
-            if grid.has_vertex(ck, cm):
-                u = grid.vertex_id(ck, cm)
-                grid.adjacency[vid].append(u)
-                edges.add((min(vid, u), max(vid, u)))
-    for lst in grid.adjacency:
-        lst.sort()
-    grid.edges = sorted(edges)
-
-    # triangles = 3-cliques
-    tris = []
-    adj_sets = [set(a) for a in grid.adjacency]
-    for i, j in grid.edges:
-        for k in sorted(adj_sets[i] & adj_sets[j]):
-            if k > j:
-                tris.append((i, j, k))
-    grid.triangles = sorted(tris)
-
-    _attach_hex_covers(grid)
-    _attach_path_families(grid)
-    return grid
+    axial = [_axial(k, m) for k, m in zip(col_of, row_of)]
+    vid = {qr: v for v, qr in enumerate(axial)}
+    around = [[vid.get((q + dq, r + dr)) for dq, dr in HEX_OFFSETS]
+              for q, r in axial]
+    adjacency = [sorted(u for u in nbrs if u is not None) for nbrs in around]
+    edges = [(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j]
+    triangles = [(i, j, k) for i, j in edges for k in adjacency[j]
+                 if k > j and k in adjacency[i]]
+    ring_of = {c: tuple(nbrs) for c, nbrs in enumerate(around)
+               if None not in nbrs}
+    covered = frozenset(v for ring in ring_of.values() for v in ring)
+    locked = frozenset(v for v, nbrs in enumerate(adjacency) if len(nbrs) == 2)
+    missing = set(range(len(vertices))) - covered - locked
+    if missing:
+        raise CoverageError(
+            f"hexagon covers miss non-corner vertices {sorted(missing)}")
+    vertical, horizontal = _path_families(row_start, row_len, adjacency)
+    return TriGrid(
+        workspace=ws, vertices=vertices, adjacency=adjacency, edges=edges,
+        triangles=triangles, hex_covers=_covers(ring_of, axial.__getitem__),
+        vertical_paths=vertical, horizontal_paths=horizontal,
+        row_of=row_of, col_of=col_of, row_start=row_start, row_len=row_len,
+        n_rows=len(row_len), len_even=row_len[0],
+        len_odd=row_len[1] if len(row_len) > 1 else 0,
+        ring_of=ring_of, locked=locked, covered=covered)
 
 
 def enumerate_sharp_angles(g: TriGrid) -> list[SharpAngle]:
@@ -310,124 +274,60 @@ def enumerate_sharp_angles(g: TriGrid) -> list[SharpAngle]:
     return out
 
 
-def _ring(g: TriGrid, center: int) -> tuple[int, ...]:
-    """The hexagon around a degree-6 vertex, ordered counterclockwise."""
-    c = g.vertices[center]
-    nbrs = g.adjacency[center]
-    ordered = sorted(nbrs, key=lambda v: math.atan2(g.vertices[v].y - c.y,
-                                                    g.vertices[v].x - c.x))
-    return tuple(ordered)
-
-
-def _locked_vertices(g: TriGrid) -> frozenset[int]:
-    """Vertices all of whose incident edge pairs meet at 60 degrees.
-
-    These are boundary corners of the embedding; no hexagon (or any
-    turn-free cycle) passes through them.
-    """
-    locked = set()
-    for vid in range(g.n_vertices):
-        nbrs = g.adjacency[vid]
-        p = g.vertices[vid]
-        wide = False
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                u = g.vertices[nbrs[i]] - p
-                w = g.vertices[nbrs[j]] - p
-                cosang = u.dot(w) / (u.norm() * w.norm())
-                if cosang < 0.5 - 1e-6:  # angle > 60 degrees
-                    wide = True
-        if not wide:
-            locked.add(vid)
-    return frozenset(locked)
-
-
 def build_hex_covers(g: TriGrid) -> list[list[tuple[int, ...]]]:
-    """Up to three interleaving hexagon covers.
-
-    Hexagons are the 6-cycles around degree-6 vertices; covers group them
-    by the 3-coloring of ring centers.  Together they reach every vertex
-    except the sharp boundary corners (which lie on no hexagon at all).
-    """
-    by_color: list[list[int]] = [[], [], []]
-    for vid in range(g.n_vertices):
-        if len(g.adjacency[vid]) == 6:
-            by_color[_color(g.col_of[vid], g.row_of[vid])].append(vid)
-
-    covers = []
-    ring_of = {}
-    covered: set[int] = set()
-    for color in range(3):
-        if not by_color[color]:
-            continue
-        cov = []
-        for c in sorted(by_color[color]):
-            ring = _ring(g, c)
-            cov.append(ring)
-            ring_of[c] = ring
-            covered.update(ring)
-        covers.append(cov)
-
-    locked = _locked_vertices(g)
-    missing = set(range(g.n_vertices)) - covered - set(locked)
-    if missing:
-        raise CoverageError(
-            f"hexagon covers miss non-corner vertices {sorted(missing)}")
-
-    g.ring_of = ring_of
-    g.locked = locked
-    g.covered = frozenset(covered)
-    return covers
+    """Up to three interleaving hexagon covers: the rings of
+    ``g.ring_of`` grouped by the colour (q - r) % 3 of their centres.
+    Together they reach every vertex except the sharp boundary corners
+    (which lie on no hexagon at all)."""
+    return _covers(g.ring_of, g.axial)
 
 
-def _attach_hex_covers(g: TriGrid) -> None:
-    g.hex_covers = build_hex_covers(g)
+def _covers(ring_of: dict[int, tuple[int, ...]], axial
+            ) -> list[list[tuple[int, ...]]]:
+    by_color: list[list[tuple[int, ...]]] = [[], [], []]
+    for c, ring in sorted(ring_of.items()):
+        q, r = axial(c)
+        by_color[(q - r) % 3].append(ring)
+    return [cover for cover in by_color if cover]
 
 
-def _attach_path_families(g: TriGrid) -> None:
-    """Horizontal waving paths (cover everything; the last one widens to
-    absorb the long even columns) and vertical column-pair waves (miss
-    the rightmost column, since the column count 2*n1 + 1 is odd)."""
-    le, lo, nrows = g.len_even, g.len_odd, g.n_rows
+def _path_families(row_start: list[int], row_len: list[int],
+                   adjacency: list[list[int]]
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """(vertical, horizontal): vertical column-pair waves (miss the
+    rightmost column, since the column count 2*n1 + 1 is odd) and
+    horizontal waving paths (cover everything; the last one widens to
+    absorb the long even columns)."""
+    def at(k: int, m: int) -> int:
+        return row_start[m] + k
 
-    full_cover: list[list[int]] = []
-    if lo == le:
-        plain_cols = le
-    else:
-        plain_cols = lo - 1  # last columns handled by a wide snake
-    for k in range(plain_cols):
-        full_cover.append([g.vertex_id(k, m) for m in range(nrows)])
+    nrows, le = len(row_len), row_len[0]
+    lo = row_len[1] if nrows > 1 else 0
+    horizontal = [[at(k, m) for m in range(nrows)]
+                  for k in range(le if lo == le else lo - 1)]
     if lo != le:
         # wide wave over slots lo-1 (all columns) and le-1 (even columns)
-        wide = [g.vertex_id(lo - 1, 0), g.vertex_id(le - 1, 0),
-                g.vertex_id(lo - 1, 1)]
-        m = 2
-        while m < nrows:
-            wide.append(g.vertex_id(le - 1, m))
-            wide.append(g.vertex_id(lo - 1, m))
+        wide = [at(lo - 1, 0), at(le - 1, 0), at(lo - 1, 1)]
+        for m in range(2, nrows, 2):
+            wide += [at(le - 1, m), at(lo - 1, m)]
             if m + 1 < nrows:
-                wide.append(g.vertex_id(lo - 1, m + 1))
-            m += 2
-        full_cover.append(wide)
-    g.horizontal_paths = full_cover
+                wide.append(at(lo - 1, m + 1))
+        horizontal.append(wide)
 
-    vertical: list[list[int]] = []
+    vertical = []
     for base in range(0, nrows - 1, 2):
-        wave = []
-        for k in range(g.row_len[base + 1]):
-            wave.append(g.vertex_id(k, base))
-            wave.append(g.vertex_id(k, base + 1))
-        if g.row_len[base] > g.row_len[base + 1]:
-            wave.append(g.vertex_id(g.row_len[base] - 1, base))
+        wave = [at(k, m) for k in range(row_len[base + 1])
+                for m in (base, base + 1)]
+        if row_len[base] > row_len[base + 1]:
+            wave.append(at(row_len[base] - 1, base))
         vertical.append(wave)
-    g.vertical_paths = vertical
 
-    for fam in (g.vertical_paths, g.horizontal_paths):
-        for path in fam:
-            for a, b in zip(path, path[1:]):
-                if b not in g.adjacency[a]:
-                    raise CoverageError(
-                        f"path family not a grid path: {a} and {b} are not adjacent")
+    for path in vertical + horizontal:
+        for a, b in zip(path, path[1:]):
+            if b not in adjacency[a]:
+                raise CoverageError(
+                    f"path family not a grid path: {a} and {b} are not adjacent")
+    return vertical, horizontal
 
 
 def nearest_vertex(g: TriGrid, p: Vec2) -> int:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .discretize import DiscreteInstance
 from .geometry import Arcs
+from .io import real
 from .plan import DiscretePlan
 
 
@@ -357,24 +358,26 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
 
 def parse_solution(model: IlpModel, text: str) -> Solution:
     """Parse "name value" lines; an empty file signals infeasibility.  A
-    non-empty one claims to route every robot, which extract_plan checks."""
+    non-empty one claims to route every robot, which extract_plan checks.
+    Values must be finite numbers; an error names the offending line."""
     names = {name: c for c, name in enumerate(column_names(model))}
     assignment = np.zeros(len(model.variables), dtype=np.int8)
     seen_any = False
-    for raw in text.splitlines():
+    for k, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"(line {k}: {raw!r})"
         parts = line.split()
         if len(parts) != 2:
-            raise SolverError(f"malformed solution line: {raw!r}")
+            raise SolverError(f"malformed solution line {where}")
         name, value = parts
         if name not in names:
-            raise SolverError(f"unknown variable in solution: {name!r}")
+            raise SolverError(f"unknown variable in solution: {name!r} {where}")
         try:
-            x = float(value)
+            x = real(value)
         except ValueError:
-            raise SolverError(f"non-numeric value in solution: {raw!r}") from None
+            raise SolverError(f"non-numeric value in solution {where}") from None
         seen_any = True
         assignment[names[name]] = 1 if x >= 0.5 else 0
     if not seen_any:

@@ -21,6 +21,10 @@ from .ilp import EQ, SENSES
 from .io import real
 
 HEAD = ("Maximize", "obj: 0", "Subject To")
+# Wall-clock bound on the root-only call, over 10x the slowest root of
+# the ilp-dense benchmark (0.26 s); a root that has not settled by then
+# gives way to the default call.
+ROOT_TIME_LIMIT_S = 5.0
 
 
 class LpParseError(ValueError):
@@ -77,15 +81,16 @@ def solve_lp_text(text: str) -> tuple[list[str], list[int]] | None:
 
     The root node alone, without presolve, runs first: on these models it
     usually settles feasibility in a fraction of presolve's time, and any
-    point is optimal.  Only when it settles neither way does the default
-    ``milp`` call run."""
+    point is optimal.  Only when it settles neither way, within
+    ``ROOT_TIME_LIMIT_S``, does the default ``milp`` call run."""
     names, matrix, lower, upper = parse_lp(text)
     if not names:
         return [], []
     problem = dict(c=np.zeros(len(names)), integrality=np.ones(len(names)),
                    constraints=[LinearConstraint(matrix, lower, upper)],
                    bounds=Bounds(0, 1))
-    res = milp(**problem, options={"presolve": False, "node_limit": 1})
+    res = milp(**problem, options={"presolve": False, "node_limit": 1,
+                                   "time_limit": ROOT_TIME_LIMIT_S})
     if res.status not in (0, 2):
         res = milp(**problem)
     if res.status == 2:  # infeasible

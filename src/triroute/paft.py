@@ -26,7 +26,6 @@ all, so instances that demand it are rejected as infeasible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +126,12 @@ class SwapEngine:
         for center in sorted(grid.ring_of):
             for v in grid.ring_of[center]:
                 self._member.setdefault(v, []).append(center)
+        cover_of_ring = {ring: i for i, cover in enumerate(grid.hex_covers)
+                         for ring in cover}
+        self._cover = {c: cover_of_ring[ring]
+                       for c, ring in grid.ring_of.items()}
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
         self.c_swap = 0
-
-    def _axial(self, v: int) -> tuple[int, int]:
-        m, k = self.grid.row_of[v], self.grid.col_of[v]
-        return (k - m // 2, m)
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
         """Best-ranked pair of ring centers whose rings cover a and b:
@@ -152,14 +151,10 @@ class SwapEngine:
                         if c2 != c1:
                             pairs.add((min(c1, c2), max(c1, c2)))
 
-        def rank(p):
-            d = self.grid.vertices[p[0]].dist(self.grid.vertices[p[1]])
-            same_cover = 0 if abs(d - math.sqrt(3.0) * EDGE_LEN) < 1e-6 else 1
-            return (same_cover, p)
-
         if not pairs:
             raise SwapSearchError(f"no pair of rings covers ({a}, {b})")
-        return min(pairs, key=rank)
+        cover = self._cover
+        return min(pairs, key=lambda p: (cover[p[0]] != cover[p[1]], p))
 
     def _canonical_shape(self, c1: int, c2: int, a: int, b: int
                          ) -> tuple[tuple, int, int]:
@@ -171,9 +166,9 @@ class SwapEngine:
         """
         best = None
         for swapped, (base, other) in enumerate(((c1, c2), (c2, c1))):
-            bq, br = self._axial(base)
+            bq, br = self.grid.axial(base)
             pts = [(q - bq, r - br)
-                   for q, r in (self._axial(v) for v in (other, a, b))]
+                   for q, r in map(self.grid.axial, (other, a, b))]
             for reflected in (0, 1):
                 if reflected:
                     pts = [(r, q) for q, r in pts]

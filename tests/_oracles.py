@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own code paths: joint-state BFS
 for optimal makespans, brute-force nearest vertices, dense time sampling
-for minimum distances, a from-scratch lattice enumeration, and a direct
-search for the snap-phase clearance infimum, the ILP's original
-goal-subset walk search, and the permutation search that regenerates
-the planner's table of swap rotation words.
+for minimum distances, an all-pairs separation check, a from-scratch
+lattice enumeration, and a direct search for the snap-phase clearance
+infimum, the ILP's original goal-subset walk search, and the permutation
+search that regenerates the planner's table of swap rotation words.
 """
 
 from __future__ import annotations
@@ -30,6 +30,19 @@ def brute_nearest(grid, p) -> int:
         if best is None or d < best[0] - 1e-9:
             best = (d, vid)
     return best[1]
+
+
+def reference_separation(inst) -> tuple[list, list]:
+    """(start, goal) pairs (i, j, distance) at distance <= 8/3, every pair
+    compared."""
+    out = ([], [])
+    for points, found in zip((inst.starts, inst.goals), out):
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                d = points[i].dist(points[j])
+                if d <= SNAP_SEPARATION:
+                    found.append((i, j, d))
+    return out
 
 
 def sampled_min_distance(a0, a1, b0, b1, samples: int = 10_000) -> float:
@@ -579,7 +592,8 @@ def ring_generators(rings, slots) -> list[tuple[tuple[int, int],
     return gens
 
 
-# neighbours of an axial lattice point, counterclockwise like geometry._ring
+# neighbours of an axial lattice point, counterclockwise like the rings
+# of geometry.build_grid (from +30 degrees, half a turn after its first)
 _HEX_RING = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
 
 

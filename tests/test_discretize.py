@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from _oracles import brute_nearest
+from _oracles import brute_nearest, reference_separation
 from triroute.discretize import (SEPARATION, ContinuousInstance,
                                  SnapConsistencyError, check_clearance,
                                  discretize, snap, validate_separation)
@@ -43,6 +43,27 @@ def test_separation_exact_pitch_fails_strictness():
     ws = build_workspace(4, 5)
     inst = dense_instance(ws, 12, seed=3, strict=False)
     assert not validate_separation(inst).ok
+
+
+def test_separation_sweep_matches_all_pairs():
+    # exact-pitch packings put many pairs at exactly 8/3 and whole columns
+    # at one x; uniform points fall at every distance
+    cases = [dense_instance(build_workspace(*ws), n, seed=s, strict=False)
+             for ws, n, s in (((4, 5), 12, 3), ((6, 7), 63, 0), ((3, 5), 20, 4))]
+    rng = random.Random(8)
+    for _ in range(40):
+        ws = build_workspace(rng.randint(2, 6), rng.randint(3, 7))
+        n = rng.randint(0, 40)
+        pts = [[Vec2(rng.uniform(0, ws.w), rng.uniform(0, ws.h))
+                for _ in range(n)] for _ in range(2)]
+        cases.append(_inst(ws, *pts))
+    found = 0
+    for inst in cases:
+        rep = validate_separation(inst)
+        starts, goals = reference_separation(inst)
+        assert rep.start_violations == starts and rep.goal_violations == goals
+        found += len(starts) + len(goals)
+    assert found > 1000
 
 
 def test_clearance_check():

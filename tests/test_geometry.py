@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -6,10 +8,10 @@ import pytest
 
 from _oracles import brute_nearest, joint_bfs_makespan, lattice_count
 from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
-                               Vec2, _attach_path_families, bfs_distances, bfs_path, build_grid,
-                               build_hex_covers, build_workspace, density_limit,
-                               enumerate_sharp_angles, nearest_vertex,
-                               triangle_circumradius)
+                               Vec2, _path_families, bfs_distances, bfs_path,
+                               build_grid, build_hex_covers, build_workspace,
+                               density_limit, enumerate_sharp_angles,
+                               nearest_vertex, triangle_circumradius)
 
 ALL_SIZES = [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 6), (2, 8),
              (8, 3), (6, 7)]
@@ -137,6 +139,38 @@ def test_grid_determinism():
     assert a.horizontal_paths == b.horizontal_paths
 
 
+# sha256 over every compared TriGrid field, recorded when the grid was
+# still built from per-parity candidate lists, atan2-sorted rings and a
+# cosine test for the locked corners
+PINNED_GRID_DIGESTS = {
+    (2, 3): "aa9ebda9d7446ec89ccdc76dc9f755b2f1a0b503319686e517dd0221521fab2f",
+    (4, 5): "682de5f8257dd74f1f2f042c6e6893d1a7335ab0d3f49d1caa7599cfc2ca6618",
+    (6, 7): "2fa6a8d194c901e8346a3fd0ecbcc1edaaafd791fc790c36b342b79f2bd84cd3",
+    (9, 10): "b552e1dbeb8322c6c34bfa30b9c5657b028d7f339b283ba1865697c8d0712e65",
+    (11, 17): "c30326fbf78a6ffc164316a39b09ba944871d8d45bf58f87fbc7434b36cfb0aa",
+    (12, 12): "0b0775e612ce3eddd26b4c0a767d7ced877e5bba77b56dae48304550f15cc65b",
+}
+
+
+def _grid_digest(g) -> str:
+    def canonical(value):
+        if isinstance(value, dict):
+            return sorted(value.items())
+        if isinstance(value, frozenset):
+            return sorted(value)
+        return value
+
+    h = hashlib.sha256()
+    for name in sorted(f.name for f in dataclasses.fields(g) if f.compare):
+        h.update(f"{name}={canonical(getattr(g, name))!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_grid_structure_is_pinned():
+    for size, digest in PINNED_GRID_DIGESTS.items():
+        assert _grid_digest(build_grid(build_workspace(*size))) == digest, size
+
+
 def test_sharp_angles_three_per_triangle(small_grid):
     g = small_grid
     angles = enumerate_sharp_angles(g)
@@ -255,7 +289,7 @@ def test_path_family_off_the_grid_raises_coverage_error():
     g.adjacency[a].remove(b)
     g.adjacency[b].remove(a)
     with pytest.raises(CoverageError, match="not a grid path"):
-        _attach_path_families(g)
+        _path_families(g.row_start, g.row_len, g.adjacency)
 
 
 def test_nearest_vertex_beyond_every_column_raises_bounds_error(minimal_grid):

@@ -214,8 +214,25 @@ def test_solution_parser_rejects_non_numeric_values():
     inst = DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,))
     model = build_model(inst, 1)
     name = column_names(model)[0]
-    with pytest.raises(SolverError, match="non-numeric"):
-        parse_solution(model, f"{name} abc\n")
+    for value in ("abc", "nan", "NaN", "inf", "-inf", "1e999"):
+        with pytest.raises(SolverError, match="non-numeric"):
+            parse_solution(model, f"{name} {value}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{name} 1 2", "malformed solution line"),
+    ("x_9_9_9_9 1", "unknown variable in solution: 'x_9_9_9_9'"),
+    ("{name} 1e999", "non-numeric value in solution"),
+])
+def test_solution_parser_errors_name_the_line(line, message):
+    g = _grid23()
+    model = build_model(DiscreteInstance(grid=g, v_starts=(1,), v_goals=(2,)), 1)
+    name = column_names(model)[0]
+    bad = line.format(name=name)
+    text = f"# comment\n{name} 1\n\n  {bad}\n"
+    with pytest.raises(SolverError) as err:
+        parse_solution(model, text)
+    assert str(err.value) == f"{message} (line 4: {'  ' + bad!r})"
 
 
 def test_solution_parser_threshold_and_infeasible():
@@ -441,7 +458,8 @@ def test_export_lp_text_is_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[case]
 
 
-ROOT_ONLY = {"presolve": False, "node_limit": 1}
+ROOT_ONLY = {"presolve": False, "node_limit": 1,
+             "time_limit": lpsolve.ROOT_TIME_LIMIT_S}
 
 
 @pytest.fixture
@@ -498,6 +516,16 @@ def test_unsettled_root_reruns_the_default_call(monkeypatch):
     assert len(full) == 1 and full[0].status == 0
     assert values == [int(round(x)) for x in full[0].x]
     assert _routes(model, (names, values))
+
+
+def test_root_out_of_time_reruns_the_default_call(monkeypatch, milp_calls):
+    # HiGHS ends a root-only call at once, with status 1, when its time
+    # limit is zero; the default call then runs without options
+    monkeypatch.setattr(lpsolve, "ROOT_TIME_LIMIT_S", 0.0)
+    model = build_model(_dense((2, 3), 6, 2), 5)
+    result = solve_lp_text(export_lp(model))
+    assert milp_calls == [({**ROOT_ONLY, "time_limit": 0.0}, 1), (None, 0)]
+    assert _routes(model, result)
 
 
 @pytest.mark.parametrize("case", [((3, 5), 16, 0), ((4, 4), 18, 0),
