@@ -1,8 +1,9 @@
 """Command-line front end: gen, solve, prove, bench, render.
 
 Exit codes: 0 success, 1 separation sweep failed at every epsilon
-(prove), 2 parse error / bad arguments, 3 inadmissible instance, 4 solver,
-planner invariant, grid, sweep or generation failure, 5 validation failure.
+(prove), 2 parse error / bad arguments / unreadable input or unwritable
+output, 3 inadmissible instance, 4 solver, planner invariant, snap,
+synthesis, grid, sweep or generation failure, 5 validation failure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import time
 
 from . import io as tio
 from . import render as trender
-from .discretize import InadmissibleInstanceError, discretize
-from .geometry import BoundsError, CoverageError, build_grid, build_workspace
+from .discretize import (InadmissibleInstanceError, SnapConsistencyError,
+                         discretize)
+from .geometry import CoverageError, build_grid, build_workspace
 from .ilp import ExhaustiveGuardError, SolverError
 from .instances import GenerationError, dense_instance, random_instance
 from .paft import (InfeasibleInstanceError, PlannerInvariantError, SwapEngine,
@@ -24,7 +26,8 @@ from .plan import DiscretePlan
 from .prover import SweepError, format_certificate, verify
 from .triilp import (HorizonExceededError, SolveReport, solve_split,
                      solve_triilp, underestimated_makespan)
-from .validate import synthesize, validate
+from .validate import (SynthesisError, optimality_metrics, synthesize,
+                       validate)
 
 EXIT_OK = 0
 EXIT_PROOF_FAILED = 1
@@ -173,7 +176,7 @@ def cmd_bench(args) -> int:
         engine = SwapEngine(grid)
         for n in args.robots:
             for method in args.methods:
-                times, achieved, bounds, failures = [], [], [], 0
+                times, steps, failures = [], [], 0
                 for k in range(args.count):
                     seed = args.seed + 1000 * k
                     try:
@@ -189,19 +192,17 @@ def cmd_bench(args) -> int:
                         cplan = synthesize(inst, grid, plan, snap_s, snap_g)
                         if not validate(cplan, ws).valid:
                             raise RuntimeError("plan failed validation")
-                        achieved.append(rep.makespan)
-                        bounds.append(rep.underestimate)
+                        steps.append((rep.makespan, rep.underestimate))
                     except Exception as exc:  # noqa: BLE001 - suite continues
                         failures += 1
                         print(f"# failure n1={ws.n1} n2={ws.n2} n={n} "
                               f"method={method[0]} seed={seed}: {exc}",
                               file=sys.stderr)
                 mean_time = sum(times) / len(times) if times else float("nan")
-                denom = sum(bounds)
-                ratio = 1.0 if denom == 0 else sum(achieved) / denom
                 rows.append({"method": method[0], "n": n, "n1": ws.n1,
                              "n2": ws.n2, "mean_time": mean_time,
-                             "ratio": ratio, "failures": failures})
+                             "ratio": optimality_metrics(steps).aggregate,
+                             "failures": failures})
     header = ["method", "n", "mean_time", "ratio", "failures"]
     lines = ["\t".join(header)]
     for r in rows:
@@ -319,22 +320,26 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
+    # clauses match in order; the first two catch ValueErrors that are
+    # not parse errors
     try:
         return args.func(args)
-    except (tio.ParseError, BoundsError, ValueError) as exc:
-        if isinstance(exc, InadmissibleInstanceError):
-            print(f"inadmissible instance: {exc}", file=sys.stderr)
-            return EXIT_INADMISSIBLE
-        if isinstance(exc, InfeasibleInstanceError):
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SolverError, HorizonExceededError, GenerationError,
-            ExhaustiveGuardError, SwapSearchError, PlannerInvariantError,
+    except InadmissibleInstanceError as exc:
+        print(f"inadmissible instance: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except (InfeasibleInstanceError, SynthesisError, SolverError,
+            HorizonExceededError, GenerationError, ExhaustiveGuardError,
+            SwapSearchError, PlannerInvariantError, SnapConsistencyError,
             CoverageError, SweepError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:        # ParseError and BoundsError among them
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"I/O error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ class SnapResult:
     assignment: list[int]                      # vertex id per disc
     d_max: float                               # max snap distance (<= 4/3),
                                                # the snap phase's duration
-    segments: list[tuple[Vec2, Vec2]]          # straight line per disc
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,9 @@ def snap(inst: ContinuousInstance, grid: TriGrid, which: str) -> SnapResult:
                     f"separation precondition violated")
             seen[v] = i
 
-    segments = [(p, grid.vertices[v]) for p, v in zip(points, assignment)]
-    d_max = max((p.dist(q) for p, q in segments), default=0.0)
-    return SnapResult(assignment=assignment, d_max=d_max, segments=segments)
+    d_max = max((p.dist(grid.vertices[v]) for p, v in zip(points, assignment)),
+                default=0.0)
+    return SnapResult(assignment=assignment, d_max=d_max)
 
 
 def discretize(inst: ContinuousInstance, grid: TriGrid

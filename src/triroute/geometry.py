@@ -80,15 +80,6 @@ class Workspace:
     n2: int
 
 
-@dataclass(frozen=True)
-class SharpAngle:
-    """A 60-degree corner: edges (apex, arm1) and (apex, arm2)."""
-
-    apex: int
-    arm1: int
-    arm2: int
-
-
 @dataclass
 class TriGrid:
     """Immutable after construction; safe to share across threads."""
@@ -109,7 +100,6 @@ class TriGrid:
     row_len: list[int] = field(default_factory=list)
     n_rows: int = 0
     len_even: int = 0
-    len_odd: int = 0
     # degree-6 centre -> its hexagon ring, counterclockwise
     ring_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     locked: frozenset[int] = frozenset()   # degree-2 (sharp) corners
@@ -256,37 +246,21 @@ def build_grid(ws: Workspace) -> TriGrid:
     vertical, horizontal = _path_families(row_start, row_len, adjacency)
     return TriGrid(
         workspace=ws, vertices=vertices, adjacency=adjacency, edges=edges,
-        triangles=triangles, hex_covers=_covers(ring_of, axial.__getitem__),
+        triangles=triangles, hex_covers=_covers(ring_of, axial),
         vertical_paths=vertical, horizontal_paths=horizontal,
         row_of=row_of, col_of=col_of, row_start=row_start, row_len=row_len,
-        n_rows=len(row_len), len_even=row_len[0],
-        len_odd=row_len[1] if len(row_len) > 1 else 0,
-        ring_of=ring_of, locked=locked, covered=covered)
+        n_rows=len(row_len), len_even=row_len[0], ring_of=ring_of,
+        locked=locked, covered=covered)
 
 
-def enumerate_sharp_angles(g: TriGrid) -> list[SharpAngle]:
-    """All 60-degree corners: three per triangle, one at each vertex."""
-    out = []
-    for i, j, k in g.triangles:
-        out.append(SharpAngle(apex=i, arm1=j, arm2=k))
-        out.append(SharpAngle(apex=j, arm1=i, arm2=k))
-        out.append(SharpAngle(apex=k, arm1=i, arm2=j))
-    return out
-
-
-def build_hex_covers(g: TriGrid) -> list[list[tuple[int, ...]]]:
-    """Up to three interleaving hexagon covers: the rings of
-    ``g.ring_of`` grouped by the colour (q - r) % 3 of their centres.
-    Together they reach every vertex except the sharp boundary corners
-    (which lie on no hexagon at all)."""
-    return _covers(g.ring_of, g.axial)
-
-
-def _covers(ring_of: dict[int, tuple[int, ...]], axial
-            ) -> list[list[tuple[int, ...]]]:
+def _covers(ring_of: dict[int, tuple[int, ...]],
+            axial: list[tuple[int, int]]) -> list[list[tuple[int, ...]]]:
+    """Up to three interleaving hexagon covers: the rings grouped by the
+    colour (q - r) % 3 of their centres.  Together they reach every
+    vertex except the sharp boundary corners (which lie on no hexagon)."""
     by_color: list[list[tuple[int, ...]]] = [[], [], []]
     for c, ring in sorted(ring_of.items()):
-        q, r = axial(c)
+        q, r = axial[c]
         by_color[(q - r) % 3].append(ring)
     return [cover for cover in by_color if cover]
 

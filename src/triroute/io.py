@@ -184,8 +184,7 @@ def parse_plan(text: str) -> DiscretePlan | ContinuousPlan:
                     raise records.fail("time goes backwards")
             paths.append(np.array(rows))
         end = max((p[-1, 0] for p in paths), default=0.0)
-        plan = ContinuousPlan(paths, makespan=float(end), snap_in=0.0,
-                              grid_duration=float(end), snap_out=0.0)
+        plan = ContinuousPlan(paths, makespan=float(end))
     records.end()
     return plan
 

@@ -70,24 +70,12 @@ class PaftReport:
     swap_constant: int
 
 
-@dataclass
-class CellPartition:
-    side: float
-    cell_of: list[tuple[int, int]]
-    d_g: int
-
-    @property
-    def cell_count(self) -> int:
-        return len(set(self.cell_of))
-
-
-def build_cell_partition(grid: TriGrid, d_g: int) -> CellPartition:
-    """Square cells of side about 5*d_g, clamped to one hexagon pitch
-    below and the workspace extent above."""
+def build_cell_partition(grid: TriGrid, d_g: int) -> list[tuple[int, int]]:
+    """The square cell of each vertex.  Cells have side about 5*d_g,
+    clamped to one hexagon pitch below and the workspace extent above."""
     ws = grid.workspace
     side = min(max(5.0 * d_g, 2.0 * EDGE_LEN), max(ws.w, ws.h))
-    cell_of = [(int(p.x // side), int(p.y // side)) for p in grid.vertices]
-    return CellPartition(side=side, cell_of=cell_of, d_g=d_g)
+    return [(int(p.x // side), int(p.y // side)) for p in grid.vertices]
 
 
 def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
@@ -588,12 +576,12 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
         return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=0.0,
                                 cell_count=1, circulation_steps=0,
                                 swap_constant=0)
-    partition = build_cell_partition(inst.grid, d_g)
+    cell_count = len(set(build_cell_partition(inst.grid, d_g)))
     cap = None
-    if partition.cell_count > 1:
+    if cell_count > 1:
         cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
     plan, circ, c_swap = _route(inst, engine, cap)
     return plan, PaftReport(makespan=plan.T, max_goal_distance=d_g,
                             ratio=plan.T / max(1, d_g),
-                            cell_count=partition.cell_count,
+                            cell_count=cell_count,
                             circulation_steps=circ, swap_constant=c_swap)

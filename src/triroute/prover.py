@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import SEPARATION
 from .geometry import EDGE_LEN, HALF_SHIFT, ROW_STEP, Vec2
-
-SEPARATION = 8.0 / 3.0
-CONTACT = 2.0
+from .validate import CONTACT, closest_approach
 
 # fundamental wedge: lattice vertex v=(0,0), edge midpoint x=(s/2, 0),
 # triangle centroid o=(s/2, 2/3); region 0<=x<=s/2, 0<=y<=x*(4/(3s))
@@ -34,18 +33,6 @@ _WEDGE_SLOPE = _WEDGE_Y / _WEDGE_X
 
 class SweepError(RuntimeError):
     """The sweep found no case to certify, so it proves nothing."""
-
-
-@dataclass(frozen=True)
-class MovingDisc:
-    """Unit disc translating from start to end over common t in [0, 1]."""
-
-    start: Vec2
-    end: Vec2
-
-    def position(self, t: float) -> Vec2:
-        return Vec2(self.start.x + t * (self.end.x - self.start.x),
-                    self.start.y + t * (self.end.y - self.start.y))
 
 
 @dataclass(frozen=True)
@@ -68,43 +55,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def min_pair_distance(a: MovingDisc, b: MovingDisc) -> float:
-    """Exact minimum center distance over the shared parameter interval.
-
-    The squared distance is quadratic in t; evaluate at both endpoints
-    and at the clamped unconstrained minimizer.
-    """
-    dpx = b.start.x - a.start.x
-    dpy = b.start.y - a.start.y
-    dvx = (b.end.x - b.start.x) - (a.end.x - a.start.x)
-    dvy = (b.end.y - b.start.y) - (a.end.y - a.start.y)
-    vv = dvx * dvx + dvy * dvy
-    best = min(math.hypot(dpx, dpy),
-               math.hypot(dpx + dvx, dpy + dvy))
-    if vv > 0.0:
-        t = -(dpx * dvx + dpy * dvy) / vv
-        if 0.0 < t < 1.0:
-            best = min(best, math.hypot(dpx + t * dvx, dpy + t * dvy))
-    return best
-
-
-def min_pair_distance_batch(a0: np.ndarray, a1: np.ndarray,
-                            b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """Vectorized min_pair_distance on (N, 2) endpoint arrays."""
-    dp = b0 - a0
-    dv = (b1 - b0) - (a1 - a0)
-    vv = np.einsum("ij,ij->i", dv, dv)
-    d0 = np.einsum("ij,ij->i", dp, dp)
-    pe = dp + dv
-    d1 = np.einsum("ij,ij->i", pe, pe)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(vv > 0.0, -np.einsum("ij,ij->i", dp, dv) / np.where(vv > 0, vv, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    pm = dp + t[:, None] * dv
-    dm = np.einsum("ij,ij->i", pm, pm)
-    return np.sqrt(np.minimum(np.minimum(d0, d1), dm))
 
 
 def enumerate_region_boxes(epsilon: float) -> list[Vec2]:
@@ -155,7 +105,7 @@ def _nearest_lattice_candidates(points: np.ndarray, tol: float = 1e-9
 
 
 def _annulus_cases(s_i: np.ndarray, epsilon: float
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """All (s_j, v_j) cases for one box center.
 
     The annulus outer perimeter is split into arcs no longer than
@@ -167,7 +117,7 @@ def _annulus_cases(s_i: np.ndarray, epsilon: float
     first disc's target.  (Origin candidates only arise as cell
     discretization artifacts of that excluded boundary case.)
 
-    Returns (s_j (K, 2), v_j (K, 2), number of cells).
+    Returns (s_j (K, 2), v_j (K, 2)).
     """
     half = math.sqrt(2.0) * epsilon / 2.0
     r_out = SEPARATION + half
@@ -198,24 +148,7 @@ def _annulus_cases(s_i: np.ndarray, epsilon: float
     uniq = np.unique(key, axis=0)
     s_j = centers[uniq[:, 0]]
     v_j = _lattice_points(uniq[:, 1:].astype(np.float64))
-    return s_j, v_j, n_cells
-
-
-def enumerate_annulus_cells(s_i: Vec2, epsilon: float
-                            ) -> list[tuple[Vec2, list[Vec2]]]:
-    """Cell centers around s_i with their candidate target vertices."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    s_j, v_j, n_cells = _annulus_cases(np.array([s_i.x, s_i.y]), epsilon)
-    by_cell: dict[tuple[float, float], list[Vec2]] = {}
-    order: list[tuple[float, float]] = []
-    for (sx, sy), (vx, vy) in zip(s_j, v_j):
-        k = (sx, sy)
-        if k not in by_cell:
-            by_cell[k] = []
-            order.append(k)
-        by_cell[k].append(Vec2(vx, vy))
-    return [(Vec2(*k), by_cell[k]) for k in order]
+    return s_j, v_j
 
 
 def verify(epsilon: float) -> Certificate:
@@ -223,18 +156,16 @@ def verify(epsilon: float) -> Certificate:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     boxes = enumerate_region_boxes(epsilon)
-    origin = np.zeros(2)
     best = math.inf
     best_case: SweepCase | None = None
     case_count = 0
     for box in boxes:
         s_i = np.array([box.x, box.y])
-        s_j, v_j, _ = _annulus_cases(s_i, epsilon)
-        k = len(s_j)
-        case_count += k
-        a0 = np.broadcast_to(s_i, (k, 2))
-        a1 = np.broadcast_to(origin, (k, 2))
-        d = min_pair_distance_batch(a0, a1, s_j, v_j)
+        s_j, v_j = _annulus_cases(s_i, epsilon)
+        case_count += len(s_j)
+        # disc i moves from s_i to the origin, disc j from s_j to v_j
+        d0, dm, d1, _ = closest_approach((s_j - s_i).T, (v_j - s_j + s_i).T)
+        d = np.sqrt(np.minimum(np.minimum(d0, d1), dm))
         i = int(np.argmin(d))
         if d[i] < best:
             best = float(d[i])

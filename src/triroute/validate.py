@@ -33,10 +33,11 @@ distance found so far).
   surviving pairs are found by sorting the boxes along x and sweeping.
 * Per window, the box of a surviving pair's offset at the window's two
   ends bounds its distance in that window from below in the same way.
-* Narrow phase: the closest approach of each remaining pair and window,
-  in array expressions whose float operations are those of a per-window
-  loop over pairs, so the minimum, the violations (in window, then pair
-  order) and their times and distances do not depend on the chunking.
+* Narrow phase: ``closest_approach`` of each remaining pair and window
+  (the snap-phase prover runs on the same kernel), in array expressions
+  whose float operations are those of a per-window loop over pairs, so
+  the minimum, the violations (in window, then pair order) and their
+  times and distances do not depend on the chunking.
   Both lower bounds carry a slack of ``BROAD_SLACK`` against rounding.
 
 Memory: the samples take 16 bytes per disc and window, less than the
@@ -78,17 +79,12 @@ def _rows(pts: list[tuple[float, Vec2]]) -> np.ndarray:
 class ContinuousPlan:
     paths: list[np.ndarray]   # per disc: (K, 3) float64 rows (t, x, y)
     makespan: float
-    snap_in: float
-    grid_duration: float
-    snap_out: float
 
     @classmethod
     def from_points(cls, trajectories: list[list[tuple[float, Vec2]]],
-                    makespan: float, snap_in: float, grid_duration: float,
-                    snap_out: float) -> ContinuousPlan:
+                    makespan: float) -> ContinuousPlan:
         """A plan from per-disc ``(time, point)`` lists."""
-        return cls([_rows(pts) for pts in trajectories], makespan, snap_in,
-                   grid_duration, snap_out)
+        return cls([_rows(pts) for pts in trajectories], makespan)
 
     @property
     def trajectories(self) -> list[list[tuple[float, Vec2]]]:
@@ -122,7 +118,6 @@ class ValidationReport:
     min_pair_clearance: float
     violations: list[tuple[tuple[int, int], float, float]]  # (pair, time, dist)
     boundary_ok: bool
-    makespan: float
 
     @property
     def valid(self) -> bool:
@@ -167,15 +162,14 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
         raise SynthesisError("plan does not end at the snapped goal vertices")
 
     t_in = snap_s.d_max
-    t_grid = dplan.T * EDGE_LEN
-    t_out = snap_g.d_max
-    makespan = t_in + t_grid + t_out
+    makespan = t_in + dplan.T * EDGE_LEN + snap_g.d_max
 
     # step 0 is the snap-in point
     body = [p[1:] for p in _grid_rows(grid, dplan, t_in)]
     paths = []
     for r in range(n):
-        s, e, g = inst.starts[r], snap_s.segments[r][1], inst.goals[r]
+        s, g = inst.starts[r], inst.goals[r]
+        e = grid.vertices[snap_s.assignment[r]]
         head = [(0.0, s.x, s.y)]
         if t_in > 1e-15 or (s.x, s.y) != (e.x, e.y):
             head.append((t_in, e.x, e.y))
@@ -188,23 +182,37 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
             tail.append((makespan, g.x, g.y))
         paths.append(np.concatenate(
             (np.array(head), body[r], np.array(tail).reshape(-1, 3))))
-    return ContinuousPlan(paths, makespan=makespan, snap_in=t_in,
-                          grid_duration=t_grid, snap_out=t_out)
+    return ContinuousPlan(paths, makespan)
 
 
 def synthesize_discrete(grid: TriGrid, dplan: DiscretePlan) -> ContinuousPlan:
     """Trajectories for a purely discrete instance (endpoints on vertices),
     with breakpoints at the first and last step and where a disc starts
     or stops moving."""
-    makespan = dplan.T * EDGE_LEN
-    paths = _grid_rows(grid, dplan, 0.0)
-    return ContinuousPlan(paths, makespan=makespan, snap_in=0.0,
-                          grid_duration=makespan, snap_out=0.0)
+    return ContinuousPlan(_grid_rows(grid, dplan, 0.0), dplan.T * EDGE_LEN)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of (2, ...) coordinate planes, x term first."""
     return a[0] * b[0] + a[1] * b[1]
+
+
+def closest_approach(dp: np.ndarray, dv: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closest approach of two linearly moving discs whose offset goes
+    from ``dp`` to ``dp + dv`` over t in [0, 1], on (2, ...) coordinate
+    planes.  The squared distance is quadratic in t, so its minimum is
+    the least of ``d0`` (t = 0), ``dm`` (the clamped minimizer ``tt``)
+    and ``d1`` (t = 1); returns those three squared distances and ``tt``."""
+    vv = _dot(dv, dv)
+    d0 = _dot(dp, dp)
+    pe = dp + dv
+    d1 = _dot(pe, pe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tt = np.clip(np.where(vv > 0, -_dot(dp, dv) / vv, 0.0), 0.0, 1.0)
+    pm = dp + tt * dv
+    dm = _dot(pm, pm)
+    return d0, dm, d1, tt
 
 
 def _near_pairs(lo: np.ndarray, hi: np.ndarray, bound: float
@@ -242,7 +250,7 @@ def validate(plan: ContinuousPlan, ws: Workspace) -> ValidationReport:
 
     if n < 2:
         return ValidationReport(min_pair_clearance=math.inf, violations=[],
-                                boundary_ok=boundary_ok, makespan=plan.makespan)
+                                boundary_ok=boundary_ok)
 
     times = np.unique(rows[:, 0]).tolist()
     merged = [times[0]]
@@ -274,14 +282,7 @@ def validate(plan: ContinuousPlan, ws: Workspace) -> ValidationReport:
         first = ss * (k1 - k0 + 1) + kk     # flat index of the window start
         dp = d.reshape(2, -1).take(first, axis=1)
         dv = d.reshape(2, -1).take(first + 1, axis=1) - dp
-        vv = _dot(dv, dv)
-        d0 = _dot(dp, dp)
-        pe = dp + dv
-        d1 = _dot(pe, pe)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tt = np.clip(np.where(vv > 0, -_dot(dp, dv) / vv, 0.0), 0.0, 1.0)
-        pm = dp + tt * dv
-        dm = _dot(pm, pm)
+        d0, dm, d1, tt = closest_approach(dp, dv)
         dmin = np.sqrt(np.minimum(np.minimum(d0, dm), d1))
         min_clear = min(min_clear, float(dmin.min()))
         bad = np.nonzero(dmin < CONTACT - TOL)[0]
@@ -296,9 +297,7 @@ def validate(plan: ContinuousPlan, ws: Workspace) -> ValidationReport:
             violations.append(((i, j), t, dist))
 
     return ValidationReport(min_pair_clearance=min_clear,
-                            violations=violations,
-                            boundary_ok=boundary_ok,
-                            makespan=plan.makespan)
+                            violations=violations, boundary_ok=boundary_ok)
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own code paths: joint-state BFS
 for optimal makespans, brute-force nearest vertices, dense time sampling
-for minimum distances, an all-pairs separation check, a from-scratch
-lattice enumeration, and a direct search for the snap-phase clearance
-infimum, the ILP's original goal-subset walk search, and the permutation
-search that regenerates the planner's table of swap rotation words.
+and a one-pair-at-a-time formula for minimum distances, an all-pairs
+separation check, a from-scratch lattice enumeration, the per-corner
+sharp-angle rows, a direct search for the snap-phase clearance infimum,
+the ILP's original goal-subset walk search, and the permutation search
+that regenerates the planner's table of swap rotation words.
 """
 
 from __future__ import annotations
@@ -53,6 +54,32 @@ def sampled_min_distance(a0, a1, b0, b1, samples: int = 10_000) -> float:
     bx = b0[0] + t * (b1[0] - b0[0])
     by = b0[1] + t * (b1[1] - b0[1])
     return float(np.min(np.hypot(bx - ax, by - ay)))
+
+
+class MovingDisc(NamedTuple):
+    """Unit disc translating from start to end over common t in [0, 1];
+    the points are anything with ``x`` and ``y``."""
+
+    start: object
+    end: object
+
+
+def min_pair_distance(a: MovingDisc, b: MovingDisc) -> float:
+    """Exact minimum center distance over the shared parameter interval,
+    one pair at a time: the squared distance is quadratic in t, so
+    evaluate it at both ends and at the unconstrained minimizer when
+    that lies inside."""
+    dpx = b.start.x - a.start.x
+    dpy = b.start.y - a.start.y
+    dvx = (b.end.x - b.start.x) - (a.end.x - a.start.x)
+    dvy = (b.end.y - b.start.y) - (a.end.y - a.start.y)
+    vv = dvx * dvx + dvy * dvy
+    best = min(math.hypot(dpx, dpy), math.hypot(dpx + dvx, dpy + dvy))
+    if vv > 0.0:
+        t = -(dpx * dvx + dpy * dvy) / vv
+        if 0.0 < t < 1.0:
+            best = min(best, math.hypot(dpx + t * dvx, dpy + t * dvy))
+    return best
 
 
 def lattice_count(n1: int, n2: int) -> int:
@@ -150,14 +177,28 @@ def model_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
     return out
 
 
+class SharpAngle(NamedTuple):
+    """A 60-degree corner: edges (apex, arm1) and (apex, arm2)."""
+
+    apex: int
+    arm1: int
+    arm2: int
+
+
+def enumerate_sharp_angles(grid) -> list[SharpAngle]:
+    """All 60-degree corners: three per triangle, one at each vertex."""
+    out = []
+    for i, j, k in grid.triangles:
+        out += [SharpAngle(i, j, k), SharpAngle(j, i, k), SharpAngle(k, i, j)]
+    return out
+
+
 def sharp_angle_rows(model) -> list[tuple[list[tuple[int, int]], str, int]]:
     """The per-angle exclusion family (one row per 60-degree corner).
 
     Any assignment satisfying the ILP's per-triangle rows satisfies
     these, since an angle's two edges lie in its triangle.
     """
-    from triroute.geometry import enumerate_sharp_angles
-
     index = column_of(model)
     rows = []
     n = model.n
@@ -464,7 +505,7 @@ def reference_synthesize(inst, grid, dplan, snap_s, snap_g, dense=False):
             if t > lt + 1e-15 or (lp.x, lp.y) != (p.x, p.y):
                 pts.append((t, p))
 
-        append(t_in, snap_s.segments[r][1])
+        append(t_in, grid.vertices[snap_s.assignment[r]])
         for k in range(1, T + 1):
             v = steps[k][r]
             if (dense or k == T or v != steps[k - 1][r]

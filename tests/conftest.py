@@ -2,6 +2,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -18,6 +19,7 @@ from triroute.geometry import build_grid, build_workspace
 from triroute.instances import random_instance
 from triroute.paft import SwapEngine, paft
 from triroute.triilp import solve_split, solve_triilp
+from triroute.validate import closest_approach
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +43,15 @@ def random_discrete_instance(grid, n, seed):
     starts = tuple(rng.sample(range(grid.n_vertices), n))
     goals = tuple(rng.sample(range(grid.n_vertices), n))
     return DiscreteInstance(grid=grid, v_starts=starts, v_goals=goals)
+
+
+def kernel_min_distance(a0, a1, b0, b1):
+    """Minimum center distance of discs moving a0 -> a1 and b0 -> b1
+    over t in [0, 1], per row of (N, 2) endpoint arrays, from
+    validation's closest-approach kernel."""
+    dp = b0 - a0
+    d0, dm, d1, _ = closest_approach(dp.T, ((b1 - b0) - (a1 - a0)).T)
+    return np.sqrt(np.minimum(np.minimum(d0, dm), d1))
 
 
 def full_occupancy_instance(grid, seed):

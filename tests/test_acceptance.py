@@ -14,7 +14,8 @@ import pytest
 from _oracles import (joint_bfs_makespan, max_segment_speed, model_rows,
                       sampled_min_distance, sharp_angle_rows,
                       snap_clearance_infimum)
-from conftest import full_occupancy_instance, random_discrete_instance
+from conftest import (full_occupancy_instance, kernel_min_distance,
+                      random_discrete_instance)
 from triroute import io as tio
 from triroute.cli import main as cli_main
 from triroute.discretize import DiscreteInstance, discretize, snap
@@ -24,7 +25,7 @@ from triroute.ilp import build_model, solve
 from triroute.instances import dense_instance, random_instance
 from triroute.paft import SwapEngine, isag, paft
 from triroute.plan import check_plan
-from triroute.prover import min_pair_distance_batch, verify
+from triroute.prover import verify
 from triroute.triilp import (solve_split, solve_triilp,
                              underestimated_makespan)
 from triroute.validate import (optimality_metrics, synthesize,
@@ -172,7 +173,7 @@ def test_lemma1_property_suite():
                            for v in res.assignment])
             n = inst.n
             ii, jj = np.triu_indices(n, k=1)
-            d = min_pair_distance_batch(a0[ii], a1[ii], a0[jj], a1[jj])
+            d = kernel_min_distance(a0[ii], a1[ii], a0[jj], a1[jj])
             if len(d):
                 min_d = min(min_d, float(d.min()))
         injective += ok_inj

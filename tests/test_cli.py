@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import types
 
 import pytest
 
@@ -10,6 +11,7 @@ from triroute.discretize import discretize, validate_separation
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points, random_instance
 from triroute.paft import SwapEngine, _Router
+from triroute.plan import DiscretePlan
 from triroute.render import render
 from triroute.triilp import solve_triilp
 from triroute.validate import ContinuousPlan, synthesize, synthesize_discrete
@@ -70,8 +72,6 @@ def test_instance_round_trip(tmp_path):
 
 
 def test_plan_round_trips(tmp_path):
-    from triroute.plan import DiscretePlan
-
     plan = DiscretePlan.from_steps([(1, 2), (2, 3), (3, 4)])
     text = tio.format_discrete_plan(plan)
     back = tio.parse_plan(text)
@@ -79,8 +79,7 @@ def test_plan_round_trips(tmp_path):
 
     traj = [[(0.0, Vec2(1.25, 2.5)), (1.5, Vec2(3.0, 2.5))],
             [(0.0, Vec2(5.0, 5.0)), (1.5, Vec2(5.0, 5.0))]]
-    cplan = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0,
-                                       grid_duration=1.5, snap_out=0)
+    cplan = ContinuousPlan.from_points(traj, makespan=1.5)
     back2 = tio.parse_plan(tio.format_continuous_plan(cplan))
     assert back2.trajectories == traj
 
@@ -288,6 +287,76 @@ def test_bench_identity_suite(tmp_path, capsys):
         assert cells[4] == "0"
     svg = plot.read_text()
     assert svg.startswith("<svg") and "robots" in svg
+
+
+# each case names the path that cannot be read or written
+IO_FAULTS = {
+    "solve input": ("{missing}", ["solve", "{missing}"]),
+    "solve --out": ("{nodir}", ["solve", "{ok}", "--out", "{nodir}"]),
+    "render --instance": ("{missing}", ["render", "--instance", "{missing}",
+                                        "--out", "{svg}"]),
+    "render --plan": ("{missing}", ["render", "--instance", "{ok}",
+                                    "--plan", "{missing}", "--out", "{svg}"]),
+    "render --out": ("{nodir}", ["render", "--instance", "{ok}",
+                                 "--out", "{nodir}"]),
+    "gen --out": ("{nodir}", ["gen", "--n1", "2", "--n2", "3", "--count", "2",
+                              "--out", "{nodir}"]),
+    "prove --out": ("{nodir}", ["prove", "--epsilons", "0.5",
+                                "--out", "{nodir}"]),
+    "bench --out": ("{nodir}", ["bench", "--count", "1", "--out", "{nodir}"]),
+    "bench --plot": ("{nodir}", ["bench", "--count", "1",
+                                 "--plot", "{nodir}"]),
+}
+
+
+@pytest.mark.parametrize("case", list(IO_FAULTS))
+def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
+    paths = {"missing": tmp_path / "missing.oldr",
+             "ok": tmp_path / "ok.oldr", "svg": tmp_path / "x.svg",
+             "nodir": tmp_path / "no-such-dir" / "out"}
+    paths["ok"].write_text("oldr 1\nworkspace 2 3\ndisc 1 3.0 3.0 7.0 3.0\n")
+    named, argv = IO_FAULTS[case]
+    capsys.readouterr()
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert named.format(**paths) in err
+
+
+TWO_DISCS = ("oldr 1\nworkspace 2 3\n"
+             "disc 1 3.0 3.0 7.0 3.0\ndisc 2 7.0 6.0 3.0 6.0\n")
+
+
+def test_plan_missing_the_snapped_ends_is_a_solver_failure(
+        tmp_path, capsys, monkeypatch):
+    # a planner that never leaves the start vertices
+    monkeypatch.setattr("triroute.cli.isag", lambda dinst, engine=None:
+                        DiscretePlan.from_steps([dinst.v_starts]))
+    path = tmp_path / "two.oldr"
+    path.write_text(TWO_DISCS)
+    assert run("solve", str(path), "--method", "isag") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "snapped goal" in err
+
+
+def test_non_injective_snap_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("triroute.discretize.nearest_vertex", lambda g, p: 0)
+    path = tmp_path / "two.oldr"
+    path.write_text(TWO_DISCS)
+    assert run("solve", str(path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ")
+    assert "both snap to vertex 0" in err
+
+
+def test_submodule_imports_bind_modules():
+    # the package namespace must not shadow a submodule with a function
+    import triroute.discretize as discretize_module
+    import triroute.paft as paft_module
+    import triroute.validate as validate_module
+
+    for m in (discretize_module, paft_module, validate_module):
+        assert isinstance(m, types.ModuleType), m
 
 
 def test_bench_continues_after_failures(tmp_path):

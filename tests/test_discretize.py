@@ -81,7 +81,7 @@ def test_snap_on_vertex_is_identity(minimal_grid):
     res = snap(inst, g, "starts")
     assert res.assignment == [2, 9]
     assert res.d_max == 0.0
-    assert all(a.dist(b) == 0.0 for a, b in res.segments)
+    assert all(g.vertices[v] == p for v, p in zip(res.assignment, pts))
 
 
 def test_snap_centroid_distance_is_circumradius(minimal_grid):
@@ -165,7 +165,8 @@ def test_discretize_scattered_matches_brute_nearest(medium_grid):
 @pytest.mark.slow
 def test_discretize_linear_runtime():
     # the nearest-vertex mapping does constant work per point, so the
-    # discretization core scales linearly in n at fixed grid size
+    # discretization core scales linearly in n at fixed grid size; CPU
+    # time of this process, so other load on the machine does not count
     from triroute.geometry import nearest_vertex
 
     g = build_grid(build_workspace(6, 7))
@@ -178,10 +179,10 @@ def test_discretize_linear_runtime():
                for _ in range(n)]
         best = math.inf
         for _ in range(7):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             for p in pts:
                 nearest_vertex(g, p)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         times.append(best)
     slope = (math.log(times[-1] / times[0])
              / math.log(sizes[-1] / sizes[0]))

@@ -130,6 +130,5 @@ def test_valid_discrete_plan_round_trips(rows):
 def test_valid_continuous_plan_round_trips(paths):
     paths = [np.array(sorted(p)) for p in paths]
     end = max((p[-1, 0] for p in paths), default=0.0)
-    text = tio.format_continuous_plan(ContinuousPlan(
-        paths, makespan=end, snap_in=0.0, grid_duration=end, snap_out=0.0))
+    text = tio.format_continuous_plan(ContinuousPlan(paths, makespan=end))
     assert tio.format_continuous_plan(tio.parse_plan(text)) == text

@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import brute_nearest, joint_bfs_makespan, lattice_count
+from _oracles import (brute_nearest, enumerate_sharp_angles,
+                      joint_bfs_makespan, lattice_count)
 from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
                                Vec2, _path_families, bfs_distances, bfs_path,
-                               build_grid, build_hex_covers, build_workspace,
-                               density_limit, enumerate_sharp_angles,
+                               build_grid, build_workspace, density_limit,
                                nearest_vertex, triangle_circumradius)
 
 ALL_SIZES = [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 6), (2, 8),
@@ -139,16 +139,17 @@ def test_grid_determinism():
     assert a.horizontal_paths == b.horizontal_paths
 
 
-# sha256 over every compared TriGrid field, recorded when the grid was
-# still built from per-parity candidate lists, atan2-sorted rings and a
-# cosine test for the locked corners
+# sha256 over every compared TriGrid field.  The grid was first pinned
+# when it was still built from per-parity candidate lists, atan2-sorted
+# rings and a cosine test for the locked corners; these digests were
+# taken from that same grid without its since-deleted len_odd field
 PINNED_GRID_DIGESTS = {
-    (2, 3): "aa9ebda9d7446ec89ccdc76dc9f755b2f1a0b503319686e517dd0221521fab2f",
-    (4, 5): "682de5f8257dd74f1f2f042c6e6893d1a7335ab0d3f49d1caa7599cfc2ca6618",
-    (6, 7): "2fa6a8d194c901e8346a3fd0ecbcc1edaaafd791fc790c36b342b79f2bd84cd3",
-    (9, 10): "b552e1dbeb8322c6c34bfa30b9c5657b028d7f339b283ba1865697c8d0712e65",
-    (11, 17): "c30326fbf78a6ffc164316a39b09ba944871d8d45bf58f87fbc7434b36cfb0aa",
-    (12, 12): "0b0775e612ce3eddd26b4c0a767d7ced877e5bba77b56dae48304550f15cc65b",
+    (2, 3): "e081d4cc557accb2870eb7181444abe8a0009c922e4dcef0ef0c20fa50ab20e6",
+    (4, 5): "165dfc6665805bd6e3b3ff676fbefcc18693fe0dac6427ea6cd9a84be7ab6283",
+    (6, 7): "7fda54bc04f853b124f3836c77a9ed70929981019486bb7a91cad639cfcf16a4",
+    (9, 10): "a5b79a00be2415bf15089c232eb0118fd28ce594dbc683dc46b8548f9bd6959f",
+    (11, 17): "b223738ef81d776ef36c76f5caaf889631fba6ea83faef8cb1ee32fe35882da1",
+    (12, 12): "37ef754cd584aeceb109af9317ed3451b33c2a91b075d3e6d7857dad9adc00ef",
 }
 
 
@@ -351,6 +352,11 @@ def test_hop_rows_match_single_robot_search():
         assert grid.hops_from(u) is row
 
 
-def test_build_hex_covers_explicit_call(small_grid):
-    covers = build_hex_covers(small_grid)
-    assert covers == small_grid.hex_covers
+def test_hex_covers_are_the_rings_grouped_by_colour():
+    for n1, n2 in ALL_SIZES:
+        g = build_grid(build_workspace(n1, n2))
+        by_colour = [[], [], []]
+        for c in sorted(g.ring_of):
+            q, r = g.col_of[c] - g.row_of[c] // 2, g.row_of[c]
+            by_colour[(q - r) % 3].append(g.ring_of[c])
+        assert g.hex_covers == [cover for cover in by_colour if cover]

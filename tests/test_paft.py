@@ -369,9 +369,9 @@ def test_cell_partition_invariant():
     for seed in range(5):
         inst = random_discrete_instance(g, 8, seed)
         d_g = underestimated_makespan(inst)
-        part = build_cell_partition(g, d_g)
+        cell_of = build_cell_partition(g, d_g)
         for s, t in zip(inst.v_starts, inst.v_goals):
-            cs, ct = part.cell_of[s], part.cell_of[t]
+            cs, ct = cell_of[s], cell_of[t]
             assert abs(cs[0] - ct[0]) <= 1 and abs(cs[1] - ct[1]) <= 1
 
 

@@ -4,27 +4,46 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import sampled_min_distance
+from _oracles import MovingDisc, min_pair_distance, sampled_min_distance
+from conftest import kernel_min_distance
 from triroute.geometry import EDGE_LEN, Vec2
 from triroute.cli import main as cli_main
-from triroute.prover import (MovingDisc, SweepError, enumerate_annulus_cells,
+from triroute.prover import (SweepError, _annulus_cases,
                              enumerate_region_boxes, format_certificate,
-                             min_pair_distance, min_pair_distance_batch, verify)
+                             verify)
 
 SEP = 8.0 / 3.0
 WEDGE_AREA = EDGE_LEN / 6.0  # right triangle: vertex, edge midpoint, centroid
+
+
+def _annulus_cells(s_i: Vec2, epsilon: float
+                   ) -> list[tuple[Vec2, list[Vec2]]]:
+    """The sweep's cases around s_i grouped by cell: each cell center with
+    its candidate target vertices, in the sweep's order."""
+    s_j, v_j = _annulus_cases(np.array([s_i.x, s_i.y]), epsilon)
+    by_cell: dict[tuple[float, float], list[Vec2]] = {}
+    for (sx, sy), (vx, vy) in zip(s_j.tolist(), v_j.tolist()):
+        by_cell.setdefault((sx, sy), []).append(Vec2(vx, vy))
+    return [(Vec2(*k), cands) for k, cands in by_cell.items()]
+
+
+def _kernel(a: MovingDisc, b: MovingDisc) -> float:
+    a0, a1, b0, b1 = (np.array([[p.x, p.y]]) for p in (*a, *b))
+    return float(kernel_min_distance(a0, a1, b0, b1)[0])
 
 
 def test_min_pair_distance_head_on_stops_at_two():
     a = MovingDisc(Vec2(0, 0), Vec2(1, 0))
     b = MovingDisc(Vec2(4, 0), Vec2(3, 0))
     assert abs(min_pair_distance(a, b) - 2.0) < 1e-12
+    assert abs(_kernel(a, b) - 2.0) < 1e-12
 
 
 def test_min_pair_distance_stationary():
     a = MovingDisc(Vec2(0, 0), Vec2(0, 0))
     b = MovingDisc(Vec2(SEP, 0), Vec2(SEP, 0))
     assert abs(min_pair_distance(a, b) - SEP) < 1e-12
+    assert abs(_kernel(a, b) - SEP) < 1e-12
 
 
 def test_min_pair_distance_matches_dense_sampling():
@@ -32,7 +51,7 @@ def test_min_pair_distance_matches_dense_sampling():
     n = 20000
     pts = np.array([[rng.uniform(-3, 3) for _ in range(8)] for _ in range(n)])
     a0, a1, b0, b1 = pts[:, 0:2], pts[:, 2:4], pts[:, 4:6], pts[:, 6:8]
-    analytic = min_pair_distance_batch(a0, a1, b0, b1)
+    analytic = kernel_min_distance(a0, a1, b0, b1)
     samples = 10_000
     for i in range(0, n, 97):
         sampled = sampled_min_distance(a0[i], a1[i], b0[i], b1[i], samples)
@@ -44,7 +63,7 @@ def test_min_pair_distance_matches_dense_sampling():
         assert sampled**2 - analytic[i]**2 <= bound + 1e-12
         if analytic[i] > 0.1:
             assert abs(analytic[i] - sampled) < 1e-6
-    # scalar agrees with batch
+    # the one-pair oracle agrees with the kernel
     for i in range(0, n, 501):
         s = min_pair_distance(MovingDisc(Vec2(*a0[i]), Vec2(*a1[i])),
                               MovingDisc(Vec2(*b0[i]), Vec2(*b1[i])))
@@ -82,7 +101,7 @@ def test_region_boxes_reject_bad_epsilon():
 def test_annulus_cell_count_and_membership():
     eps = 0.025
     s_i = Vec2(0.3, 0.1)
-    cells = enumerate_annulus_cells(s_i, eps)
+    cells = _annulus_cells(s_i, eps)
     expected = math.ceil(2 * math.pi * (SEP + math.sqrt(2) * eps / 2)
                           / (math.sqrt(2) * eps))
     assert abs(len(cells) - expected) <= 1
@@ -130,7 +149,7 @@ def test_sweep_soundness_on_sampled_cases():
     boxes = enumerate_region_boxes(eps)
     for bi in range(0, len(boxes), 37):
         s_i = boxes[bi]
-        cells = enumerate_annulus_cells(s_i, eps)
+        cells = _annulus_cells(s_i, eps)
         s_j, cands = cells[rng.randrange(len(cells))]
         v_j = cands[0]
         base = min_pair_distance(MovingDisc(s_i, Vec2(0, 0)),
@@ -160,7 +179,7 @@ def test_sweep_coverage_of_admissible_pairs():
         sx, sy = x + SEP * math.cos(theta), y + SEP * math.sin(theta)
         box = min(boxes, key=lambda b: max(abs(b.x - x), abs(b.y - y)))
         assert max(abs(box.x - x), abs(box.y - y)) <= eps / 2 + 1e-12
-        cells = enumerate_annulus_cells(box, eps)
+        cells = _annulus_cells(box, eps)
         inside = any(
             abs(Vec2(sx, sy).dist(c) ) <= math.sqrt(2) * eps + 1e-9
             for c, _ in cells)

@@ -71,7 +71,9 @@ def test_synthesize_makespan_arithmetic():
     cp = synthesize(inst, g, plan, ss, sg)
     expected = ss.d_max + plan.T * EDGE_LEN + sg.d_max
     assert abs(cp.makespan - expected) < 1e-12
-    assert cp.snap_in == ss.d_max and cp.snap_out == sg.d_max
+    # snap-in ends at d_max of the starts; the grid phase then runs T edges
+    assert {p[1, 0] for p in cp.paths} == {ss.d_max}
+    assert {p[-2, 0] for p in cp.paths} == {ss.d_max + plan.T * EDGE_LEN}
 
 
 def test_synthesize_rejects_mismatched_endpoints(minimal_grid):
@@ -130,8 +132,7 @@ def test_validate_sharp_angle_concurrent_moves_collide(minimal_grid):
 def test_validate_boundary_clearance():
     ws = build_workspace(2, 3)
     traj = [[(0.0, Vec2(0.5, 3.0)), (1.0, Vec2(1.5, 3.0))]]
-    plan = ContinuousPlan.from_points(traj, makespan=1.0, snap_in=0,
-                                      grid_duration=1.0, snap_out=0)
+    plan = ContinuousPlan.from_points(traj, makespan=1.0)
     rep = validate(plan, ws)
     assert not rep.boundary_ok
     assert not rep.valid
@@ -194,8 +195,7 @@ def _shifted(cp, r, dx):
     """A copy of the plan with disc r's interior breakpoints moved by dx."""
     paths = [p.copy() for p in cp.paths]
     paths[r][1:-1, 1] += dx
-    return ContinuousPlan(paths, cp.makespan, cp.snap_in, cp.grid_duration,
-                          cp.snap_out)
+    return ContinuousPlan(paths, cp.makespan)
 
 
 def _same_report(plan, ws):
@@ -222,7 +222,7 @@ def test_validate_keeps_pairs_just_inside_the_threshold():
     traj = [[(0.5 * i, Vec2(10.0, 10.0)) for i in range(201)],
             [(0.5 * i, Vec2(13.0 - 0.0045 * i, 10.0)) for i in range(201)],
             [(0.0, Vec2(20.0, 3.0)), (100.0, Vec2(20.0, 14.0))]]
-    cp = ContinuousPlan.from_points(traj, 100.0, 0.0, 100.0, 0.0)
+    cp = ContinuousPlan.from_points(traj, 100.0)
     rep = _same_report(cp, ws)
     assert abs(rep.min_pair_clearance - 2.1) < 1e-9 and rep.valid
 
@@ -234,9 +234,8 @@ def test_validate_matches_reference_on_ilp_suite(ilp_suite):
 
 def _dense(grid, steps):
     """The plan's trajectories with a breakpoint at every step."""
-    makespan = (len(steps) - 1) * EDGE_LEN
-    return ContinuousPlan(dense_discrete_paths(grid, steps), makespan, 0.0,
-                          makespan, 0.0)
+    return ContinuousPlan(dense_discrete_paths(grid, steps),
+                          (len(steps) - 1) * EDGE_LEN)
 
 
 def test_validate_matches_reference_on_full_occupancy_paft(medium_grid,
@@ -294,8 +293,7 @@ def test_sparse_synthesis_matches_dense_plan(ilp_suite, medium_grid,
         inst = case[0]
         sparse = synthesize(*case)
         dense = ContinuousPlan.from_points(
-            reference_synthesize(*case, dense=True), sparse.makespan,
-            sparse.snap_in, sparse.grid_duration, sparse.snap_out)
+            reference_synthesize(*case, dense=True), sparse.makespan)
         _check_sparse_against_dense(sparse, dense, inst.workspace)
     sparse = synthesize_discrete(medium_grid, paft_full)
     dense = _dense(medium_grid, paft_full.steps)
@@ -319,8 +317,7 @@ def test_format_matches_reference_and_round_trips(ilp_suite, medium_grid,
 def test_format_writes_python_float_reprs():
     traj = [[(np.float64(0.0), Vec2(np.float64(1.0), np.float32(2.5))),
              (1.5, Vec2(-0.0, 0.1 + 0.2))]]
-    cp = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0.0,
-                                    grid_duration=1.5, snap_out=0.0)
+    cp = ContinuousPlan.from_points(traj, makespan=1.5)
     assert tio.format_continuous_plan(cp) == (
         "plan 1 continuous\nrobots 1\ndisc 1 2\n"
         "pt 0.0 1.0 2.5\npt 1.5 -0.0 0.30000000000000004\n")
@@ -331,8 +328,7 @@ def test_format_writes_python_float_reprs():
 
 def test_trajectories_view_and_assignment():
     traj = [[(0.0, Vec2(1.25, 2.5)), (1.5, Vec2(3.0, 2.5))]]
-    cp = ContinuousPlan.from_points(traj, makespan=1.5, snap_in=0.0,
-                                    grid_duration=1.5, snap_out=0.0)
+    cp = ContinuousPlan.from_points(traj, makespan=1.5)
     assert cp.trajectories == traj
     cp.trajectories[0].append((2.0, Vec2(0.0, 0.0)))   # a copy, not the plan
     assert cp.trajectories == traj
@@ -358,5 +354,5 @@ def test_max_segment_speed_matches_segment_loop(ilp_suite):
     traj = [[(0.0, Vec2(1.0, 1.0)), (0.0, Vec2(1.0, 1.0)),
              (2.0, Vec2(2.0, 1.0))],
             [(0.0, Vec2(9.0, 9.0)), (2.0, Vec2(9.0, 9.0))]]
-    cp = ContinuousPlan.from_points(traj, 2.0, 0.0, 2.0, 0.0)
+    cp = ContinuousPlan.from_points(traj, 2.0)
     assert max_segment_speed(cp) == 0.5
