@@ -9,6 +9,7 @@ synthesis, grid, sweep or generation failure, 5 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 import time
@@ -170,6 +171,27 @@ def cmd_prove(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # open the outputs first, so a bad path fails before anything is solved
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else None
+        plot = stack.enter_context(open(args.plot, "w")) if args.plot else None
+        rows = _bench_rows(args)
+        header = ["method", "n", "mean_time", "ratio", "failures"]
+        lines = ["\t".join(header)]
+        for r in rows:
+            lines.append("\t".join([r["method"], str(r["n"]),
+                                    f"{r['mean_time']:.6f}", f"{r['ratio']:.6f}",
+                                    str(r["failures"])]))
+        table = "\n".join(lines) + "\n"
+        if out:
+            out.write(table)
+        print(table, end="")
+        if plot:
+            plot.write(trender.render_benchmark(rows))
+    return EXIT_OK
+
+
+def _bench_rows(args) -> list[dict]:
     rows = []
     for ws in args.sizes:
         grid = build_grid(ws)
@@ -203,21 +225,7 @@ def cmd_bench(args) -> int:
                              "n2": ws.n2, "mean_time": mean_time,
                              "ratio": optimality_metrics(steps).aggregate,
                              "failures": failures})
-    header = ["method", "n", "mean_time", "ratio", "failures"]
-    lines = ["\t".join(header)]
-    for r in rows:
-        lines.append("\t".join([r["method"], str(r["n"]),
-                                f"{r['mean_time']:.6f}", f"{r['ratio']:.6f}",
-                                str(r["failures"])]))
-    table = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(table)
-    print(table, end="")
-    if args.plot:
-        with open(args.plot, "w") as f:
-            f.write(trender.render_benchmark(rows))
-    return EXIT_OK
+    return rows
 
 
 def cmd_render(args) -> int:

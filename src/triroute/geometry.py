@@ -24,7 +24,8 @@ also carries two families of vertex-disjoint paths: "horizontal" waving
 paths that cover every vertex, and "vertical" column-pair waves that
 miss the rightmost column.  Built on first use and kept with the grid:
 the vertex coordinates (``TriGrid.coords``), the directed arcs of the
-ILP model (``TriGrid.arcs``) and, per source asked for, one BFS row of
+ILP model (``TriGrid.arcs``) with the exhaustive search's conflict-bit
+table (``Arcs.successors``) and, per source asked for, one BFS row of
 hop distances (``TriGrid.hops_from``, V int64) that every lower bound,
 pruning mask and goal potential reads.
 """
@@ -180,6 +181,36 @@ class Arcs:
                    triangle=np.stack([arc_of[a, b], arc_of[b, a], arc_of[a, c],
                                       arc_of[c, a], arc_of[b, c], arc_of[c, b]],
                                      1))
+
+    @cached_property
+    def successors(self) -> tuple[tuple, int]:
+        """(arc, head, conflict bits at step 0) of each arc leaving each
+        vertex, and the bits per step S; built on first use and kept.
+
+        Step t owns bits [t*S, (t+1)*S): one per vertex occupied at t, then
+        one per edge and one per triangle a move between t and t+1 uses.
+        An arc sets its head at step t+1 and, when it moves, its edge and
+        the triangles on that edge.  Two time-expanded walks obey the ILP's
+        vertex, edge and triangle rows together exactly when their masks
+        share no bit.
+        """
+        return _successor_bits(self)
+
+
+def _successor_bits(arcs: Arcs) -> tuple[tuple, int]:
+    """Builds ``Arcs.successors``."""
+    V, E, A = len(arcs.out), len(arcs.edge), len(arcs.tail)
+    S = V + E + len(arcs.triangle)
+    bits = [1 << (S + h) for h in arcs.head.tolist()]
+    for e, pair in enumerate(arcs.edge.tolist()):
+        for a in pair:
+            bits[a] |= 1 << (V + e)
+    for f, six in enumerate(arcs.triangle.tolist()):
+        for a in six:
+            bits[a] |= 1 << (V + E + f)
+    head = arcs.head.tolist()
+    return tuple(tuple((a, head[a], bits[a]) for a in row if a < A)
+                 for row in arcs.out.tolist()), S
 
 
 def build_workspace(n1: int, n2: int) -> Workspace:

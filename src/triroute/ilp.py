@@ -14,8 +14,13 @@ Constraint families:
   origin     no step-0 departure from a vertex other than the start
              (emitted only where such columns exist, i.e. unpruned)
 
-The model is held as arrays: one (robot, i, j, t) row per column and
-the constraint rows in COO form.  Reachability pruning drops x_{r,i,j,t}
+The model is held as arrays: one (robot, i, j, t) row per column and a
+column lookup per (robot, step, arc).  The constraint rows, in COO form,
+are built on the first read of ``IlpModel.constraints`` and kept; only
+``export_lp`` builds and reads them on the solve path.  The exhaustive
+search reads the columns and the grid's conflict-bit table
+(``Arcs.successors``), ``parse_solution`` the column names and
+``extract_plan`` the columns.  Reachability pruning drops x_{r,i,j,t}
 when i is not reachable from the start in t steps or the goal is not
 reachable from j in the remaining steps.  ``extract_plan`` checks a
 solution's walks before it turns them into a plan.
@@ -28,6 +33,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,12 +88,16 @@ class IlpModel:
     index: np.ndarray        # (n, T, A + 1): column of robot r on arc a at
                              # step t, -1 when pruned (slot A is padding)
     variables: np.ndarray    # (m, 4): robot, i, j, t of each column
-    constraints: Rows
     pruned_count: int
 
     @property
     def n(self) -> int:
         return self.inst.n
+
+    @cached_property
+    def constraints(self) -> Rows:
+        """The constraint rows, built on first read and kept."""
+        return _constraint_rows(self)
 
 
 @dataclass
@@ -112,8 +122,6 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     n, V = inst.n, grid.n_vertices
     arcs = grid.arcs
     A = len(arcs.tail)
-    starts = np.array(inst.v_starts, dtype=int)
-    goals = np.array(inst.v_goals, dtype=int)
     if prune:
         ends = (*inst.v_starts, *inst.v_goals)
         fwd, bwd = np.array([grid.hops_from(v) for v in ends]).reshape(2, n, V)
@@ -128,7 +136,16 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     index[:, :, :A] = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
     r, t, a = np.nonzero(keep)
     variables = np.stack([r, arcs.tail[a], arcs.head[a], t], 1)
+    return IlpModel(inst=inst, T=T, arcs=arcs, index=index, variables=variables,
+                    pruned_count=int(keep.size - keep.sum()))
 
+
+def _constraint_rows(model: IlpModel) -> Rows:
+    """Builds ``IlpModel.constraints``."""
+    n, T, arcs, index = model.n, model.T, model.arcs, model.index
+    V, A = len(arcs.out), len(arcs.tail)
+    starts = np.array(model.inst.v_starts, dtype=int)
+    goals = np.array(model.inst.v_goals, dtype=int)
     # Candidate rows hold +-(column + 1) per term, 0 where pruned.  Rows
     # and terms come in the order export_lp writes them, which the
     # external solver's run time depends on.
@@ -158,16 +175,13 @@ def build_model(inst: DiscreteInstance, T: int, prune: bool = True) -> IlpModel:
     # flow rows (= 0) are kept when they have a term, boundary rows (= 1)
     # always: an empty one makes the model infeasible
     is_boundary = np.tile(np.r_[np.zeros(n_flow, dtype=int), 1, 1], n)
-    constraints = _rows([
+    return _rows([
         (per_robot.reshape(n * (n_flow + 2), 2 * W), 1 - is_boundary, EQ,
          is_boundary),
         (per_step.reshape(T * (V + E + F), n * W),
          np.tile(np.r_[np.ones(V, dtype=int), np.full(E + F, 2)], T), LE, 1),
         (origin, 1, EQ, 0),
     ])
-    return IlpModel(inst=inst, T=T, arcs=arcs, index=index, variables=variables,
-                    constraints=constraints,
-                    pruned_count=int(keep.size - keep.sum()))
 
 
 def _rows(blocks) -> Rows:
@@ -234,31 +248,6 @@ def solve(model: IlpModel, backend: str = "exhaustive",
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _successors(model: IlpModel) -> tuple[list[list[tuple[int, int, int]]], int]:
-    """(arc, head, conflict bits at step 0) of each arc leaving each
-    vertex, and the bits per step S.
-
-    Step t owns bits [t*S, (t+1)*S): one per vertex occupied at t, then
-    one per edge and one per triangle a move between t and t+1 uses.  An
-    arc sets its head at step t+1 and, when it moves, its edge and the
-    triangles on that edge.  Two walks obey the vertex, edge and
-    triangle rows together exactly when their masks share no bit.
-    """
-    arcs = model.arcs
-    V, E, A = len(arcs.out), len(arcs.edge), len(arcs.tail)
-    S = V + E + len(arcs.triangle)
-    bits = [1 << (S + h) for h in arcs.head.tolist()]
-    for e, pair in enumerate(arcs.edge.tolist()):
-        for a in pair:
-            bits[a] |= 1 << (V + e)
-    for f, six in enumerate(arcs.triangle.tolist()):
-        for a in six:
-            bits[a] |= 1 << (V + E + f)
-    head = arcs.head.tolist()
-    return [[(a, head[a], bits[a]) for a in row if a < A]
-            for row in arcs.out.tolist()], S
-
-
 def _robot_walks(model: IlpModel, r: int, succ, S: int
                  ) -> list[tuple[int, tuple[int, ...], int]]:
     """(moves, vertex sequence, conflict mask) of every walk robot r can
@@ -295,7 +284,7 @@ def _search(choices: list[list[int]]) -> list[int] | None:
 
 
 def _solve_exhaustive(model: IlpModel) -> Solution:
-    succ, S = _successors(model)
+    succ, S = model.arcs.successors
     walks = [_robot_walks(model, r, succ, S) for r in range(model.n)]
     goals = model.inst.v_goals
     order = sorted(range(model.n), key=lambda r: len(walks[r]))

@@ -667,6 +667,43 @@ def test_grid_tables_built_once_per_search(monkeypatch):
     assert len(arc_tables) == 1 and len(bfs) == searched
 
 
+def test_conflict_table_built_once_per_grid(monkeypatch):
+    # two horizons and a second instance on the same grid read one kept
+    # conflict-bit table, equal to the table of a fresh grid
+    from triroute import geometry
+    built = []
+    bits = geometry._successor_bits
+    monkeypatch.setattr(geometry, "_successor_bits",
+                        lambda arcs: built.append(arcs) or bits(arcs))
+    inst = _dense((2, 3), 6, 2)
+    plan, rep = solve_triilp(inst)
+    assert rep.iterations == 2
+    back = DiscreteInstance(grid=inst.grid, v_starts=inst.v_goals,
+                            v_goals=inst.v_starts)
+    solve_triilp(back)
+    assert len(built) == 1 and built[0] is inst.grid.arcs
+    table = inst.grid.arcs.successors
+    assert table is inst.grid.arcs.successors
+    assert table == build_grid(build_workspace(2, 3)).arcs.successors
+
+
+def test_default_solve_builds_no_lp_rows(monkeypatch):
+    # the exhaustive search reads no row; export builds them once per model
+    built = []
+    rows = ilp._constraint_rows
+    monkeypatch.setattr(ilp, "_constraint_rows",
+                        lambda model: built.append(model) or rows(model))
+    inst = _dense((2, 3), 6, 2)
+    plan, rep = solve_triilp(inst)
+    assert (rep.makespan, rep.iterations) == (5, 2)
+    assert built == []
+    model = build_model(inst, rep.makespan)
+    text = export_lp(model)
+    assert len(built) == 1 and built[0] is model
+    assert export_lp(model) == text
+    assert len(built) == 1
+
+
 def test_few_discs_search_only_their_own_ends(monkeypatch):
     # a sparse model on a 200-vertex grid runs one BFS per start and goal,
     # not one per vertex
