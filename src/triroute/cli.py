@@ -25,7 +25,7 @@ from .paft import (InfeasibleInstanceError, PlannerInvariantError, SwapEngine,
                    SwapSearchError, isag, paft)
 from .plan import DiscretePlan
 from .prover import SweepError, format_certificate, verify
-from .triilp import (HorizonExceededError, SolveReport, solve_split,
+from .triilp import (HorizonExceededError, SolveReport, _ratio, solve_split,
                      solve_triilp, underestimated_makespan)
 from .validate import (SynthesisError, optimality_metrics, synthesize,
                        validate)
@@ -98,9 +98,8 @@ def _run_method(method: tuple[str, int | None], dinst, backend: str,
     else:
         plan, rep = paft(dinst, engine)
         lo = rep.max_goal_distance
-    ratio = 1.0 if lo == 0 else plan.T / lo
     return plan, SolveReport(makespan=plan.T, underestimate=lo,
-                             optimality_ratio=ratio,
+                             optimality_ratio=_ratio(plan.T, lo),
                              wall_time=time.perf_counter() - t0, iterations=0)
 
 

@@ -23,11 +23,15 @@ lie on no hexagon, and the covers reach every other vertex.  The grid
 also carries two families of vertex-disjoint paths: "horizontal" waving
 paths that cover every vertex, and "vertical" column-pair waves that
 miss the rightmost column.  Built on first use and kept with the grid:
-the vertex coordinates (``TriGrid.coords``), the directed arcs of the
-ILP model (``TriGrid.arcs``) with the exhaustive search's conflict-bit
-table (``Arcs.successors``) and, per source asked for, one BFS row of
-hop distances (``TriGrid.hops_from``, V int64) that every lower bound,
+the vertex coordinates (``TriGrid.coords``), the directed arcs
+(``TriGrid.arcs``) and, per source asked for, one BFS row of hop
+distances (``TriGrid.hops_from``, V int64) that every lower bound,
 pruning mask and goal potential reads.
+
+The arcs carry the model's per-step exclusions as one rule table
+(``Arcs.at_most_one``) that the ILP's rows, the exhaustive search's
+conflict bits and ``plan.check_plan`` all read.  ``bfs_distances`` is
+the only BFS and ``bfs_path`` the only path rule.
 """
 
 from __future__ import annotations
@@ -146,16 +150,19 @@ class TriGrid:
 @dataclass(frozen=True)
 class Arcs:
     """The grid's directed arcs i -> j, j in the closed neighbourhood of i
-    (a stay is the arc i -> i), numbered in (i, j) order.  The lookup
-    tables are padded with A, one past the last arc."""
+    (a stay is the arc i -> i), numbered in (i, j) order, and the
+    per-step exclusion rules over them.  The lookup tables are padded
+    with A, one past the last arc."""
 
     tail: np.ndarray      # (A,)
     head: np.ndarray      # (A,)
     arc_of: np.ndarray    # (V, V): arc i -> j, A where there is none
     out: np.ndarray       # (V, W): arcs leaving each vertex, by head
     into: np.ndarray      # (V, W): arcs entering each vertex, by tail
-    edge: np.ndarray      # (E, 2): arcs (i, j), (j, i) of each edge i < j
-    triangle: np.ndarray  # (F, 6): (a,b) (b,a) (a,c) (c,a) (b,c) (c,b)
+    # (V + E + F, K): per step, at most one arc of each row is taken.
+    # Vertex rows are ``out`` (one departure), edge rows (i, j) (j, i)
+    # (no head-on swap), triangle rows (a,b) (b,a) (a,c) (c,a) (b,c) (c,b)
+    at_most_one: np.ndarray
 
     @classmethod
     def of(cls, grid: TriGrid) -> "Arcs":
@@ -174,43 +181,39 @@ class Arcs:
         nbr[~pad] = head
         into = arc_of[nbr, np.arange(V)[:, None]]
         e = np.array(grid.edges, dtype=int).reshape(-1, 2)
-        a, b, c = np.array(grid.triangles, dtype=int).reshape(-1, 3).T
+        f = np.array(grid.triangles, dtype=int).reshape(-1, 3)
+        at_most_one = np.full((V + len(e) + len(f), max(W, 6)), A)
+        at_most_one[:V, :W] = out
+        at_most_one[V:V + len(e), :2] = arc_of[e, e[:, ::-1]]
+        at_most_one[V + len(e):, :6] = arc_of[f[:, [0, 1, 0, 2, 1, 2]],
+                                              f[:, [1, 0, 2, 0, 2, 1]]]
         return cls(tail=tail, head=head, arc_of=arc_of[:V], out=out, into=into,
-                   edge=np.stack([arc_of[e[:, 0], e[:, 1]],
-                                  arc_of[e[:, 1], e[:, 0]]], 1),
-                   triangle=np.stack([arc_of[a, b], arc_of[b, a], arc_of[a, c],
-                                      arc_of[c, a], arc_of[b, c], arc_of[c, b]],
-                                     1))
+                   at_most_one=at_most_one)
 
     @cached_property
     def successors(self) -> tuple[tuple, int]:
         """(arc, head, conflict bits at step 0) of each arc leaving each
         vertex, and the bits per step S; built on first use and kept.
 
-        Step t owns bits [t*S, (t+1)*S): one per vertex occupied at t, then
-        one per edge and one per triangle a move between t and t+1 uses.
-        An arc sets its head at step t+1 and, when it moves, its edge and
-        the triangles on that edge.  Two time-expanded walks obey the ILP's
-        vertex, edge and triangle rows together exactly when their masks
-        share no bit.
+        Step t owns bits [t*S, (t+1)*S), bit p for row p of
+        ``at_most_one``: an arc taken between t and t+1 sets the bit of
+        every row that holds it, so bit p at step t is the ILP's row
+        (t, p).  Two time-expanded walks obey those rows together
+        exactly when their masks share no bit.
         """
         return _successor_bits(self)
 
 
 def _successor_bits(arcs: Arcs) -> tuple[tuple, int]:
     """Builds ``Arcs.successors``."""
-    V, E, A = len(arcs.out), len(arcs.edge), len(arcs.tail)
-    S = V + E + len(arcs.triangle)
-    bits = [1 << (S + h) for h in arcs.head.tolist()]
-    for e, pair in enumerate(arcs.edge.tolist()):
-        for a in pair:
-            bits[a] |= 1 << (V + e)
-    for f, six in enumerate(arcs.triangle.tolist()):
-        for a in six:
-            bits[a] |= 1 << (V + E + f)
+    A = len(arcs.tail)
+    bits = [0] * (A + 1)                  # slot A collects the padding
+    for p, row in enumerate(arcs.at_most_one.tolist()):
+        for a in row:
+            bits[a] |= 1 << p
     head = arcs.head.tolist()
     return tuple(tuple((a, head[a], bits[a]) for a in row if a < A)
-                 for row in arcs.out.tolist()), S
+                 for row in arcs.out.tolist()), len(arcs.at_most_one)
 
 
 def build_workspace(n1: int, n2: int) -> Workspace:
@@ -362,8 +365,10 @@ def nearest_vertex(g: TriGrid, p: Vec2) -> int:
     return best[1]
 
 
-def bfs_distances(g: TriGrid, source: int) -> list[int]:
-    """Hop distances from source to every vertex (-1 if unreachable)."""
+def bfs_distances(g: TriGrid, source: int, blocked=()) -> list[int]:
+    """Hop distances from source to every vertex (-1 if unreachable),
+    over paths that enter no blocked vertex (the source is always 0)."""
+    blocked = set(blocked)
     dist = [-1] * g.n_vertices
     dist[source] = 0
     frontier = [source]
@@ -371,21 +376,25 @@ def bfs_distances(g: TriGrid, source: int) -> list[int]:
         nxt = []
         for u in frontier:
             for v in g.adjacency[u]:
-                if dist[v] < 0:
+                if dist[v] < 0 and v not in blocked:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
     return dist
 
 
-def bfs_path(g: TriGrid, source: int, target: int) -> list[int]:
-    """A shortest path, deterministic (lowest-id parent wins)."""
-    dist = g.hops_from(source).tolist()
-    if dist[target] < 0:
-        raise ValueError("target unreachable")
-    path, cur = [target], target
-    while cur != source:
-        cur = min(v for v in g.adjacency[cur] if dist[v] == dist[cur] - 1)
-        path.append(cur)
-    path.reverse()
+def bfs_path(g: TriGrid, source: int, target: int, blocked=()) -> list[int]:
+    """A shortest path whose inner vertices avoid the blocked set.  It is
+    rooted at the target: from the source, each step goes to the
+    lowest-id neighbour one hop closer to the target."""
+    blocked = set(blocked) - {source}
+    dist = (bfs_distances(g, target, blocked) if blocked
+            else g.hops_from(target).tolist())
+    if dist[source] < 0:
+        raise ValueError(f"no path {source}->{target} avoiding "
+                         f"{sorted(blocked)}")
+    path = [source]
+    while path[-1] != target:
+        cur = path[-1]
+        path.append(min(v for v in g.adjacency[cur] if dist[v] == dist[cur] - 1))
     return path

@@ -14,12 +14,18 @@ Constraint families:
   origin     no step-0 departure from a vertex other than the start
              (emitted only where such columns exist, i.e. unpruned)
 
+The vertex, edge and triangle rows of step t are the rows of the grid's
+rule table ``Arcs.at_most_one`` over every robot's step-t columns; a
+vertex row is written when it has a term, an edge or triangle row when
+it has two.
+
 The model is held as arrays: one (robot, i, j, t) row per column and a
 column lookup per (robot, step, arc).  The constraint rows, in COO form,
 are built on the first read of ``IlpModel.constraints`` and kept; only
 ``export_lp`` builds and reads them on the solve path.  The exhaustive
-search reads the columns and the grid's conflict-bit table
-(``Arcs.successors``), ``parse_solution`` the column names and
+search reads the columns and the grid's conflict bits
+(``Arcs.successors``), whose bit p at step t is row (t, p) of that
+table; ``parse_solution`` reads the column names and
 ``extract_plan`` the columns.  Reachability pruning drops x_{r,i,j,t}
 when i is not reachable from the start in t steps or the goal is not
 reachable from j in the remaining steps.  ``extract_plan`` checks a
@@ -160,15 +166,10 @@ def _constraint_rows(model: IlpModel) -> Rows:
     boundary[:, 1, :W] = s[robots, T - 1, into[goals]]
     n_flow = (T - 1) * V
     per_robot = np.concatenate([flow.reshape(n, n_flow, 2 * W), boundary], 1)
-    # per step: the vertex, edge and triangle rows over all robots
-    E, F = len(arcs.edge), len(arcs.triangle)
-    per_step = np.zeros((T, V + E + F, n * W), dtype=int)
-    lo = 0
-    for arc_rows in (out, arcs.edge, arcs.triangle):
-        hi, width = lo + len(arc_rows), n * arc_rows.shape[1]
-        per_step[:, lo:hi, :width] = (s[:, :, arc_rows].transpose(1, 2, 0, 3)
-                                      .reshape(T, hi - lo, width))
-        lo = hi
+    # per step: the grid's vertex, edge and triangle rows over all robots
+    table = arcs.at_most_one
+    R, K = table.shape
+    per_step = s[:, :, table].transpose(1, 2, 0, 3).reshape(T * R, n * K)
     # only unpruned models have step-0 columns away from the start
     origin = np.where(arcs.tail != starts[:, None], s[:, 0, :A], 0)
 
@@ -178,8 +179,8 @@ def _constraint_rows(model: IlpModel) -> Rows:
     return _rows([
         (per_robot.reshape(n * (n_flow + 2), 2 * W), 1 - is_boundary, EQ,
          is_boundary),
-        (per_step.reshape(T * (V + E + F), n * W),
-         np.tile(np.r_[np.ones(V, dtype=int), np.full(E + F, 2)], T), LE, 1),
+        (per_step, np.tile(np.r_[np.ones(V, dtype=int), np.full(R - V, 2)], T),
+         LE, 1),
         (origin, 1, EQ, 0),
     ])
 
@@ -253,8 +254,7 @@ def _robot_walks(model: IlpModel, r: int, succ, S: int
     """(moves, vertex sequence, conflict mask) of every walk robot r can
     follow through the model's columns, fewest moves first, then
     lexicographic."""
-    start = model.inst.v_starts[r]
-    walks = [(0, (start,), 1 << start)]
+    walks = [(0, (model.inst.v_starts[r],), 0)]
     for t, cols in enumerate(model.index[r].tolist()):
         shift = t * S
         walks = [(moves + (v != w[-1]), w + (v,), mask | bits << shift)

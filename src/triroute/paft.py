@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import EDGE_LEN, TriGrid
+from .geometry import EDGE_LEN, TriGrid, bfs_distances, bfs_path
 from .plan import DiscretePlan
-from .triilp import underestimated_makespan
+from .triilp import _ratio, underestimated_makespan
 
 
 class InfeasibleInstanceError(ValueError):
@@ -217,32 +217,6 @@ class SwapEngine:
         return sched
 
 
-def _avoid_path(grid: TriGrid, source: int, target: int,
-                forbidden: set[int]) -> list[int]:
-    """Deterministic shortest path staying off the forbidden set."""
-    if source == target:
-        return [source]
-    prev = {source: -1}
-    frontier = [source]
-    while frontier and target not in prev:
-        nxt = []
-        for u in frontier:
-            for v in grid.adjacency[u]:
-                if v in prev or (v in forbidden and v != target):
-                    continue
-                prev[v] = u
-                nxt.append(v)
-        frontier = nxt
-    if target not in prev:
-        raise SwapSearchError(
-            f"no path {source}->{target} avoiding {sorted(forbidden)}")
-    path = [target]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 class _Router:
     """Occupancy state plus plan recording shared by isag and paft.
 
@@ -318,34 +292,29 @@ class _Router:
     # sequential single-disc machinery (boundary corners)
 
     def _nearest_hole(self, target: int, forbidden: set[int]) -> int:
-        seen = {target}
-        frontier = [target]
-        while frontier:
-            for u in frontier:
-                if self.occ[u] == -1 and u not in forbidden:
-                    return u
-            nxt = []
-            for u in frontier:
-                for v in self.grid.adjacency[u]:
-                    if v not in seen and v not in forbidden:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = sorted(nxt)
-        raise SwapSearchError(f"no reachable hole near {target}")
+        """The empty vertex closest to target off the forbidden set,
+        lowest id first."""
+        dist = bfs_distances(self.grid, target, forbidden)
+        holes = [(d, u) for u, d in enumerate(dist)
+                 if d >= 0 and self.occ[u] == -1 and u not in forbidden]
+        if not holes:
+            raise SwapSearchError(f"no reachable hole near {target}")
+        return min(holes)[1]
 
     def walk_hole(self, hole: int, target: int, forbidden: set[int]) -> None:
         """Move the empty slot to target; passed discs shift one step."""
-        path = _avoid_path(self.grid, hole, target, forbidden)
         cur = hole
-        for w in path[1:]:
+        for w in bfs_path(self.grid, hole, target, forbidden)[1:]:
             self.apply_step([(w, cur)])
             cur = w
 
     def place_disc(self, d: int, target: int, forbidden: set[int]) -> None:
         """Roll disc d to target with single moves, never entering forbidden."""
         while self.pos[d] != target:
-            path = _avoid_path(self.grid, self.pos[d], target, forbidden)
-            w = path[1]
+            try:
+                w = bfs_path(self.grid, self.pos[d], target, forbidden)[1]
+            except ValueError as exc:
+                raise SwapSearchError(str(exc)) from None
             protect = forbidden | {self.pos[d]}
             hole = self._nearest_hole(w, protect)
             self.walk_hole(hole, w, protect)
@@ -573,7 +542,7 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
     d_g = underestimated_makespan(inst)
     if d_g == 0:
         plan = DiscretePlan.from_steps([inst.v_starts])
-        return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=0.0,
+        return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=1.0,
                                 cell_count=1, circulation_steps=0,
                                 swap_constant=0)
     cell_count = len(set(build_cell_partition(inst.grid, d_g)))
@@ -582,6 +551,6 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
         cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
     plan, circ, c_swap = _route(inst, engine, cap)
     return plan, PaftReport(makespan=plan.T, max_goal_distance=d_g,
-                            ratio=plan.T / max(1, d_g),
+                            ratio=_ratio(plan.T, d_g),
                             cell_count=cell_count,
                             circulation_steps=circ, swap_constant=c_swap)

@@ -5,7 +5,9 @@ vertex at step t.  ``DiscretePlan.steps`` rebuilds the rows as tuples
 for readers that want them.  A step is legal when per-robot motion is
 along an edge or a stay, positions stay injective, no edge is crossed
 in both directions at once, and no two robots move within the same
-lattice triangle (the sharp-angle exclusion).
+lattice triangle (the sharp-angle exclusion).  ``check_plan`` counts
+the moves of every step in the edge and triangle rows of the grid's
+rule table ``Arcs.at_most_one``, the table the ILP's rows come from.
 """
 
 from __future__ import annotations
@@ -52,14 +54,6 @@ class DiscretePlan:
         return self.positions.shape[1]
 
 
-def _edge_triangle_map(grid: TriGrid) -> dict[tuple[int, int], list[int]]:
-    m: dict[tuple[int, int], list[int]] = {}
-    for tid, (a, b, c) in enumerate(grid.triangles):
-        for e in ((a, b), (a, c), (b, c)):
-            m.setdefault(e, []).append(tid)
-    return m
-
-
 def check_plan(grid: TriGrid, plan: DiscretePlan,
                v_starts: tuple[int, ...] | None = None,
                v_goals: tuple[int, ...] | None = None) -> list[str]:
@@ -76,27 +70,35 @@ def check_plan(grid: TriGrid, plan: DiscretePlan,
     if v_goals is not None and pos[-1].tolist() != list(v_goals):
         errors.append(f"step {plan.T} does not match goal configuration")
 
-    etri = _edge_triangle_map(grid)
-    adj = [set(a) for a in grid.adjacency]
-    moved = pos[1:] != pos[:-1]
-    for t in np.flatnonzero(moved.any(1)).tolist():
-        moves = []
-        for r in np.flatnonzero(moved[t]).tolist():
-            u, v = int(pos[t, r]), int(pos[t + 1, r])
-            if v not in adj[u]:
-                errors.append(f"step {t}: robot {r} jumps {u}->{v}")
-                continue
-            moves.append((r, u, v))
-        directed = {(u, v) for _, u, v in moves}
-        for r, u, v in moves:
-            if (v, u) in directed:
-                errors.append(f"step {t}: head-on exchange on edge ({u},{v})")
-        tri_count: dict[int, int] = {}
-        for _, u, v in moves:
-            for tid in etri.get((min(u, v), max(u, v)), ()):
-                tri_count[tid] = tri_count.get(tid, 0) + 1
-        for tid, cnt in tri_count.items():
-            if cnt > 1:
-                errors.append(
-                    f"step {t}: {cnt} concurrent moves on triangle {grid.triangles[tid]}")
+    arcs = grid.arcs
+    A, V, E = len(arcs.tail), len(arcs.out), len(grid.edges)
+    t, r = np.nonzero(pos[1:] != pos[:-1])
+    u, v = pos[t, r], pos[t + 1, r]
+    arc = arcs.arc_of[u, v]
+    jump = arc == A
+    errors += [f"step {s}: robot {d} jumps {a}->{b}" for s, d, a, b in
+               zip(*(x[jump].tolist() for x in (t, r, u, v)))]
+    # every legal move counts once in each edge and triangle row holding
+    # its arc: one edge row and one or two triangle rows
+    rules = arcs.at_most_one[V:]
+    R = len(rules)
+    p, k = np.nonzero(rules < A)
+    by_arc = np.argsort(rules[p, k], kind="stable")
+    rule_arc, rule = rules[p, k][by_arc], p[by_arc]
+    t, arc = t[~jump], arc[~jump]
+    lo = np.searchsorted(rule_arc, arc)
+    count = np.searchsorted(rule_arc, arc, "right") - lo
+    # entries lo .. lo + count - 1 of the rule list, move after move
+    held = rule[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo,
+                                                   count)]
+    key, moves = np.unique(np.repeat(t, count) * R + held, return_counts=True)
+    over = moves > 1
+    for s, q, m in zip((key[over] // R).tolist(), (key[over] % R).tolist(),
+                       moves[over].tolist()):
+        if q < E:
+            i, j = grid.edges[q]
+            errors.append(f"step {s}: head-on exchange on edge ({i},{j})")
+        else:
+            errors.append(f"step {s}: {m} concurrent moves on triangle "
+                          f"{grid.triangles[q - E]}")
     return errors

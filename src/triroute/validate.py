@@ -177,9 +177,6 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
         tail = []
         if makespan > lt + 1e-15 or (lx, ly) != (g.x, g.y):
             tail.append((makespan, g.x, g.y))
-            lt = makespan
-        if lt < makespan - 1e-15:
-            tail.append((makespan, g.x, g.y))
         paths.append(np.concatenate(
             (np.array(head), body[r], np.array(tail).reshape(-1, 3))))
     return ContinuousPlan(paths, makespan)

@@ -3,8 +3,10 @@ import hashlib
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from _oracles import (brute_nearest, enumerate_sharp_angles,
                       joint_bfs_makespan, lattice_count)
@@ -329,6 +331,41 @@ def test_bfs_helpers(minimal_grid):
     assert len(path) - 1 == dist[13]
     for a, b in zip(path, path[1:]):
         assert b in g.adjacency[a]
+
+
+BFS_GRIDS = [build_grid(build_workspace(*ws)) for ws in ((2, 3), (4, 5), (6, 7))]
+
+
+@given(st.data())
+def test_bfs_matches_networkx_off_blocked_vertices(data):
+    g = data.draw(st.sampled_from(BFS_GRIDS))
+    V = g.n_vertices
+    source, target = (data.draw(st.integers(0, V - 1)) for _ in range(2))
+    blocked = data.draw(st.sets(st.integers(0, V - 1), max_size=9))
+    lattice = nx.Graph(g.edges)
+
+    # distances never enter a blocked vertex; the source is always 0
+    hops = nx.single_source_shortest_path_length(
+        lattice.subgraph(set(range(V)) - (blocked - {source})), source)
+    assert bfs_distances(g, source, blocked) == [hops.get(v, -1)
+                                                for v in range(V)]
+
+    # a path's inner vertices avoid the blocked set, its ends need not
+    free = lattice.subgraph(set(range(V)) - (blocked - {source, target}))
+    to_target = nx.single_source_shortest_path_length(free, target)
+    if source not in to_target:
+        with pytest.raises(ValueError):
+            bfs_path(g, source, target, blocked)
+        return
+    path = bfs_path(g, source, target, blocked)
+    assert (path[0], path[-1]) == (source, target)
+    assert len(path) - 1 == to_target[source]
+    assert not blocked & set(path[1:-1])
+    for a, b in zip(path, path[1:]):
+        assert lattice.has_edge(a, b)
+        # rooted at the target: the lowest-id neighbour one hop closer
+        assert b == min(w for w in g.adjacency[a]
+                        if to_target.get(w) == to_target[a] - 1)
 
 
 def test_hop_rows_match_single_robot_search():

@@ -646,15 +646,21 @@ def test_one_walk_search_per_horizon(monkeypatch):
 def test_grid_tables_built_once_per_search(monkeypatch):
     # two horizons: one arc table and one BFS per distinct start or goal,
     # all on the first search of a fresh grid; later searches and PAFT on
-    # the same grid read the kept rows
+    # the same grid read the kept rows (PAFT's corner staging also runs
+    # BFS around blocked vertices, which are not kept and not counted)
     from triroute import geometry
     from triroute.paft import paft
     arc_tables, bfs = [], []
     of, distances = geometry.Arcs.of.__func__, geometry.bfs_distances
     monkeypatch.setattr(geometry.Arcs, "of", classmethod(
         lambda cls, grid: arc_tables.append(1) or of(cls, grid)))
-    monkeypatch.setattr(geometry, "bfs_distances",
-                        lambda grid, v: bfs.append(v) or distances(grid, v))
+
+    def counted(grid, v, blocked=()):
+        if not blocked:
+            bfs.append(v)
+        return distances(grid, v, blocked)
+
+    monkeypatch.setattr(geometry, "bfs_distances", counted)
     inst = _dense((2, 3), 6, 2)
     plan, rep = solve_triilp(inst)
     assert rep.iterations == 2

@@ -382,6 +382,7 @@ def test_paft_identity():
     plan, rep = paft(inst)
     assert rep.makespan == 0
     assert rep.max_goal_distance == 0
+    assert rep.ratio == 1.0
 
 
 def test_paft_single_cell_degenerates_to_isag(minimal_grid):

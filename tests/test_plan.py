@@ -2,9 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import reference_format_discrete_plan
+from _oracles import (_edge_tri_map, _legal_transition,
+                      reference_format_discrete_plan)
 from triroute import io as tio
+from triroute.geometry import build_grid, build_workspace
 from triroute.plan import DiscretePlan, check_plan
 
 # sha256 of the discrete plan text, recorded when plans were lists of
@@ -85,3 +88,40 @@ def test_check_plan_reports_each_rule(minimal_grid):
     assert check_plan(g, ok, (c, a), (c, b)) == [
         "step 0 does not match start configuration",
         "step 1 does not match goal configuration"]
+
+
+# the minimal and the medium grid, each with the oracle's edge map
+GRIDS = [(g, _edge_tri_map(g)) for g in
+         (build_grid(build_workspace(2, 3)), build_grid(build_workspace(4, 5)))]
+
+
+@st.composite
+def single_steps(draw):
+    """A grid and one step of up to six robots near one vertex, each
+    staying or moving to a neighbour (head-on swaps, triangle conflicts,
+    collisions), and sometimes one robot sent up to two hops (jumps)."""
+    g, etri = draw(st.sampled_from(GRIDS))
+    centre = draw(st.integers(0, g.n_vertices - 1))
+    near = sorted({w for u in [centre, *g.adjacency[centre]]
+                   for w in [u, *g.adjacency[u]]})
+    cur = draw(st.lists(st.sampled_from(near), min_size=1, max_size=6,
+                        unique=True))
+    nxt = [draw(st.sampled_from([u, *g.adjacency[u]])) for u in cur]
+    if draw(st.booleans()):
+        nxt[draw(st.integers(0, len(cur) - 1))] = draw(st.sampled_from(near))
+    return g, etri, tuple(cur), tuple(nxt)
+
+
+@settings(max_examples=400)
+@given(single_steps())
+def test_check_plan_matches_transition_oracle(case):
+    g, etri, cur, nxt = case
+    errors = check_plan(g, DiscretePlan.from_steps([cur, nxt]))
+    jumps = [(r, u, v) for r, (u, v) in enumerate(zip(cur, nxt))
+             if u != v and v not in g.adjacency[u]]
+    legal = not jumps and _legal_transition(g, cur, nxt, etri)
+    assert (errors == []) == legal, (cur, nxt, errors)
+    assert [e for e in errors if "jumps" in e] == [
+        f"step 0: robot {r} jumps {u}->{v}" for r, u, v in jumps]
+    assert any("not injective" in e for e in errors) == (
+        len(set(nxt)) < len(nxt))
