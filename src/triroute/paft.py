@@ -6,7 +6,9 @@ overlapping hexagons generate enough rotations to transpose any two
 adjacent discs in the pair region while returning everyone else home.
 The rotation word depends only on the region's shape up to the
 lattice's rotations and reflections, so a fixed table holds one word per
-shape class.  The swap schedules built from it are the workhorse:
+shape class, and each pair swaps on the region whose word is shortest
+(13 turns where two rings two edges apart in a straight line hold it).
+The swap schedules built from it are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
@@ -26,7 +28,9 @@ all, so instances that demand it are rejected as infeasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -83,26 +87,54 @@ def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
     return tuple((v, ring[(i + d) % len(ring)]) for i, v in enumerate(ring))
 
 
-# One rotation word per canonical region shape (see
-# SwapEngine._canonical_shape): key (partner center, a, b) in axial
-# offsets from the base center; "A" turns the base ring and "B" the
-# partner's, "+" by one position counterclockwise and "-" clockwise.
-# Each word is the shortest one that swaps a and b and returns every
-# other slot home; tests/_oracles.py regenerates them by a bidirectional
-# search.  These are the shapes of the first-ranked regions on every
-# buildable grid up to 12x12.
+# One rotation word per canonical region shape (see _shape_key): key
+# (partner center, a, b) in axial offsets from the base center; "A"
+# turns the base ring and "B" the partner's, "+" by one position
+# counterclockwise and "-" clockwise.  Each word is the shortest one that
+# swaps a and b and returns every other slot home; tests/_oracles.py
+# regenerates them by a bidirectional search.  SwapEngine._region ranks
+# a pair's regions by word length, so these are the shapes that rank
+# first on every buildable grid up to 12x12: the four 13-turn ones with
+# the partner center two edges away in a straight line, and the 15- and
+# 17-turn ones of pairs that no such region covers.
 _SWAP_WORDS = {
-    ((-2, 1), (-3, 1), (-3, 2)): "A+A+B+A+B+B+A+B-B-A-B-A+A+A+B+B+A+B-B-",
-    ((-2, 1), (-3, 1), (-2, 0)): "A+B+A+A+B-B-A+B+B+A+A+A+B-A-B-B-A+B+B+",
-    ((-2, 1), (-2, 0), (-1, 0)): "A+B+A+A+A+B-B-A-B+B+A-A-B-A-B-A-B+",
+    ((-2, 0), (-3, 0), (-3, 1)): "A+B+A-B+A+B+B+A-B+A+B+A-B+",
+    ((-2, 0), (-3, 1), (-2, 1)): "A+B+A-B+B+A+B+A-B+A+B+A-B+",
+    ((-2, 0), (-2, 1), (-1, 1)): "A-A-B+A-B-A-B+A-B-A-B+A-B-",
+    ((-2, 0), (-2, 1), (-1, 0)): "A+B+A+B-A+B+A+B-A+B+A+B-A+",
     ((-2, 1), (-1, 0), (-1, 1)): "A+B+A+B+A+A+B-B-A+B+B+A+A+A+B-A-B-",
     ((-1, 0), (-2, 0), (-2, 1)): "A+B+A+B-B-A+B-B-A+B+B+A+B+A-B+",
     ((-1, 0), (-2, 0), (-1, 0)): "A+A+B-A+A+B-A-B-A-B+A-B-A-A-B-",
     ((-1, 0), (-2, 1), (-1, 0)): "A+A+B+A+B-A+B+A+B+A-A-B+A-A-B+",
     ((-1, 0), (-2, 1), (-1, 1)): "A+B+A+B-A+B+A+B+A-A-B+A-A-B+A+",
-    ((-1, 0), (-1, 0), (-1, 1)): "A+A+B+A+B-A+B+A+A+B+A-A-B+A-A-B+A-",
-    ((-1, 0), (-1, 0), (0, 0)): "A+B+A-B+A+B+A-A-B+B+A-B+B+A-B-A-B+",
 }
+
+
+@cache
+def _shape_key(pq: int, pr: int, aq: int, ar: int, bq: int, br: int
+               ) -> tuple[tuple, int, int]:
+    """Smallest image of a region shape under the lattice symmetries.
+
+    The arguments are the axial offsets of the partner center, a and b
+    from the base center.  Returns (key, roles_swapped, reflected): key
+    holds the offsets of the partner center and of the unordered pair
+    {a, b} from the base center, after the map that gives the smallest
+    key.  Translates share their offsets, so the map runs once per offset
+    triple, and overlapping rings keep the cached triples few.
+    """
+    best = None
+    for swapped, pts in enumerate((
+            [(pq, pr), (aq, ar), (bq, br)],
+            [(-pq, -pr), (aq - pq, ar - pr), (bq - pq, br - pr)])):
+        for reflected in (0, 1):
+            if reflected:
+                pts = [(r, q) for q, r in pts]
+            for _ in range(6):
+                pts = [(-r, q + r) for q, r in pts]
+                key = (pts[0], min(pts[1], pts[2]), max(pts[1], pts[2]))
+                if best is None or key < best[0]:
+                    best = (key, swapped, reflected)
+    return best
 
 
 class SwapEngine:
@@ -114,70 +146,60 @@ class SwapEngine:
         for center in sorted(grid.ring_of):
             for v in grid.ring_of[center]:
                 self._member.setdefault(v, []).append(center)
+        # the rings sharing a vertex with each ring
+        self._overlap = {
+            c: {c2 for v in ring for c2 in self._member[v]} - {c}
+            for c, ring in grid.ring_of.items()}
         cover_of_ring = {ring: i for i, cover in enumerate(grid.hex_covers)
                          for ring in cover}
         self._cover = {c: cover_of_ring[ring]
                        for c, ring in grid.ring_of.items()}
+        self._axial = [grid.axial(v) for v in range(grid.n_vertices)]
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
         self.c_swap = 0
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
-        """Best-ranked pair of ring centers whose rings cover a and b:
-        two rings of one cover first, then the smallest center ids."""
-        ca = self._member.get(a, [])
-        cb = self._member.get(b, [])
-        pairs = set()
-        for c1 in ca:
-            ring1 = set(self.grid.ring_of[c1])
-            for c2 in cb:
-                if c1 != c2 and ring1 & set(self.grid.ring_of[c2]):
-                    pairs.add((min(c1, c2), max(c1, c2)))
-            if b in ring1:
-                # partner may be any overlapping ring
-                for v in ring1:
-                    for c2 in self._member.get(v, []):
-                        if c2 != c1:
-                            pairs.add((min(c1, c2), max(c1, c2)))
-
+        """Best-ranked pair of overlapping rings that together hold a and
+        b, as their centers: shortest tabled word first, then two rings of
+        one cover, then the smallest center ids.  A region whose shape has
+        no word is not ranked; when no region has one, the error names the
+        shape the rest of the rule would pick."""
+        ring_of = self.grid.ring_of
+        pairs = {(min(c1, c2), max(c1, c2))
+                 for c1 in self._member.get(a, ()) for c2 in self._overlap[c1]
+                 if b in ring_of[c1] or b in ring_of[c2]}
         if not pairs:
             raise SwapSearchError(f"no pair of rings covers ({a}, {b})")
         cover = self._cover
-        return min(pairs, key=lambda p: (cover[p[0]] != cover[p[1]], p))
+        ranked = []
+        for p in pairs:
+            word = _SWAP_WORDS.get(self._canonical_shape(*p, a, b)[0])
+            ranked.append((len(word) if word else math.inf,
+                           cover[p[0]] != cover[p[1]], p))
+        length, _, best = min(ranked)
+        if length == math.inf:
+            best = min(ranked, key=lambda r: r[1:])[2]
+            key = self._canonical_shape(*best, a, b)[0]
+            raise SwapSearchError(f"no rotation word for region shape {key}")
+        return best
 
     def _canonical_shape(self, c1: int, c2: int, a: int, b: int
                          ) -> tuple[tuple, int, int]:
-        """Smallest image of the region shape under the lattice symmetries.
-
-        Returns (key, roles_swapped, reflected): key holds the axial
-        offsets of the partner center and of the unordered pair {a, b}
-        from the base center, after the map that gives the smallest key.
-        """
-        best = None
-        for swapped, (base, other) in enumerate(((c1, c2), (c2, c1))):
-            bq, br = self.grid.axial(base)
-            pts = [(q - bq, r - br)
-                   for q, r in map(self.grid.axial, (other, a, b))]
-            for reflected in (0, 1):
-                if reflected:
-                    pts = [(r, q) for q, r in pts]
-                for _ in range(6):
-                    pts = [(-r, q + r) for q, r in pts]
-                    key = (pts[0], min(pts[1], pts[2]), max(pts[1], pts[2]))
-                    if best is None or key < best[0]:
-                        best = (key, swapped, reflected)
-        return best
+        """The _shape_key of the rings of c1 and c2 with the pair a, b."""
+        (cq, cr), (pq, pr), (aq, ar), (bq, br) = (
+            self._axial[v] for v in (c1, c2, a, b))
+        return _shape_key(pq - cq, pr - cr, aq - cq, ar - cr,
+                          bq - cq, br - cr)
 
     def _rotation_word(self, c1: int, c2: int, a: int, b: int) -> list:
         """Rotation word transposing a and b on the rings of c1 and c2.
 
         The canonical shape's word maps back by swapping the ring roles
         and, for a reflection, reversing every turn (rings are ordered
-        counterclockwise).
+        counterclockwise).  _region picks only regions with a word.
         """
         key, swapped, reflected = self._canonical_shape(c1, c2, a, b)
-        word = _SWAP_WORDS.get(key)
-        if word is None:
-            raise SwapSearchError(f"no rotation word for region shape {key}")
+        word = _SWAP_WORDS[key]
         sign = -1 if reflected else 1
         return [("AB".index(ring) ^ swapped, sign if turn == "+" else -sign)
                 for ring, turn in zip(word[::2], word[1::2])]

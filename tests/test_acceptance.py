@@ -409,9 +409,9 @@ def test_substitute_benchmarks_logged():
 # --------------------------------------------------------------- criterion 10
 
 # makespan / d_g of the seed-7 full-occupancy instances below, as recorded
-# for the rotation words cached per lattice-symmetry class; a longer plan
-# on any size fails the scaling test
-PAFT_RATIO_BOUNDS = (7197 / 7, 16757 / 11, 41944 / 18, 89019 / 23)
+# when every swap took its pair's shortest tabled rotation word; a longer
+# plan on any size fails the scaling test
+PAFT_RATIO_BOUNDS = (5455 / 7, 12265 / 11, 29496 / 18, 61762 / 23)
 
 
 def test_paft_scaling():

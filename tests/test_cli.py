@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import os
 import random
 import types
 
 import pytest
+from hypothesis import given, strategies as st
 
 from triroute import io as tio
 from triroute.cli import EXIT_PROOF_FAILED, main
@@ -11,7 +14,7 @@ from triroute.discretize import discretize, validate_separation
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points, random_instance
 from triroute.paft import SwapEngine, _Router
-from triroute.plan import DiscretePlan
+from triroute.plan import DiscretePlan, check_plan
 from triroute.render import render
 from triroute.triilp import solve_triilp
 from triroute.validate import ContinuousPlan, synthesize, synthesize_discrete
@@ -401,19 +404,20 @@ def test_render_static_and_snapshot(tmp_path):
 
 
 # sha256 of SVG renders of a 2x3 ILP plan (dense_instance, 5 discs,
-# seed 3) and the 4x5 full-occupancy PAFT plan, recorded when render
-# still drew from the (time, Vec2) point lists
+# seed 3) and the 4x5 full-occupancy PAFT plan; the ILP entries were
+# recorded when render still drew from the (time, Vec2) point lists, the
+# PAFT ones when swaps first took the shortest rotation word
 RENDER_SHA256 = {
     "ilp trace": "066e646c686652123524f75b80ac708dc020a77e1a0308085229a11472a39983",
-    "paft trace": "ff3ebf8d3a2b958a071ea22ae8a620a991d20b76e4d3c1460e28e7421c28811e",
+    "paft trace": "d8f9946698c9329ef9e11f5a3cd43ad4910b3038594eac27052c9d920e5230ee",
     "ilp 0": "5b3acb62f391985caa121924daa95dbfaec81ace90a05dab85f62612846acc58",
     "paft 0": "126c227552b130b65f666b5a08fbcc2be77440f0e2cd8dc8437e570291cd9161",
     "ilp 0.3": "8fbcec0111e46b8b91f16365a1a30f0fc597497847af510405066a7230d5c2ea",
-    "paft 0.3": "56173ed3385e51f7d04e68455c3793d9f906697706e84aa43d8662dea02bbe9a",
+    "paft 0.3": "0b5c75bbfd1b64acc332ccd7de6c08a0868c3c1111842e6ce39b6d3ecd1e3c48",
     "ilp 3": "9598b2296f7376b8b35f91d4cfe2d4240f58713440db340ff9a656df219b94aa",
-    "paft 3": "78a7287c8cd3af65261dfde31c2ed11b40476d596c6a1adc676bd4a2fa8168f1",
+    "paft 3": "ccfc81df4b447f9a7fdf57182c08b0c29e110c13d4df10fcb533850898bc1d2b",
     "ilp 4.6188": "0b70a19fa5c9e83b8c0faad7375f3826f000ec7469965b0833e9affcc877a7b3",
-    "paft 4.6188": "e6439ed62cc7223563d714c4570abd91955c6e1919db80a036d9c635675e5cfb",
+    "paft 4.6188": "61094c82eda2b8bc0afb72ba70d5bc9af4b6381cd4838356463a49607a67d4ba",
     "ilp 1e+09": "f72dccc67f37ea577c12d350386e677b34390cc82baa5922f7918bb09a287630",
     "paft 1e+09": "9b7fa853f35b5b059797d013d9ae3733617bec39c047464262c8ae29920f5d9a",
 }
@@ -612,3 +616,38 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, args, flag,
     assert f"error: argument {flag}: " in captured.err
     assert token in captured.err.split(f"argument {flag}: ")[1]
     assert captured.out == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@given(n1=st.integers(2, 4), n2=st.integers(3, 5), count=st.integers(0, 12),
+       pattern=st.sampled_from(["dense", "random"]),
+       seed=st.integers(0, 2 ** 32),
+       method=st.sampled_from(["paft", "isag", "triilp"]))
+def test_generated_instances_solve_to_a_checked_plan_or_a_documented_exit(
+        cli_dir, n1, n2, count, pattern, seed, method):
+    # gen then solve exit with a documented code and no traceback, and a
+    # plan written on exit 0 obeys the discrete rules from start to goal
+    inst_path, plan_path = cli_dir / "drawn.oldr", cli_dir / "drawn.plan"
+    plan_path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run("gen", "--n1", str(n1), "--n2", str(n2), "--count",
+                   str(count), "--pattern", pattern, "--seed", str(seed),
+                   "--out", str(inst_path))
+        if code == 0:
+            code = run("solve", str(inst_path), "--method", method,
+                       "--plan-mode", "discrete", "--out", str(plan_path))
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert plan_path.exists() == (code == 0)
+    if code == 0:
+        inst = tio.read_instance(str(inst_path))
+        grid = build_grid(inst.workspace)
+        dinst = discretize(inst, grid)[0]
+        plan = tio.read_plan(str(plan_path))
+        assert check_plan(grid, plan, dinst.v_starts, dinst.v_goals) == []

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import os
@@ -57,7 +58,12 @@ def test_engine_swaps_shared_edge_of_same_cover_hexagons():
     assert sched.net_permutation[b] == a
     others = [v for v in sched.region if v not in (a, b)]
     assert all(sched.net_permutation[v] == v for v in others)
-    assert len(sched.region) <= 10
+    # the shortest word swaps the edge on two rings whose centers lie two
+    # edges apart in a straight line, not on the two rings that share it
+    (q1, r1), (q2, r2) = map(g.axial, sched.centers)
+    assert (abs(q2 - q1), abs(r2 - r1), abs(q2 - q1 + r2 - r1)) in (
+        (2, 0, 2), (0, 2, 2), (2, 2, 0))
+    assert len(sched.region) == 11 and len(sched.steps) == 13
 
 
 def test_engine_swap_any_adjacent_covered_pair():
@@ -201,15 +207,42 @@ def test_engine_schedules_do_not_depend_on_request_order():
 
 def test_swap_word_table_matches_oracle_search():
     # the oracle's bidirectional search regenerates every table word exactly
-    assert len(PAFT._SWAP_WORDS) == 10
+    assert len(PAFT._SWAP_WORDS) == 9
     for key, word in PAFT._SWAP_WORDS.items():
         assert canonical_word(key) == word, key
-        assert len(word) // 2 in (15, 17, 19), key
+    assert {len(w) // 2 for w in PAFT._SWAP_WORDS.values()} == {13, 15, 17}
 
 
 def _covered_pairs(g):
     return [(a, b) for a in sorted(g.covered) for b in g.adjacency[a]
             if b > a and b in g.covered]
+
+
+def _candidate_regions(g):
+    """Every region a covered adjacent pair can swap on: the pairs of
+    distinct ring centers (smaller id first) whose rings overlap and
+    together hold both vertices."""
+    centers = sorted(g.ring_of)
+    cands = {pair: [] for pair in _covered_pairs(g)}
+    for i, c1 in enumerate(centers):
+        for c2 in centers[i + 1:]:
+            ring1, ring2 = set(g.ring_of[c1]), set(g.ring_of[c2])
+            if ring1 & ring2:
+                union = ring1 | ring2
+                for a in sorted(union):
+                    for b in g.adjacency[a]:
+                        if b > a and b in union:
+                            cands[a, b].append((c1, c2))
+    return cands
+
+
+def _cover_rule(g):
+    """The tie-break after word length: two rings of one cover first,
+    then the smallest center ids."""
+    center_of = {ring: c for c, ring in g.ring_of.items()}
+    cover = {center_of[ring]: i for i, rings in enumerate(g.hex_covers)
+             for ring in rings}
+    return lambda p: (cover[p[0]] != cover[p[1]], p)
 
 
 def test_first_ranked_regions_are_all_in_table():
@@ -227,19 +260,59 @@ def test_first_ranked_regions_are_all_in_table():
     assert seen == set(PAFT._SWAP_WORDS)
 
 
+def test_chosen_region_has_the_shortest_word_of_all_candidates():
+    # every covered adjacent pair on every buildable grid up to 12x12:
+    # the engine swaps on the region ranked first by the oracle's word
+    # length over all candidate regions, ties broken by the cover rule
+    length: dict = {}
+    for n1 in range(2, 13):
+        for n2 in range(3, 13):
+            g = build_grid(build_workspace(n1, n2))
+            eng = SwapEngine(g)
+            rule = _cover_rule(g)
+            for (a, b), cands in _candidate_regions(g).items():
+                ranked = []
+                for p in cands:
+                    key = eng._canonical_shape(*p, a, b)[0]
+                    if key not in length:
+                        word = canonical_word(key)
+                        length[key] = len(word) // 2 if word else math.inf
+                    ranked.append((length[key], *rule(p)))
+                best = min(ranked)
+                assert eng._region(a, b) == best[-1], (n1, n2, a, b)
+                assert len(eng._rotation_word(*best[-1], a, b)) == best[0]
+    assert min(length.values()) == 13
+
+
 def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
                                                     capsys):
+    # deleting the first-ranked word falls back to the next tabled region;
+    # with every tabled shape of the pair gone, the error names the shape
+    # the cover rule picks
     g = build_grid(build_workspace(2, 3))
-    a, b = _covered_pairs(g)[0]
     eng = SwapEngine(g)
-    key = eng._canonical_shape(*eng._region(a, b), a, b)[0]
-    monkeypatch.delitem(PAFT._SWAP_WORDS, key)
-    with pytest.raises(SwapSearchError, match=re.escape(f"region shape {key}")):
+    cands = _candidate_regions(g)
+
+    def shape(p, a, b):
+        return eng._canonical_shape(*p, a, b)[0]
+
+    (a, b), tabled = next(
+        (pair, keys) for pair, keys in (
+            (pair, {shape(p, *pair) for p in ps} & set(PAFT._SWAP_WORDS))
+            for pair, ps in cands.items()) if len(keys) > 1)
+    first = shape(eng._region(a, b), a, b)
+    monkeypatch.delitem(PAFT._SWAP_WORDS, first)
+    assert shape(eng._region(a, b), a, b) in tabled - {first}
+    for key in tabled - {first}:
+        monkeypatch.delitem(PAFT._SWAP_WORDS, key)
+    named = shape(min(cands[a, b], key=_cover_rule(g)), a, b)
+    with pytest.raises(SwapSearchError,
+                       match=re.escape(f"region shape {named}")):
         eng.schedule_for_pair(a, b)
     monkeypatch.undo()
 
-    # the CLI maps the missing word to exit 4: remove the first shape a
-    # paft solve of the instance asks for
+    # the CLI maps the missing word to exit 4: remove every tabled shape
+    # that a paft solve of the instance asks for
     inst_path = str(tmp_path / "m.oldr")
     assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "4",
                      "--pattern", "dense", "--seed", "3",
@@ -255,11 +328,14 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
     assert cli_main(["solve", inst_path, "--method", "paft"]) == 0
     monkeypatch.undo()
     assert keys
-    monkeypatch.delitem(PAFT._SWAP_WORDS, keys[0])
+    for key in set(keys) & set(PAFT._SWAP_WORDS):
+        monkeypatch.delitem(PAFT._SWAP_WORDS, key)
     capsys.readouterr()
     assert cli_main(["solve", inst_path, "--method", "paft"]) == 4
     err = capsys.readouterr().err
-    assert "solver failure" in err and str(keys[0]) in err
+    assert "solver failure" in err
+    named = re.search(r"no rotation word for region shape (\(.*\))", err)
+    assert named and ast.literal_eval(named[1]) in keys
 
 
 def test_swap_execution_locality(minimal_grid):

@@ -10,13 +10,14 @@ from triroute import io as tio
 from triroute.geometry import build_grid, build_workspace
 from triroute.plan import DiscretePlan, check_plan
 
-# sha256 of the discrete plan text, recorded when plans were lists of
-# tuples: the ilp_suite plans' texts joined in order, and the 4x5
-# full-occupancy PAFT plan
+# sha256 of the discrete plan text: the ilp_suite plans' texts joined in
+# order, recorded when plans were lists of tuples, and the 4x5
+# full-occupancy PAFT plan, recorded when swaps first took the shortest
+# rotation word
 ILP_SUITE_TEXT_SHA = \
     "8cf4338c19fa3214287a4b386b5891b59438b4777ff95c19ccfa25584a34df77"
 PAFT_FULL_TEXT_SHA = \
-    "8e4678b274272e7e57cd63ab6d02a9271e754529d9333dd1c791a628e34d6bc9"
+    "bcab790a3636c379383476347de3cff57e7ee90d0ad49ef108404e5e716a1fd9"
 
 
 def _sha(text: str) -> str:
