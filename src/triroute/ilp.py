@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -312,8 +313,6 @@ def resolve_solver_cmd(solver_cmd: str | None) -> str:
 
 
 def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
-    import sys
-
     template = resolve_solver_cmd(solver_cmd)
     with tempfile.TemporaryDirectory(prefix="triroute-ilp-") as tmp:
         model_path = os.path.join(tmp, "model.lp")
@@ -322,10 +321,13 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
             f.write(export_lp(model))
         cmd = template.format(model=model_path, solution=sol_path,
                               python=sys.executable)
-        # the child imports triroute from wherever this process did
+        # the child imports triroute from wherever this process did; it
+        # does no dense linear algebra, so one OpenBLAS thread spares it
+        # the idle pools that numpy and scipy start (a set value wins)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (root, os.environ.get("PYTHONPATH")) if p))
+        env = {"OPENBLAS_NUM_THREADS": "1", **os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (root, os.environ.get("PYTHONPATH")) if p)}
         try:
             proc = subprocess.run(shlex.split(cmd), capture_output=True,
                                   text=True, env=env, timeout=SOLVER_TIMEOUT_S)
@@ -348,10 +350,11 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
 def parse_solution(model: IlpModel, text: str) -> Solution:
     """Parse "name value" lines; an empty file signals infeasibility.  A
     non-empty one claims to route every robot, which extract_plan checks.
-    Values must be finite numbers; an error names the offending line."""
+    Values must be finite numbers and no variable may appear twice; an
+    error names the offending line."""
     names = {name: c for c, name in enumerate(column_names(model))}
     assignment = np.zeros(len(model.variables), dtype=np.int8)
-    seen_any = False
+    seen: set[int] = set()
     for k, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -367,9 +370,12 @@ def parse_solution(model: IlpModel, text: str) -> Solution:
             x = real(value)
         except ValueError:
             raise SolverError(f"non-numeric value in solution {where}") from None
-        seen_any = True
-        assignment[names[name]] = 1 if x >= 0.5 else 0
-    if not seen_any:
+        c = names[name]
+        if c in seen:
+            raise SolverError(f"duplicate variable in solution: {name!r} {where}")
+        seen.add(c)
+        assignment[c] = 1 if x >= 0.5 else 0
+    if not seen:
         return _infeasible()
     return Solution(assignment=assignment, objective_value=model.n)
 

@@ -233,12 +233,20 @@ with open(solution, "w") as f:
 """
 
 
+_DUPLICATE = """\
+name = open(model).read().split("Binary")[1].split()[0]
+with open(solution, "w") as f:
+    f.write(name + " 1\\n" + name + " 0\\n")
+"""
+
+
 @pytest.mark.parametrize("body, message", [
     (_GARBAGE_VALUE, "non-numeric value"),
     ("pass\n", "no solution file"),
     ("import time\ntime.sleep(60)\n", "timed out"),
     (_ALL_ZERO, "robot 0 has 0 active moves at step 0"),
-], ids=["garbage-value", "no-output-file", "hang", "all-zero"])
+    (_DUPLICATE, "duplicate variable in solution"),
+], ids=["garbage-value", "no-output-file", "hang", "all-zero", "duplicate"])
 def test_external_solver_faults_exit_4(tmp_path, monkeypatch, capsys, body,
                                        message):
     monkeypatch.setattr("triroute.ilp.SOLVER_TIMEOUT_S", 2.0)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,7 @@ def test_solution_parser_rejects_non_numeric_values():
     ("{name} 1 2", "malformed solution line"),
     ("x_9_9_9_9 1", "unknown variable in solution: 'x_9_9_9_9'"),
     ("{name} 1e999", "non-numeric value in solution"),
+    ("{name} 0", "duplicate variable in solution: '{name}'"),
 ])
 def test_solution_parser_errors_name_the_line(line, message):
     g = _grid23()
@@ -232,7 +234,8 @@ def test_solution_parser_errors_name_the_line(line, message):
     text = f"# comment\n{name} 1\n\n  {bad}\n"
     with pytest.raises(SolverError) as err:
         parse_solution(model, text)
-    assert str(err.value) == f"{message} (line 4: {'  ' + bad!r})"
+    assert str(err.value) == (f"{message.format(name=name)} "
+                              f"(line 4: {'  ' + bad!r})")
 
 
 def test_solution_parser_threshold_and_infeasible():
@@ -422,6 +425,26 @@ def test_external_solver_child_finds_the_package_without_pythonpath():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) >= 0
+
+
+@pytest.mark.parametrize("caller, child", [(None, "1"), ("3", "3")],
+                         ids=["default", "caller-set"])
+def test_external_solver_child_runs_one_blas_thread(tmp_path, monkeypatch,
+                                                    caller, child):
+    # the child sees OPENBLAS_NUM_THREADS=1 unless the caller set it
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    side = tmp_path / "blas.txt"
+    code = ("import os, sys; blas = os.environ.get('OPENBLAS_NUM_THREADS'); "
+            "open(sys.argv[1], 'w').write(str(blas)); "
+            "open(sys.argv[2], 'w').close()")
+    cmd = f"{{python}} -c {shlex.quote(code)} {shlex.quote(str(side))} {{solution}}"
+    model = build_model(DiscreteInstance(grid=_grid23(), v_starts=(1,),
+                                         v_goals=(2,)), 1)
+    assert not solve(model, backend="external", solver_cmd=cmd).feasible
+    assert side.read_text() == child
 
 
 def _dense(ws, n, seed):
