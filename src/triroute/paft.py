@@ -8,7 +8,12 @@ The rotation word depends only on the region's shape up to the
 lattice's rotations and reflections, so a fixed table holds one word per
 shape class, and each pair swaps on the region whose word is shortest
 (13 turns where two rings two edges apart in a straight line hold it).
-The swap schedules built from it are the workhorse:
+Empty vertices hold virtual discs, and a transposition is one of four
+kinds, by what its two vertices hold: two virtual discs trade ids (no
+step), a real disc and a virtual one take one move, two real discs with
+a common neighbour holding a virtual disc take three moves through it,
+and any other pair takes its rotation word.  At full occupancy every
+transposition is a word.  These schedules are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
@@ -57,11 +62,13 @@ _LEAF = 10
 
 @dataclass
 class SwapSchedule:
-    region: frozenset[int]                       # vertices of both rings
+    region: frozenset[int]                       # vertices of both rings,
+                                                 # or of the hole moves
     footprint: frozenset[int]                    # region plus ring centers
     steps: list[tuple[tuple[int, int], ...]]     # per step: (from, to) moves
     net_permutation: dict[int, int]              # start vertex -> end vertex
-    centers: tuple[int, ...] = ()                # ring centers used
+    centers: tuple[int, ...] = ()                # ring centers used (none
+                                                 # for hole moves)
 
 
 @dataclass
@@ -246,6 +253,10 @@ class _Router:
     discs standing in for empty vertices.  Steps where only virtual
     discs move are not recorded (physically nothing happens).  A recorded
     step stores only its real moves; ``finish`` builds the plan array.
+    The sort transposes adjacent vertices in one of four ways (see
+    ``_transposition``): a relabel of two virtual discs, one move, three
+    moves through a common empty neighbour, or the pair's rotation word;
+    at full occupancy only words occur.
     """
 
     def __init__(self, grid: TriGrid, engine: SwapEngine | None = None):
@@ -385,6 +396,37 @@ class _Router:
             raise PlannerInvariantError("snake threading broke at a dropped corner")
         return order
 
+    def _transposition(self, a: int, b: int, used: set[int]
+                       ) -> SwapSchedule | None:
+        """Exchange the discs on adjacent covered vertices a and b, chosen
+        by what they hold.  Two virtual discs swap ids at once (None).  A
+        real disc and a virtual one take one move, and two real discs with
+        a common neighbour h holding a virtual disc, off the used set,
+        take three: a to h, b to a, h to b (lowest such h).  Each move
+        exchanges the real disc with the virtual one at its target, whose
+        move is not recorded.  Anything else takes the pair's word."""
+        occ, n_real = self.occ, self.n_real
+        da, db = occ[a], occ[b]
+        if da >= n_real and db >= n_real:
+            occ[a], occ[b] = db, da
+            self.pos[da], self.pos[db] = b, a
+            return None
+        if da >= n_real or db >= n_real:
+            moves = ((a, b),)
+        else:
+            adjacency = self.grid.adjacency
+            h = min((h for h in adjacency[a] if h in adjacency[b]
+                     and occ[h] >= n_real and h not in used), default=None)
+            if h is None:
+                return self.engine.schedule_for_pair(a, b)
+            moves = ((a, h), (b, a), (h, b))
+        region = frozenset(v for m in moves for v in m)
+        net = {v: v for v in region}
+        net[a], net[b] = b, a
+        return SwapSchedule(region=region, footprint=region,
+                            steps=[((u, v), (v, u)) for u, v in moves],
+                            net_permutation=net)
+
     def _run_rounds(self, snake: list[int], cmp_val, active: list[tuple[int, int]]
                     ) -> None:
         """Odd-even transposition rounds until every interval is clean."""
@@ -415,12 +457,16 @@ class _Router:
                 batch: list[SwapSchedule] = []
                 deferred: list[tuple[int, int]] = []
                 for a, b in wanted:
-                    sched = self.engine.schedule_for_pair(a, b)
+                    sched = self._transposition(a, b, used)
+                    if sched is None:
+                        continue
                     if sched.footprint & used:
                         deferred.append((a, b))
                         continue
                     used |= sched.footprint
                     batch.append(sched)
+                if not batch:
+                    break
                 depth = max(len(s.steps) for s in batch)
                 for i in range(depth):
                     moves = [m for s in batch if i < len(s.steps)

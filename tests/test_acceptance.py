@@ -445,3 +445,26 @@ def test_paft_scaling():
         f"sizes={vs} times={[f'{t:.3f}' for t in times]} slope={slope:.2f} "
         f"in [1.6, 2.4]; makespan/d_g ratios={[f'{r:.0f}' for r in ratios]} "
         f"bounded by recorded {[f'{b:.0f}' for b in PAFT_RATIO_BOUNDS]}")
+
+
+# PAFT makespans of dense partial occupancies (`gen --pattern dense`):
+# (n1, n2, count, seed) -> steps, as recorded when transpositions began
+# to move through empty vertices; a longer plan on any instance fails
+PAFT_PARTIAL_MAKESPANS = {(2, 3, 6, 4): 65, (4, 5, 20, 3): 343,
+                          (4, 5, 30, 1): 940, (6, 7, 40, 2): 2361,
+                          (6, 7, 63, 5): 5632}
+
+
+def test_paft_partial_occupancy_makespans():
+    got = {}
+    for (n1, n2, count, seed), bound in PAFT_PARTIAL_MAKESPANS.items():
+        ws = build_workspace(n1, n2)
+        g = build_grid(ws)
+        inst, _, _ = discretize(dense_instance(ws, count, seed), g)
+        plan = paft(inst)[0]
+        assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+        got[n1, n2, count, seed] = plan.T
+    ok = all(got[k] <= bound for k, bound in PAFT_PARTIAL_MAKESPANS.items())
+    assert _report("paft-partial-makespans", ok,
+                   f"makespans={got} bounded by recorded "
+                   f"{PAFT_PARTIAL_MAKESPANS}")

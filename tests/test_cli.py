@@ -204,9 +204,11 @@ def _skip_sort(monkeypatch):
 
 @pytest.mark.parametrize("fault", [_truncate_rotation_words, _skip_sort])
 def test_planner_faults_exit_4(tmp_path, monkeypatch, capsys, fault):
+    # 6 discs (seed 4) leave some pairs of real discs without a common
+    # empty neighbour, so the sort still swaps on rotation words
     inst_path = tmp_path / "f.oldr"
-    assert run("gen", "--n1", "2", "--n2", "3", "--count", "4",
-               "--pattern", "dense", "--seed", "3", "--out", str(inst_path)) == 0
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "6",
+               "--pattern", "dense", "--seed", "4", "--out", str(inst_path)) == 0
     fault(monkeypatch)
     assert run("solve", str(inst_path), "--method", "paft") == 4
     assert "solver failure" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import math
 import os
@@ -8,17 +9,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from _oracles import bidirectional_search, canonical_word, ring_generators
+from _oracles import (bidirectional_search, canonical_word, reference_validate,
+                      ring_generators)
 from conftest import full_occupancy_instance, random_discrete_instance
 from triroute.cli import main as cli_main
 from triroute.discretize import DiscreteInstance
 from triroute.geometry import build_grid, build_workspace
 from triroute.paft import (InfeasibleInstanceError, SwapEngine,
-                           SwapSearchError, build_cell_partition, isag, paft)
+                           SwapSearchError, _Router, build_cell_partition,
+                           isag, paft)
 from triroute.plan import DiscretePlan, check_plan
 from triroute.triilp import underestimated_makespan
+from triroute.validate import synthesize_discrete, validate
 
 PAFT = importlib.import_module("triroute.paft")  # the package re-exports paft()
 
@@ -312,10 +318,11 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
     monkeypatch.undo()
 
     # the CLI maps the missing word to exit 4: remove every tabled shape
-    # that a paft solve of the instance asks for
+    # that a paft solve of the instance asks for (6 discs, seed 4: some
+    # pairs of real discs have no common empty neighbour, so words run)
     inst_path = str(tmp_path / "m.oldr")
-    assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "4",
-                     "--pattern", "dense", "--seed", "3",
+    assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "6",
+                     "--pattern", "dense", "--seed", "4",
                      "--out", inst_path]) == 0
     shape, keys = SwapEngine._canonical_shape, []
 
@@ -539,6 +546,101 @@ def test_boundary_settlement_tight_holes(minimal_grid):
     inst2 = DiscreteInstance(grid=g, v_starts=starts2, v_goals=tuple(goals2))
     plan2 = isag(inst2)
     assert not check_plan(g, plan2, inst2.v_starts, inst2.v_goals)
+
+
+def _transpose(g, holes, a, b, used=()):
+    """One _Router transposition of a and b, with a real disc on every
+    vertex but the holes and a virtual disc on each hole.  The contents
+    of a and b must trade places and the recorded plan must be legal;
+    returns the schedule (None for a relabel) and the plan."""
+    starts = tuple(v for v in range(g.n_vertices) if v not in holes)
+    router = _Router(g)
+    router.load(starts)
+    for v in holes:
+        router.add_virtual(v)
+    expect = list(router.occ)
+    expect[a], expect[b] = expect[b], expect[a]
+    sched = router._transposition(a, b, set(used))
+    for step in sched.steps if sched else ():
+        router.apply_step(list(step))
+    assert router.occ == expect
+    assert all(router.pos[d] == v for v, d in enumerate(router.occ))
+    plan = router.finish()
+    assert not check_plan(g, plan, starts, tuple(router.pos[:len(starts)]))
+    return sched, plan
+
+
+def _movers(plan):
+    """Discs that move in each step of the plan."""
+    return np.count_nonzero(np.diff(plan.positions, axis=0), axis=1).tolist()
+
+
+# on 2x3, vertices 8 and 9 are adjacent with common neighbours 5 and 12
+
+
+def test_hole_hole_transposition_relabels_without_a_step(minimal_grid):
+    sched, plan = _transpose(minimal_grid, (8, 9), 8, 9)
+    assert sched is None and plan.T == 0
+
+
+def test_real_hole_transposition_is_one_move(minimal_grid):
+    for hole, a, b in ((9, 8, 9), (8, 8, 9)):
+        sched, plan = _transpose(minimal_grid, (hole,), a, b)
+        assert sched.footprint == {8, 9} and not sched.centers
+        assert _movers(plan) == [1]
+
+
+def test_real_real_transposition_moves_through_a_common_hole(minimal_grid):
+    g = minimal_grid
+    sched, plan = _transpose(g, (5, 12), 8, 9)
+    assert sched.footprint == {5, 8, 9}     # the lowest empty neighbour
+    assert _movers(plan) == [1, 1, 1]
+    disc = plan.positions[0].tolist().index(8)
+    assert plan.positions[:, disc].tolist() == [8, 5, 5, 9]
+    # a neighbour in the used set is passed over
+    sched, plan = _transpose(g, (5, 12), 8, 9, used={5})
+    assert sched.footprint == {8, 9, 12} and _movers(plan) == [1, 1, 1]
+
+
+def test_real_real_transposition_without_an_empty_neighbour_takes_its_word(
+        minimal_grid):
+    g = minimal_grid
+    word = SwapEngine(g).schedule_for_pair(8, 9).steps
+    for holes, used in (((16,), ()), ((5,), {5})):
+        sched, plan = _transpose(g, holes, 8, 9, used)
+        assert sched.centers and sched.steps == word and len(word) >= 13
+        assert 0 < plan.T <= len(word)
+
+
+_PARTIAL_GRIDS = ((2, 3), (4, 5), (6, 7))
+
+
+@functools.cache
+def _grid_and_engine(ws):
+    g = build_grid(build_workspace(*ws))
+    return g, SwapEngine(g)
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_partial_occupancy_plans_are_legal_and_valid(ws, data):
+    # any occupancy with at least one hole: both planners reach every
+    # goal on a legal plan whose trajectories validate, and on 2x3 the
+    # validation matches the per-window reference bit for bit
+    g, engine = _grid_and_engine(ws)
+    V = g.n_vertices
+    n = data.draw(st.integers(0, V - 1), label="n")
+    inst = random_discrete_instance(g, n, data.draw(st.integers(0, 2 ** 32),
+                                                    label="seed"))
+    for plan in (isag(inst, engine), paft(inst, engine)[0]):
+        assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+        cp = synthesize_discrete(g, plan)
+        rep = validate(cp, g.workspace)
+        assert rep.valid
+        if ws == (2, 3):
+            ref = reference_validate(cp, g.workspace)
+            assert rep.min_pair_clearance.hex() == ref.min_pair_clearance.hex()
+            assert (rep.violations, rep.boundary_ok) == (ref.violations,
+                                                         ref.boundary_ok)
 
 
 def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid,

@@ -31,7 +31,7 @@ grids = {ws: tr.geometry.build_grid(tr.geometry.build_workspace(*ws))
 engine = run.warm_engine(tr, grids[(3, 4)], tracer)
 tracer.uninstall()
 ilp = tr.instances.dense_instance(grids[(2, 3)].workspace, 6, 2)
-small = tr.instances.random_instance(grids[(3, 4)].workspace, 5, 4)
+small = tr.instances.dense_instance(grids[(3, 4)].workspace, 8, 22)
 cases = [("ilp", (2, 3), ilp, None, None),
          ("external", (2, 3), ilp, None, "external"),
          ("paft", (3, 4), small, engine, None)]
@@ -55,7 +55,8 @@ ILP = ["triilp.horizons", "triilp.infeasible_horizons", "ilp.build_model_s",
        "ilp.extract_plan_s"]
 EXTERNAL = ["ilp.export_lp_s", "ilp.lp_bytes", "lpsolve.solve_lp_text_s",
             "ilp.solver_startup_s", "ilp.parse_solution_s"]
-# 5 discs on 3x4 (seed 4): four cells and three circulation rounds
+# 8 dense discs on 3x4 (seed 22): four cells, five circulation rounds
+# and two pairs of real discs that swap on rotation words
 PAFT = ["paft.paft_s", "paft.schedule_calls", "paft.makespan",
         "paft.lower_bound", "paft.cells", "paft.circulation_steps",
         "paft.swap_constant"]
