@@ -10,15 +10,18 @@ shape class, and each pair swaps on the region whose word is shortest
 (13 turns where two rings two edges apart in a straight line hold it).
 Empty vertices hold virtual discs, and a transposition is one of four
 kinds, by what its two vertices hold: two virtual discs trade ids (no
-step), a real disc and a virtual one take one move, two real discs with
-a common neighbour holding a virtual disc take three moves through it,
-and any other pair takes its rotation word.  At full occupancy every
-transposition is a word.  These schedules are the workhorse:
+step), a real disc and a virtual one take one move, two real discs take
+2k + 3 single moves through the virtual disc nearest to a common
+neighbour, k hops away, when that beats the shortest tabled word, and
+any other pair takes its rotation word.  At full occupancy every
+transposition is a word.  Every step is timed by per-vertex clocks: it
+runs at the first step at which all the vertices its real discs move
+between are free.  These schedules are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
   waving path family, each level realized as rounds of odd-even adjacent
-  transpositions, batched greedily under footprint disjointness.
+  transpositions, formed greedily under footprint disjointness.
 * ``paft``    wraps the same core with the cell pipeline: compute the
   max start-goal distance, partition the workspace into square cells,
   run greedy hexagon circulations that push discs toward their goal
@@ -26,9 +29,10 @@ transposition is a word.  These schedules are the workhorse:
 
 Sharp boundary corners lie on no hexagon, so they are settled before
 the parallel machinery runs: their goal discs are rolled in (or the
-corner is emptied) with sequential single-disc moves, which are always
-collision-free.  At full occupancy nothing can move a corner disc at
-all, so instances that demand it are rejected as infeasible.
+corner is emptied) one single-disc move at a time, which the clocks
+overlap only where the moves share no vertex.  At full occupancy
+nothing can move a corner disc at all, so instances that demand it are
+rejected as infeasible.
 """
 
 from __future__ import annotations
@@ -115,6 +119,12 @@ _SWAP_WORDS = {
     ((-1, 0), (-2, 1), (-1, 0)): "A+A+B+A+B-A+B+A+B+A-A-B+A-A-B+",
     ((-1, 0), (-2, 1), (-1, 1)): "A+B+A+B-A+B+A+B+A-A-B+A-A-B+A+",
 }
+
+# Farthest hole, in hops from a common neighbour, that a transposition of
+# two real discs walks in and back out: 2k + 3 single moves must be fewer
+# than the turns of the shortest tabled word (13, so k <= 4; a word spells
+# each turn in two characters).
+_HOLE_REACH = (min(len(w) for w in _SWAP_WORDS.values()) // 2 - 4) // 2
 
 
 @cache
@@ -252,11 +262,15 @@ class _Router:
     Disc ids 0..n_real-1 are the instance robots; higher ids are virtual
     discs standing in for empty vertices.  Steps where only virtual
     discs move are not recorded (physically nothing happens).  A recorded
-    step stores only its real moves; ``finish`` builds the plan array.
-    The sort transposes adjacent vertices in one of four ways (see
-    ``_transposition``): a relabel of two virtual discs, one move, three
-    moves through a common empty neighbour, or the pair's rotation word;
-    at full occupancy only words occur.
+    step stores only its real moves, timed by per-vertex clocks: it lands
+    on the first plan step after the last one that moved a disc from or
+    to any of its vertices, so every vertex sees its real discs in the
+    order the steps were applied, and moves on disjoint vertices share a
+    plan step.  ``finish`` builds the plan array.  The sort transposes
+    adjacent vertices in one of four ways (see ``_transposition``): a
+    relabel of two virtual discs, one move, 2k + 3 moves through the
+    nearest hole, or the pair's rotation word; at full occupancy only
+    words occur.
     """
 
     def __init__(self, grid: TriGrid, engine: SwapEngine | None = None):
@@ -266,8 +280,8 @@ class _Router:
         self.pos: list[int] = []
         self.n_real = 0
         self.starts: tuple[int, ...] = ()
-        self.moved: list[int] = []   # robot, v - u of every real move
-        self.ends: list[int] = []    # len(moved) after each recorded step
+        self.moved: list[int] = []   # step, robot, v - u of every real move
+        self.free = [0] * grid.n_vertices   # first step each vertex is free
 
     def load(self, starts: tuple[int, ...]) -> None:
         self.n_real = len(starts)
@@ -277,7 +291,8 @@ class _Router:
                 raise ValueError("duplicate start vertex")
             self.occ[v] = r
         self.starts = tuple(starts)
-        self.moved, self.ends = [], []
+        self.moved = []
+        self.free = [0] * self.grid.n_vertices
 
     def add_virtual(self, v: int) -> int:
         if self.occ[v] != -1:
@@ -298,28 +313,33 @@ class _Router:
                 raise PlannerInvariantError(f"move from empty vertex {u}")
             discs.append(d)
             occ[u] = -1
-        pos, moved, n_real = self.pos, self.moved, self.n_real
-        recorded = len(moved)
+        pos, n_real, free = self.pos, self.n_real, self.free
+        real = []
         for (u, v), d in zip(moves, discs):
             if occ[v] != -1:
                 raise PlannerInvariantError(f"two discs target vertex {v}")
             occ[v] = d
             pos[d] = v
             if d < n_real:
-                moved += (d, v - u)
-        if len(moved) > recorded:
-            self.ends.append(len(moved))
+                real.append((d, u, v))
+        if real:
+            t = max(max(free[u], free[v]) for _, u, v in real)
+            for d, u, v in real:
+                free[u] = free[v] = t + 1
+                self.moved += (t, d, v - u)
 
     def finish(self) -> DiscretePlan:
         """The recorded steps as one array: row 0 is the start, every move
-        adds v - u to its robot's column, and a running sum down the
-        columns gives each step's vertices."""
-        T = len(self.ends)
-        robot, delta = np.array(self.moved, dtype=np.intp).reshape(-1, 2).T
-        step = np.repeat(np.arange(1, T + 1), np.diff([0, *self.ends]) // 2)
+        adds v - u to its robot's column in the row after its step, and a
+        running sum down the columns gives each step's vertices.  A step
+        lands at most one past the latest step so far, so the steps used
+        are 0 .. T - 1 with no empty row between them."""
+        T = max(self.free)
+        step, robot, delta = np.array(self.moved,
+                                      dtype=np.intp).reshape(-1, 3).T
         pos = np.zeros((T + 1, self.n_real), dtype=np.intp)
         pos[0] = self.starts
-        pos[step, robot] = delta
+        pos[step + 1, robot] = delta
         return DiscretePlan(np.cumsum(pos, axis=0, out=pos))
 
     # sequential single-disc machinery (boundary corners)
@@ -396,15 +416,42 @@ class _Router:
             raise PlannerInvariantError("snake threading broke at a dropped corner")
         return order
 
+    def _hole_path(self, a: int, b: int, used: set[int]) -> list[int] | None:
+        """Shortest path from the virtual disc nearest to a common
+        neighbour h of a and b to h, at most _HOLE_REACH hops, entering
+        neither a, b nor the used set (lowest hole id among the nearest);
+        None when no hole is that close."""
+        occ, n_real, adjacency = self.occ, self.n_real, self.grid.adjacency
+        parent = {h: h for h in adjacency[a]
+                  if h in adjacency[b] and h not in used}
+        frontier = sorted(parent)
+        for _ in range(_HOLE_REACH + 1):
+            holes = [u for u in frontier if occ[u] >= n_real]
+            if holes:
+                path = [min(holes)]
+                while parent[path[-1]] != path[-1]:
+                    path.append(parent[path[-1]])
+                return path
+            nxt = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if w not in parent and w not in used and w != a and w != b:
+                        parent[w] = u
+                        nxt.append(w)
+            frontier = nxt
+        return None
+
     def _transposition(self, a: int, b: int, used: set[int]
                        ) -> SwapSchedule | None:
         """Exchange the discs on adjacent covered vertices a and b, chosen
         by what they hold.  Two virtual discs swap ids at once (None).  A
-        real disc and a virtual one take one move, and two real discs with
-        a common neighbour h holding a virtual disc, off the used set,
-        take three: a to h, b to a, h to b (lowest such h).  Each move
-        exchanges the real disc with the virtual one at its target, whose
-        move is not recorded.  Anything else takes the pair's word."""
+        real disc and a virtual one take one move.  Two real discs with a
+        hole k <= _HOLE_REACH hops from a common neighbour h (see
+        _hole_path) take 2k + 3: the hole walks to h, then a to h, b to a,
+        h to b, and the hole walks back, so every other disc returns home.
+        Each move exchanges a real disc with the virtual one at its
+        target, whose move is not recorded.  Anything else takes the
+        pair's word."""
         occ, n_real = self.occ, self.n_real
         da, db = occ[a], occ[b]
         if da >= n_real and db >= n_real:
@@ -414,12 +461,14 @@ class _Router:
         if da >= n_real or db >= n_real:
             moves = ((a, b),)
         else:
-            adjacency = self.grid.adjacency
-            h = min((h for h in adjacency[a] if h in adjacency[b]
-                     and occ[h] >= n_real and h not in used), default=None)
-            if h is None:
+            path = (self._hole_path(a, b, used)
+                    if len(self.pos) > n_real else None)
+            if path is None:
                 return self.engine.schedule_for_pair(a, b)
-            moves = ((a, h), (b, a), (h, b))
+            h = path[-1]
+            walk = list(zip(path[1:], path))
+            moves = [*walk, (a, h), (b, a), (h, b),
+                     *((v, u) for u, v in reversed(walk))]
         region = frozenset(v for m in moves for v in m)
         net = {v: v for v in region}
         net[a], net[b] = b, a
@@ -452,9 +501,11 @@ class _Router:
                 clean_streak += 1
                 continue
             clean_streak = 0
+            # batches of footprint-disjoint transpositions; a pair whose
+            # footprint meets the batch waits for the next one.  The
+            # clocks time each step, so a batch has no common end.
             while wanted:
                 used: set[int] = set()
-                batch: list[SwapSchedule] = []
                 deferred: list[tuple[int, int]] = []
                 for a, b in wanted:
                     sched = self._transposition(a, b, used)
@@ -464,14 +515,8 @@ class _Router:
                         deferred.append((a, b))
                         continue
                     used |= sched.footprint
-                    batch.append(sched)
-                if not batch:
-                    break
-                depth = max(len(s.steps) for s in batch)
-                for i in range(depth):
-                    moves = [m for s in batch if i < len(s.steps)
-                             for m in s.steps[i]]
-                    self.apply_step(moves)
+                    for step in sched.steps:
+                        self.apply_step(step)
                 wanted = deferred
 
     def sort_covered(self, target_of: dict[int, int]) -> None:

@@ -5,8 +5,9 @@ for optimal makespans, brute-force nearest vertices, dense time sampling
 and a one-pair-at-a-time formula for minimum distances, an all-pairs
 separation check, a from-scratch lattice enumeration, the per-corner
 sharp-angle rows, a direct search for the snap-phase clearance infimum,
-the ILP's original goal-subset walk search, and the permutation search
-that regenerates the planner's table of swap rotation words.
+the ILP's original goal-subset walk search, the permutation search
+that regenerates the planner's table of swap rotation words, and a
+one-step-per-move replay of the planner's logical moves.
 """
 
 from __future__ import annotations
@@ -528,6 +529,38 @@ def dense_discrete_paths(grid, steps) -> list[np.ndarray]:
     block[:, :, 0] = np.arange(len(pos)) * EDGE
     block[:, :, 1:] = xy[pos.T]
     return list(block)
+
+
+def replay_logical_steps(starts, steps, n_vertices: int) -> np.ndarray:
+    """Rows of real disc vertices, one per logical step: each step is a
+    list of simultaneous (from, to) vertex moves, of which only those
+    leaving a vertex held by a real disc move anything."""
+    occ = [-1] * n_vertices
+    for d, v in enumerate(starts):
+        occ[v] = d
+    rows = [list(starts)]
+    for moves in steps:
+        real = [(occ[u], v) for u, v in moves if occ[u] != -1]
+        for u, _ in moves:
+            occ[u] = -1
+        row = list(rows[-1])
+        for d, v in real:
+            if occ[v] != -1:
+                raise ValueError(f"two discs enter vertex {v}")
+            occ[v] = d
+            row[d] = v
+        rows.append(row)
+    return np.array(rows, dtype=int).reshape(len(rows), len(starts))
+
+
+def occupant_orders(positions, n_vertices: int) -> list[tuple[int, ...]]:
+    """Per vertex, its successive occupants over the plan rows (-1 while
+    empty), each run of equal entries written once."""
+    pos = np.asarray(positions)
+    occ = np.full((len(pos), n_vertices), -1)
+    occ[np.arange(len(pos))[:, None], pos] = np.arange(pos.shape[1])
+    return [tuple(col[np.r_[True, col[1:] != col[:-1]]].tolist())
+            for col in occ.T]
 
 
 def reference_format_discrete_plan(steps) -> str:

@@ -204,11 +204,12 @@ def _skip_sort(monkeypatch):
 
 @pytest.mark.parametrize("fault", [_truncate_rotation_words, _skip_sort])
 def test_planner_faults_exit_4(tmp_path, monkeypatch, capsys, fault):
-    # 6 discs (seed 4) leave some pairs of real discs without a common
-    # empty neighbour, so the sort still swaps on rotation words
+    # the full 9-disc packing (seed 18): some pairs of real discs find
+    # every hole in reach held by their batch, so the sort asks for their
+    # rotation words (and takes the hole path in a later batch)
     inst_path = tmp_path / "f.oldr"
-    assert run("gen", "--n1", "2", "--n2", "3", "--count", "6",
-               "--pattern", "dense", "--seed", "4", "--out", str(inst_path)) == 0
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "9",
+               "--pattern", "dense", "--seed", "18", "--out", str(inst_path)) == 0
     fault(monkeypatch)
     assert run("solve", str(inst_path), "--method", "paft") == 4
     assert "solver failure" in capsys.readouterr().err
@@ -416,10 +417,11 @@ def test_render_static_and_snapshot(tmp_path):
 # sha256 of SVG renders of a 2x3 ILP plan (dense_instance, 5 discs,
 # seed 3) and the 4x5 full-occupancy PAFT plan; the ILP entries were
 # recorded when render still drew from the (time, Vec2) point lists, the
-# PAFT ones when swaps first took the shortest rotation word
+# PAFT snapshots when swaps first took the shortest rotation word, and
+# the PAFT trace when per-vertex clocks began to time the plan steps
 RENDER_SHA256 = {
     "ilp trace": "066e646c686652123524f75b80ac708dc020a77e1a0308085229a11472a39983",
-    "paft trace": "d8f9946698c9329ef9e11f5a3cd43ad4910b3038594eac27052c9d920e5230ee",
+    "paft trace": "6a5284cc5b51e382207d9f928d3f12ce16f973a361db600bc6947c97d390cbb1",
     "ilp 0": "5b3acb62f391985caa121924daa95dbfaec81ace90a05dab85f62612846acc58",
     "paft 0": "126c227552b130b65f666b5a08fbcc2be77440f0e2cd8dc8437e570291cd9161",
     "ilp 0.3": "8fbcec0111e46b8b91f16365a1a30f0fc597497847af510405066a7230d5c2ea",

@@ -9,16 +9,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import (bidirectional_search, canonical_word, reference_validate,
+from _oracles import (bidirectional_search, canonical_word, occupant_orders,
+                      reference_validate, replay_logical_steps,
                       ring_generators)
 from conftest import full_occupancy_instance, random_discrete_instance
+from test_acceptance import PAFT_PARTIAL_MAKESPANS
 from triroute.cli import main as cli_main
-from triroute.discretize import DiscreteInstance
+from triroute.discretize import (ContinuousInstance, DiscreteInstance,
+                                 SEPARATION, discretize)
 from triroute.geometry import build_grid, build_workspace
+from triroute.instances import dense_instance, dense_points
 from triroute.paft import (InfeasibleInstanceError, SwapEngine,
                            SwapSearchError, _Router, build_cell_partition,
                            isag, paft)
@@ -318,11 +323,12 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
     monkeypatch.undo()
 
     # the CLI maps the missing word to exit 4: remove every tabled shape
-    # that a paft solve of the instance asks for (6 discs, seed 4: some
-    # pairs of real discs have no common empty neighbour, so words run)
+    # that a paft solve of the instance asks for (the full 9-disc packing,
+    # seed 18: some pairs of real discs find every hole in reach held by
+    # their batch, so the sort asks for their words)
     inst_path = str(tmp_path / "m.oldr")
-    assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "6",
-                     "--pattern", "dense", "--seed", "4",
+    assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "9",
+                     "--pattern", "dense", "--seed", "18",
                      "--out", inst_path]) == 0
     shape, keys = SwapEngine._canonical_shape, []
 
@@ -407,7 +413,12 @@ def test_isag_identity_is_zero_steps(minimal_grid):
     assert plan.T == 0
 
 
-def test_isag_full_occupancy_minimal_grid(minimal_grid):
+def test_isag_full_occupancy_minimal_grid(minimal_grid, monkeypatch):
+    # no vertex is empty, so no transposition searches for a hole
+    def no_hole_search(*_):
+        raise AssertionError("hole search at full occupancy")
+
+    monkeypatch.setattr(_Router, "_hole_path", no_hole_search)
     g = minimal_grid
     for seed in (0, 1, 2):
         inst = full_occupancy_instance(g, seed)
@@ -604,9 +615,10 @@ def test_real_real_transposition_moves_through_a_common_hole(minimal_grid):
 
 def test_real_real_transposition_without_an_empty_neighbour_takes_its_word(
         minimal_grid):
+    # full occupancy, and a lone hole held by the used set
     g = minimal_grid
     word = SwapEngine(g).schedule_for_pair(8, 9).steps
-    for holes, used in (((16,), ()), ((5,), {5})):
+    for holes, used in (((), ()), ((5,), {5})):
         sched, plan = _transpose(g, holes, 8, 9, used)
         assert sched.centers and sched.steps == word and len(word) >= 13
         assert 0 < plan.T <= len(word)
@@ -621,6 +633,160 @@ def _grid_and_engine(ws):
     return g, SwapEngine(g)
 
 
+def _hole_hops(g, holes, a, b, used):
+    """networkx: hops from the nearest hole off the used set to a common
+    neighbour of a and b off the used set, entering neither a, b nor the
+    used set; None when no hole reaches one."""
+    free = nx.Graph(g.edges).subgraph(set(range(g.n_vertices)) - used - {a, b})
+    sources = [u for u in holes if u in free]
+    if not sources:
+        return None
+    hops = nx.multi_source_dijkstra_path_length(free, sources)
+    common = [h for h in set(g.adjacency[a]) & set(g.adjacency[b])
+              if h in hops]
+    return min((hops[h] for h in common), default=None)
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_hole_path_transposition_matches_networkx(ws, data):
+    # two real discs on an adjacent covered pair, holes and a used set
+    # drawn at random: within 4 hops of the nearest hole the schedule is
+    # 2k + 3 single moves off the used set, exchanging a and b and
+    # returning every other vertex's content; farther, it is the word
+    g, engine = _grid_and_engine(ws)
+    a, b = data.draw(st.sampled_from(_covered_pairs(g)), label="pair")
+    rest = [v for v in range(g.n_vertices) if v not in (a, b)]
+    # few holes put the nearest one farther out
+    n = data.draw(st.integers(0, 3) | st.integers(0, len(rest) // 2),
+                  label="n")
+    holes = set(data.draw(st.permutations(rest), label="order")[:n])
+    used = data.draw(st.sets(st.sampled_from(rest), max_size=12), label="used")
+    sched, plan = _transpose(g, tuple(sorted(holes)), a, b, used)
+    k = _hole_hops(g, holes, a, b, used)
+    if k is None or 2 * k + 3 >= 13:
+        assert sched.centers
+        assert sched.steps == engine.schedule_for_pair(a, b).steps
+        return
+    assert not sched.centers and not sched.footprint & used
+    assert len(sched.steps) == 2 * k + 3 == plan.T
+    assert len(sched.footprint) == k + 3
+    assert _movers(plan) == [1] * plan.T
+
+
+def _hole_at(g, a, b, k):
+    """The lowest vertex k hops from the nearest common neighbour of a and
+    b, entering neither a nor b."""
+    free = nx.Graph(g.edges).subgraph(set(range(g.n_vertices)) - {a, b})
+    hops = nx.multi_source_dijkstra_path_length(
+        free, set(g.adjacency[a]) & set(g.adjacency[b]))
+    return min(v for v, d in hops.items() if d == k)
+
+
+def test_hole_path_takes_2k_plus_3_moves_up_to_four_hops():
+    g = build_grid(build_workspace(6, 7))
+    a = 45
+    b = next(v for v in g.adjacency[a] if v in g.covered)
+    word = SwapEngine(g).schedule_for_pair(a, b).steps
+    assert len(word) == 13
+    for k in range(1, 5):
+        hole = _hole_at(g, a, b, k)
+        sched, plan = _transpose(g, (hole,), a, b)
+        assert not sched.centers and hole in sched.footprint
+        assert len(sched.footprint) == k + 3
+        assert plan.T == len(sched.steps) == 2 * k + 3
+        assert _movers(plan) == [1] * (2 * k + 3)
+        # the hole's own disc is virtual: every real disc on the path
+        # returns to its vertex, a and b trade theirs
+        disc = plan.positions[0].tolist().index(a)
+        assert plan.positions[-1, disc] == b
+    # a lone hole five hops out would cost 13 moves: the word is shorter
+    # or as short
+    sched, plan = _transpose(g, (_hole_at(g, a, b, 5),), a, b)
+    assert sched.centers and sched.steps == word
+
+
+def test_disjoint_transpositions_of_successive_batches_share_steps():
+    # two 13-turn words on disjoint regions, formed in two batches at full
+    # occupancy: the second starts on the first plan step, not after the
+    # first word's 13 steps
+    g = build_grid(build_workspace(6, 7))
+    eng = SwapEngine(g)
+    pairs = [p for p in _covered_pairs(g)
+             if len(eng.schedule_for_pair(*p).steps) == 13]
+    first = eng.schedule_for_pair(*pairs[0])
+    second = next(p for p in pairs
+                  if not eng.schedule_for_pair(*p).footprint & first.footprint)
+    router = _Router(g, eng)
+    router.load(tuple(range(g.n_vertices)))
+    scheds = []
+    for a, b in (pairs[0], second):
+        sched = router._transposition(a, b, set())
+        for step in sched.steps:
+            router.apply_step(list(step))
+        scheds.append(sched)
+    plan = router.finish()
+    assert plan.T == 13
+    start, row1 = plan.positions[:2]
+    assert set(start[row1 != start].tolist()) == {
+        u for s in scheds for u, _ in s.steps[0]}
+    assert not check_plan(g, plan, tuple(range(g.n_vertices)),
+                          tuple(router.pos))
+
+
+def _local_relabelling(n1, n2, swaps, seed):
+    """The full pitch-8/3 packing with goals made by random swaps of
+    neighbouring packing points, as the paft-dense benchmark builds them."""
+    ws = build_workspace(n1, n2)
+    pts = dense_points(ws)
+    nbrs = [[j for j, q in enumerate(pts)
+             if j != i and abs(p.dist(q) - SEPARATION) < 1e-3]
+            for i, p in enumerate(pts)]
+    rng = random.Random(seed)
+    label = list(range(len(pts)))
+    for _ in range(swaps):
+        i = rng.randrange(len(pts))
+        j = rng.choice(nbrs[i])
+        label[i], label[j] = label[j], label[i]
+    goal_of = {d: k for k, d in enumerate(label)}
+    return ContinuousInstance(workspace=ws, starts=tuple(pts),
+                              goals=tuple(pts[goal_of[d]]
+                                          for d in range(len(pts))))
+
+
+def _clock_cases():
+    for n1, n2, count, seed in PAFT_PARTIAL_MAKESPANS:
+        yield dense_instance(build_workspace(n1, n2), count, seed)
+    yield _local_relabelling(6, 7, 60, 2024)
+
+
+@pytest.mark.parametrize("cont", list(_clock_cases()))
+def test_timed_plan_keeps_every_vertex_order(cont, monkeypatch):
+    # replaying the router's logical steps one per plan step gives every
+    # vertex the same order of real occupants and the same end as the
+    # timed plan, which is no longer and has no empty row
+    g = build_grid(cont.workspace)
+    inst, _, _ = discretize(cont, g)
+    logged = []
+    apply_step = _Router.apply_step
+
+    def logging(self, moves):
+        logged.append(list(moves))
+        return apply_step(self, moves)
+
+    monkeypatch.setattr(_Router, "apply_step", logging)
+    plan = paft(inst)[0]
+    monkeypatch.undo()
+    assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+    assert validate(synthesize_discrete(g, plan), g.workspace).valid
+    logical = replay_logical_steps(inst.v_starts, logged, g.n_vertices)
+    assert logical[-1].tolist() == plan.positions[-1].tolist()
+    assert (occupant_orders(logical, g.n_vertices)
+            == occupant_orders(plan.positions, g.n_vertices))
+    moved = (np.diff(logical, axis=0) != 0).any(axis=1)
+    assert plan.T < moved.sum()
+    assert (np.diff(plan.positions, axis=0) != 0).any(axis=1).all()
+
+
 @given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
 def test_partial_occupancy_plans_are_legal_and_valid(ws, data):
     # any occupancy with at least one hole: both planners reach every
@@ -633,6 +799,8 @@ def test_partial_occupancy_plans_are_legal_and_valid(ws, data):
                                                     label="seed"))
     for plan in (isag(inst, engine), paft(inst, engine)[0]):
         assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+        # the clocks leave no plan row without a move
+        assert (np.diff(plan.positions, axis=0) != 0).any(axis=1).all()
         cp = synthesize_discrete(g, plan)
         rep = validate(cp, g.workspace)
         assert rep.valid

@@ -31,7 +31,13 @@ grids = {ws: tr.geometry.build_grid(tr.geometry.build_workspace(*ws))
 engine = run.warm_engine(tr, grids[(3, 4)], tracer)
 tracer.uninstall()
 ilp = tr.instances.dense_instance(grids[(2, 3)].workspace, 6, 2)
-small = tr.instances.dense_instance(grids[(3, 4)].workspace, 8, 22)
+packing = tr.instances.dense_points(grids[(3, 4)].workspace)
+goals = list(packing)
+for i, j in ((11, 15), (12, 17)):
+    goals[i], goals[j] = goals[j], goals[i]
+small = tr.discretize.ContinuousInstance(
+    workspace=grids[(3, 4)].workspace, starts=tuple(packing),
+    goals=tuple(goals))
 cases = [("ilp", (2, 3), ilp, None, None),
          ("external", (2, 3), ilp, None, "external"),
          ("paft", (3, 4), small, engine, None)]
@@ -55,8 +61,10 @@ ILP = ["triilp.horizons", "triilp.infeasible_horizons", "ilp.build_model_s",
        "ilp.extract_plan_s"]
 EXTERNAL = ["ilp.export_lp_s", "ilp.lp_bytes", "lpsolve.solve_lp_text_s",
             "ilp.solver_startup_s", "ilp.parse_solution_s"]
-# 8 dense discs on 3x4 (seed 22): four cells, five circulation rounds
-# and two pairs of real discs that swap on rotation words
+# the full 18-disc packing of 3x4 with two neighbouring pairs of goals
+# exchanged: four cells, one circulation round, and a pair of real discs
+# that twice finds its holes in reach held by its batch and asks for its
+# rotation word
 PAFT = ["paft.paft_s", "paft.schedule_calls", "paft.makespan",
         "paft.lower_bound", "paft.cells", "paft.circulation_steps",
         "paft.swap_constant"]

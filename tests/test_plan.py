@@ -12,12 +12,12 @@ from triroute.plan import DiscretePlan, check_plan
 
 # sha256 of the discrete plan text: the ilp_suite plans' texts joined in
 # order, recorded when plans were lists of tuples, and the 4x5
-# full-occupancy PAFT plan, recorded when swaps first took the shortest
-# rotation word
+# full-occupancy PAFT plan, recorded when per-vertex clocks began to time
+# its steps
 ILP_SUITE_TEXT_SHA = \
     "8cf4338c19fa3214287a4b386b5891b59438b4777ff95c19ccfa25584a34df77"
 PAFT_FULL_TEXT_SHA = \
-    "bcab790a3636c379383476347de3cff57e7ee90d0ad49ef108404e5e716a1fd9"
+    "16b4dc1da7a8aa714344878322245f6a0d55f51ea2f985b66dfc9e437f2adbd9"
 
 
 def _sha(text: str) -> str:
