@@ -66,13 +66,12 @@ _LEAF = 10
 
 @dataclass
 class SwapSchedule:
-    region: frozenset[int]                       # vertices of both rings,
-                                                 # or of the hole moves
+    """A pair's rotation word, turn by turn."""
+    region: frozenset[int]                       # vertices of both rings
     footprint: frozenset[int]                    # region plus ring centers
     steps: list[tuple[tuple[int, int], ...]]     # per step: (from, to) moves
     net_permutation: dict[int, int]              # start vertex -> end vertex
-    centers: tuple[int, ...] = ()                # ring centers used (none
-                                                 # for hole moves)
+    centers: tuple[int, int]                     # the two ring centers
 
 
 @dataclass
@@ -174,6 +173,19 @@ class SwapEngine:
         self._axial = [grid.axial(v) for v in range(grid.n_vertices)]
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
         self.c_swap = 0
+        # circulation tables, one row per ring turn: by center, clockwise
+        # (-1) before counterclockwise (+1), so a stable sort by gain
+        # ranks turns by (-gain, center, turn).  Turn i moves the disc on
+        # ring_tails[i, k] to ring_heads[i, k]; its footprint is the ring
+        # plus its center.
+        turns = [(c, dr) for c in sorted(grid.ring_of) for dr in (-1, 1)]
+        rings = [grid.ring_of[c] for c, _ in turns]
+        self.ring_tails = np.array(rings, dtype=np.intp).reshape(-1, 6)
+        self.ring_heads = np.array(
+            [ring[dr:] + ring[:dr] for ring, (_, dr) in zip(rings, turns)],
+            dtype=np.intp).reshape(-1, 6)
+        self.ring_footprints = [ring + (c,)
+                                for ring, (c, _) in zip(rings, turns)]
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
         """Best-ranked pair of overlapping rings that together hold a and
@@ -270,7 +282,12 @@ class _Router:
     adjacent vertices in one of four ways (see ``_transposition``): a
     relabel of two virtual discs, one move, 2k + 3 moves through the
     nearest hole, or the pair's rotation word; at full occupancy only
-    words occur.
+    words occur.  The one move and each of the 2k + 3 exchange the
+    contents of two vertices.  Exchanges are the router's unit of work:
+    ``apply_step`` lands each one directly, without its general
+    multi-move loop, and the batch takes its footprint from their
+    endpoints.  Each round reads only the inverted comparators, a set
+    kept up to date as values swap (see ``_run_rounds``).
     """
 
     def __init__(self, grid: TriGrid, engine: SwapEngine | None = None):
@@ -303,6 +320,32 @@ class _Router:
         return d
 
     def apply_step(self, moves: list[tuple[int, int]]) -> None:
+        """Move the disc on u to v for every (u, v) at once and time the
+        step's real moves by the clocks.  An exchange ((u, v), (v, u))
+        swaps the two vertices' contents directly."""
+        if len(moves) == 2 and moves[0][::-1] == moves[1]:
+            u, v = moves[0]
+            occ = self.occ
+            du, dv = occ[u], occ[v]
+            if du == -1 or dv == -1:
+                raise PlannerInvariantError(
+                    f"move from empty vertex {u if du == -1 else v}")
+            occ[u], occ[v] = dv, du
+            self.pos[du], self.pos[dv] = v, u
+            n_real, free = self.n_real, self.free
+            if du < n_real or dv < n_real:
+                t = max(free[u], free[v])
+                free[u] = free[v] = t + 1
+                if du < n_real:
+                    self.moved += (t, du, v - u)
+                if dv < n_real:
+                    self.moved += (t, dv, u - v)
+            return
+        self._apply_moves(moves)
+
+    def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
+        """apply_step's general loop: any set of moves, such as a ring
+        rotation or a circulation round."""
         if not moves:
             return
         occ = self.occ
@@ -315,6 +358,7 @@ class _Router:
             occ[u] = -1
         pos, n_real, free = self.pos, self.n_real, self.free
         real = []
+        t = 0       # the latest clock of a real move's vertices
         for (u, v), d in zip(moves, discs):
             if occ[v] != -1:
                 raise PlannerInvariantError(f"two discs target vertex {v}")
@@ -322,11 +366,15 @@ class _Router:
             pos[d] = v
             if d < n_real:
                 real.append((d, u, v))
+                if free[u] > t:
+                    t = free[u]
+                if free[v] > t:
+                    t = free[v]
         if real:
-            t = max(max(free[u], free[v]) for _, u, v in real)
+            moved = self.moved
             for d, u, v in real:
                 free[u] = free[v] = t + 1
-                self.moved += (t, d, v - u)
+                moved += (t, d, v - u)
 
     def finish(self) -> DiscretePlan:
         """The recorded steps as one array: row 0 is the start, every move
@@ -442,16 +490,17 @@ class _Router:
         return None
 
     def _transposition(self, a: int, b: int, used: set[int]
-                       ) -> SwapSchedule | None:
+                       ) -> SwapSchedule | tuple[tuple[int, int], ...] | None:
         """Exchange the discs on adjacent covered vertices a and b, chosen
         by what they hold.  Two virtual discs swap ids at once (None).  A
         real disc and a virtual one take one move.  Two real discs with a
         hole k <= _HOLE_REACH hops from a common neighbour h (see
         _hole_path) take 2k + 3: the hole walks to h, then a to h, b to a,
         h to b, and the hole walks back, so every other disc returns home.
-        Each move exchanges a real disc with the virtual one at its
-        target, whose move is not recorded.  Anything else takes the
-        pair's word."""
+        Each move (u, v) exchanges a real disc with the virtual one at its
+        target, whose move is not recorded; these come back as the tuple
+        of exchanges, whose endpoints are the footprint.  Anything else
+        takes the pair's word, the engine's SwapSchedule."""
         occ, n_real = self.occ, self.n_real
         da, db = occ[a], occ[b]
         if da >= n_real and db >= n_real:
@@ -459,28 +508,36 @@ class _Router:
             self.pos[da], self.pos[db] = b, a
             return None
         if da >= n_real or db >= n_real:
-            moves = ((a, b),)
-        else:
-            path = (self._hole_path(a, b, used)
-                    if len(self.pos) > n_real else None)
-            if path is None:
-                return self.engine.schedule_for_pair(a, b)
-            h = path[-1]
-            walk = list(zip(path[1:], path))
-            moves = [*walk, (a, h), (b, a), (h, b),
-                     *((v, u) for u, v in reversed(walk))]
-        region = frozenset(v for m in moves for v in m)
-        net = {v: v for v in region}
-        net[a], net[b] = b, a
-        return SwapSchedule(region=region, footprint=region,
-                            steps=[((u, v), (v, u)) for u, v in moves],
-                            net_permutation=net)
+            return ((a, b),)
+        path = self._hole_path(a, b, used) if len(self.pos) > n_real else None
+        if path is None:
+            return self.engine.schedule_for_pair(a, b)
+        h = path[-1]
+        walk = tuple(zip(path[1:], path))
+        return (*walk, (a, h), (b, a), (h, b),
+                *((v, u) for u, v in reversed(walk)))
 
-    def _run_rounds(self, snake: list[int], cmp_val, active: list[tuple[int, int]]
-                    ) -> None:
-        """Odd-even transposition rounds until every interval is clean."""
+    def _run_rounds(self, snake: list[int], vals: list[int],
+                    active: list[tuple[int, int]]) -> None:
+        """Odd-even transposition rounds until every interval is clean.
+
+        vals[p] is the comparison value of the disc on snake[p]; a
+        comparator p (positions p and p + 1 of one interval) is inverted
+        when vals[p] > vals[p + 1], and only inverted comparators of the
+        round's parity transpose.  The inverted set is kept incrementally:
+        a transposition swaps two values, so only comparators p - 1, p and
+        p + 1 are tested again.  A round's transpositions run in interval
+        order (that of active), then by p."""
         if not active:
             return
+        n = len(snake)
+        lo_of, hi_of, order = [0] * n, [0] * n, [0] * n
+        inverted: tuple[set[int], set[int]] = (set(), set())  # by parity
+        for i, (lo, hi) in enumerate(active):
+            for p in range(lo, hi):
+                lo_of[p], hi_of[p], order[p] = lo, hi, i * n + p
+                if p + 1 < hi and vals[p] > vals[p + 1]:
+                    inverted[p & 1].add(p)
         max_len = max(hi - lo for lo, hi in active)
         clean_streak = 0
         parity = 0
@@ -489,18 +546,13 @@ class _Router:
             rounds += 1
             if rounds > max_len + 4:
                 raise PlannerInvariantError("odd-even rounds failed to converge")
-            wanted: list[tuple[int, int]] = []
-            for lo, hi in active:
-                p = lo + ((parity + lo) % 2)
-                while p + 1 < hi:
-                    if cmp_val(p) > cmp_val(p + 1):
-                        wanted.append((snake[p], snake[p + 1]))
-                    p += 2
+            todo = sorted(inverted[parity], key=order.__getitem__)
             parity ^= 1
-            if not wanted:
+            if not todo:
                 clean_streak += 1
                 continue
             clean_streak = 0
+            wanted = [(snake[p], snake[p + 1]) for p in todo]
             # batches of footprint-disjoint transpositions; a pair whose
             # footprint meets the batch waits for the next one.  The
             # clocks time each step, so a batch has no common end.
@@ -508,19 +560,35 @@ class _Router:
                 used: set[int] = set()
                 deferred: list[tuple[int, int]] = []
                 for a, b in wanted:
-                    sched = self._transposition(a, b, used)
-                    if sched is None:
+                    swap = self._transposition(a, b, used)
+                    if swap is None:
                         continue
-                    if sched.footprint & used:
+                    word = isinstance(swap, SwapSchedule)
+                    footprint = (swap.footprint if word
+                                 else {v for m in swap for v in m})
+                    if not used.isdisjoint(footprint):
                         deferred.append((a, b))
                         continue
-                    used |= sched.footprint
-                    for step in sched.steps:
+                    used |= footprint
+                    for step in (swap.steps if word else
+                                 (((u, v), (v, u)) for u, v in swap)):
                         self.apply_step(step)
                 wanted = deferred
+            for p in todo:
+                vals[p], vals[p + 1] = vals[p + 1], vals[p]
+            for p in todo:
+                lo, hi = lo_of[p], hi_of[p]
+                for q in range(max(p - 1, lo), min(p + 2, hi - 1)):
+                    if vals[q] > vals[q + 1]:
+                        inverted[q & 1].add(q)
+                    else:
+                        inverted[q & 1].discard(q)
 
     def sort_covered(self, target_of: dict[int, int]) -> None:
-        """Route every disc with a covered target to it by bisection sort."""
+        """Route every disc with a covered target to it by bisection sort.
+
+        Each level compares discs by their target slot, or, inside an
+        interval still to split, by the half their target lies in."""
         snake = self._snake()
         slot_of = {v: i for i, v in enumerate(snake)}
         key = [0] * len(self.pos)
@@ -531,20 +599,11 @@ class _Router:
         while intervals:
             splits = [(lo, hi) for lo, hi in intervals if hi - lo > _LEAF]
             leaves = [(lo, hi) for lo, hi in intervals if hi - lo <= _LEAF]
-            mid_at: dict[int, int] = {}
+            vals = [key[self.occ[v]] for v in snake]
             for lo, hi in splits:
                 mid = (lo + hi) // 2
-                for p in range(lo, hi):
-                    mid_at[p] = mid
-
-            def cmp_val(p: int) -> int:
-                k = key[self.occ[snake[p]]]
-                mid = mid_at.get(p)
-                if mid is None:
-                    return k
-                return 1 if k >= mid else 0
-
-            self._run_rounds(snake, cmp_val, splits + leaves)
+                vals[lo:hi] = [int(k >= mid) for k in vals[lo:hi]]
+            self._run_rounds(snake, vals, splits + leaves)
             if any(key[self.occ[snake[p]]] != p
                    for lo, hi in leaves for p in range(lo, hi)):
                 raise PlannerInvariantError("leaf sort incomplete")
@@ -557,35 +616,37 @@ class _Router:
         """Synchronized ring rotations chosen by a goal-distance potential.
 
         Real discs pull rotations toward their targets; virtual discs are
-        free riders.  Stops at the first iteration with no improving ring
-        or after cap rounds.
+        free riders.  Every ring turn's gain (the drop in its real discs'
+        hop distances to their targets) comes from the engine's
+        per-grid tables in one array expression; the best turns on
+        disjoint rings run as one step.  Stops at the first iteration
+        with no improving ring or after cap rounds.
         """
-        dist = {d: self.grid.hops_from(tv).tolist()
-                for d, tv in target_of.items() if d < self.n_real}
-        steps = {(c, dr): _rotation(self.grid.ring_of[c], dr)
-                 for c in sorted(self.grid.ring_of) for dr in (1, -1)}
+        eng = self.engine
+        real = [(d, tv) for d, tv in target_of.items() if d < self.n_real]
+        # hops to each real disc's target, one row per disc, and a zero
+        # row for every other disc and for an empty vertex (index -1)
+        dist = np.zeros((len(real) + 1, self.grid.n_vertices), dtype=np.int64)
+        row_of = np.full(len(self.pos) + 1, len(real), dtype=np.intp)
+        for i, (d, tv) in enumerate(real):
+            dist[i] = self.grid.hops_from(tv)
+            row_of[d] = i
+        tails, heads = eng.ring_tails, eng.ring_heads
         done = 0
         for _ in range(cap):
-            options = []
-            for (c, dr), step in steps.items():
-                gain = 0
-                for u, v in step:
-                    dt = dist.get(self.occ[u])
-                    if dt is not None:
-                        gain += dt[u] - dt[v]
-                if gain > 0:
-                    options.append((-gain, c, dr))
-            if not options:
+            rows = row_of[np.array(self.occ)[tails]]
+            gain = (dist[rows, tails] - dist[rows, heads]).sum(axis=1)
+            better = np.flatnonzero(gain > 0)
+            if not better.size:
                 break
-            options.sort()
             used: set[int] = set()
             moves: list[tuple[int, int]] = []
-            for _, c, dr in options:
-                fp = set(self.grid.ring_of[c]) | {c}
-                if fp & used:
+            for i in better[np.argsort(-gain[better], kind="stable")].tolist():
+                fp = eng.ring_footprints[i]
+                if not used.isdisjoint(fp):
                     continue
-                used |= fp
-                moves.extend(steps[c, dr])
+                used.update(fp)
+                moves.extend(zip(tails[i].tolist(), heads[i].tolist()))
             self.apply_step(moves)
             done += 1
         return done

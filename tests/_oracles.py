@@ -6,8 +6,9 @@ and a one-pair-at-a-time formula for minimum distances, an all-pairs
 separation check, a from-scratch lattice enumeration, the per-corner
 sharp-angle rows, a direct search for the snap-phase clearance infimum,
 the ILP's original goal-subset walk search, the permutation search
-that regenerates the planner's table of swap rotation words, and a
-one-step-per-move replay of the planner's logical moves.
+that regenerates the planner's table of swap rotation words, a
+one-step-per-move replay of the planner's logical moves, and the
+planner's greedy circulations as a loop over every ring turn.
 """
 
 from __future__ import annotations
@@ -689,3 +690,60 @@ def canonical_word(key: tuple) -> str | None:
     if word is None:
         return None
     return "".join("AB"[which] + ("+" if d > 0 else "-") for which, d in word)
+
+
+def _hops(adjacency, source: int) -> list[int]:
+    """Breadth-first hop distances from source, -1 where unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_circulations(router, target_of: dict[int, int], cap: int
+                           ) -> int:
+    """The router's greedy circulations, one ring turn at a time: a
+    turn's gain is summed disc by disc from each real disc's hop
+    distances to its target, turns are ranked by (-gain, center, turn),
+    and the best ones on disjoint rings (plus centers) run as one step
+    through router.apply_step.  Returns the rounds run."""
+    grid = router.grid
+    dist = {d: _hops(grid.adjacency, tv) for d, tv in target_of.items()
+            if d < router.n_real}
+    steps = {}
+    for c in sorted(grid.ring_of):
+        ring = grid.ring_of[c]
+        for dr in (1, -1):
+            steps[c, dr] = [(v, ring[(i + dr) % len(ring)])
+                            for i, v in enumerate(ring)]
+    done = 0
+    for _ in range(cap):
+        options = []
+        for (c, dr), step in steps.items():
+            gain = 0
+            for u, v in step:
+                dt = dist.get(router.occ[u])
+                if dt is not None:
+                    gain += dt[u] - dt[v]
+            if gain > 0:
+                options.append((-gain, c, dr))
+        if not options:
+            break
+        options.sort()
+        used: set[int] = set()
+        moves = []
+        for _, c, dr in options:
+            footprint = set(grid.ring_of[c]) | {c}
+            if footprint & used:
+                continue
+            used |= footprint
+            moves.extend(steps[c, dr])
+        router.apply_step(moves)
+        done += 1
+    return done

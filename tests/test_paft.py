@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import importlib
 import math
 import os
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import (bidirectional_search, canonical_word, occupant_orders,
-                      reference_validate, replay_logical_steps,
-                      ring_generators)
+                      reference_circulations, reference_validate,
+                      replay_logical_steps, ring_generators)
 from conftest import full_occupancy_instance, random_discrete_instance
 from test_acceptance import PAFT_PARTIAL_MAKESPANS
 from triroute.cli import main as cli_main
@@ -24,9 +25,10 @@ from triroute.discretize import (ContinuousInstance, DiscreteInstance,
                                  SEPARATION, discretize)
 from triroute.geometry import build_grid, build_workspace
 from triroute.instances import dense_instance, dense_points
-from triroute.paft import (InfeasibleInstanceError, SwapEngine,
-                           SwapSearchError, _Router, build_cell_partition,
-                           isag, paft)
+from triroute.paft import (InfeasibleInstanceError, PlannerInvariantError,
+                           SwapEngine, SwapSchedule, SwapSearchError, _Router,
+                           _completion_targets, build_cell_partition, isag,
+                           paft)
 from triroute.plan import DiscretePlan, check_plan
 from triroute.triilp import underestimated_makespan
 from triroute.validate import synthesize_discrete, validate
@@ -563,7 +565,9 @@ def _transpose(g, holes, a, b, used=()):
     """One _Router transposition of a and b, with a real disc on every
     vertex but the holes and a virtual disc on each hole.  The contents
     of a and b must trade places and the recorded plan must be legal;
-    returns the schedule (None for a relabel) and the plan."""
+    returns what _transposition returned (None for a relabel, the tuple
+    of exchanges of a one-move or hole-path transposition, or the pair's
+    word) and the plan."""
     starts = tuple(v for v in range(g.n_vertices) if v not in holes)
     router = _Router(g)
     router.load(starts)
@@ -571,14 +575,28 @@ def _transpose(g, holes, a, b, used=()):
         router.add_virtual(v)
     expect = list(router.occ)
     expect[a], expect[b] = expect[b], expect[a]
-    sched = router._transposition(a, b, set(used))
-    for step in sched.steps if sched else ():
+    swap = router._transposition(a, b, set(used))
+    if isinstance(swap, tuple):
+        steps = [((u, v), (v, u)) for u, v in swap]
+    else:
+        steps = swap.steps if swap else ()
+    for step in steps:
         router.apply_step(list(step))
     assert router.occ == expect
     assert all(router.pos[d] == v for v, d in enumerate(router.occ))
     plan = router.finish()
     assert not check_plan(g, plan, starts, tuple(router.pos[:len(starts)]))
-    return sched, plan
+    return swap, plan
+
+
+def _exchanges(swap):
+    """The endpoints of a transposition's exchanges (its footprint), or
+    None when it is a rotation word."""
+    if isinstance(swap, SwapSchedule):
+        assert swap.centers
+        return None
+    assert isinstance(swap, tuple) and swap
+    return {v for m in swap for v in m}
 
 
 def _movers(plan):
@@ -596,21 +614,22 @@ def test_hole_hole_transposition_relabels_without_a_step(minimal_grid):
 
 def test_real_hole_transposition_is_one_move(minimal_grid):
     for hole, a, b in ((9, 8, 9), (8, 8, 9)):
-        sched, plan = _transpose(minimal_grid, (hole,), a, b)
-        assert sched.footprint == {8, 9} and not sched.centers
+        swap, plan = _transpose(minimal_grid, (hole,), a, b)
+        assert _exchanges(swap) == {8, 9} and swap == ((a, b),)
         assert _movers(plan) == [1]
 
 
 def test_real_real_transposition_moves_through_a_common_hole(minimal_grid):
     g = minimal_grid
-    sched, plan = _transpose(g, (5, 12), 8, 9)
-    assert sched.footprint == {5, 8, 9}     # the lowest empty neighbour
+    swap, plan = _transpose(g, (5, 12), 8, 9)
+    assert _exchanges(swap) == {5, 8, 9}     # the lowest empty neighbour
+    assert swap == ((8, 5), (9, 8), (5, 9))
     assert _movers(plan) == [1, 1, 1]
     disc = plan.positions[0].tolist().index(8)
     assert plan.positions[:, disc].tolist() == [8, 5, 5, 9]
     # a neighbour in the used set is passed over
-    sched, plan = _transpose(g, (5, 12), 8, 9, used={5})
-    assert sched.footprint == {8, 9, 12} and _movers(plan) == [1, 1, 1]
+    swap, plan = _transpose(g, (5, 12), 8, 9, used={5})
+    assert _exchanges(swap) == {8, 9, 12} and _movers(plan) == [1, 1, 1]
 
 
 def test_real_real_transposition_without_an_empty_neighbour_takes_its_word(
@@ -631,6 +650,64 @@ _PARTIAL_GRIDS = ((2, 3), (4, 5), (6, 7))
 def _grid_and_engine(ws):
     g = build_grid(build_workspace(*ws))
     return g, SwapEngine(g)
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_exchange_fast_path_matches_the_general_loop(ws, data):
+    # random real, virtual and empty vertices and random clocks: each
+    # exchange step ((u, v), (v, u)) leaves occ, pos, free and moved as
+    # the general multi-move loop does, and one from an empty vertex
+    # raises naming it
+    g, _ = _grid_and_engine(ws)
+    V = g.n_vertices
+    kinds = data.draw(st.lists(st.sampled_from("rrrvve"), min_size=V,
+                               max_size=V), label="kinds")
+    order = data.draw(st.permutations(range(V)), label="order")
+    clocks = data.draw(st.lists(st.integers(0, 20), min_size=V, max_size=V),
+                       label="clocks")
+    fast, general = _Router(g), _Router(g)
+    for router in (fast, general):
+        router.load(tuple(v for v in order if kinds[v] == "r"))
+        for v in order:
+            if kinds[v] == "v":
+                router.add_virtual(v)
+        router.free = list(clocks)
+    edges = data.draw(st.lists(st.sampled_from(g.edges), min_size=1,
+                               max_size=8), label="edges")
+    for u, v in edges:
+        if data.draw(st.booleans(), label="flip"):
+            u, v = v, u
+        step = ((u, v), (v, u))
+        empty = [w for w in (u, v) if fast.occ[w] == -1]
+        if empty:
+            named = f"move from empty vertex {empty[0]}$"
+            for apply in (fast.apply_step, general._apply_moves):
+                with pytest.raises(PlannerInvariantError, match=named):
+                    apply(step)
+            return
+        fast.apply_step(step)
+        general._apply_moves(step)
+        assert (fast.occ, fast.pos, fast.free, fast.moved) == (
+            general.occ, general.pos, general.free, general.moved)
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_circulations_match_the_loop_reference(ws, data):
+    # the engine's ring tables and the array gains pick the same turns,
+    # in the same steps, as a loop over every ring turn
+    g, engine = _grid_and_engine(ws)
+    n = data.draw(st.integers(0, g.n_vertices - 1), label="n")
+    inst = random_discrete_instance(g, n, data.draw(st.integers(0, 2 ** 32),
+                                                    label="seed"))
+    cap = data.draw(st.integers(1, 12), label="cap")
+    got = []
+    for run in (_Router.greedy_circulations, reference_circulations):
+        router = _Router(g, engine)
+        router.load(inst.v_starts)
+        router.settle_boundary(inst.v_goals)
+        done = run(router, _completion_targets(router, inst), cap)
+        got.append((done, router.occ, router.pos, router.free, router.moved))
+    assert got[0] == got[1]
 
 
 def _hole_hops(g, holes, a, b, used):
@@ -661,15 +738,16 @@ def test_hole_path_transposition_matches_networkx(ws, data):
                   label="n")
     holes = set(data.draw(st.permutations(rest), label="order")[:n])
     used = data.draw(st.sets(st.sampled_from(rest), max_size=12), label="used")
-    sched, plan = _transpose(g, tuple(sorted(holes)), a, b, used)
+    swap, plan = _transpose(g, tuple(sorted(holes)), a, b, used)
     k = _hole_hops(g, holes, a, b, used)
     if k is None or 2 * k + 3 >= 13:
-        assert sched.centers
-        assert sched.steps == engine.schedule_for_pair(a, b).steps
+        assert _exchanges(swap) is None
+        assert swap.steps == engine.schedule_for_pair(a, b).steps
         return
-    assert not sched.centers and not sched.footprint & used
-    assert len(sched.steps) == 2 * k + 3 == plan.T
-    assert len(sched.footprint) == k + 3
+    footprint = _exchanges(swap)
+    assert footprint is not None and not footprint & used
+    assert len(swap) == 2 * k + 3 == plan.T
+    assert len(footprint) == k + 3
     assert _movers(plan) == [1] * plan.T
 
 
@@ -690,10 +768,11 @@ def test_hole_path_takes_2k_plus_3_moves_up_to_four_hops():
     assert len(word) == 13
     for k in range(1, 5):
         hole = _hole_at(g, a, b, k)
-        sched, plan = _transpose(g, (hole,), a, b)
-        assert not sched.centers and hole in sched.footprint
-        assert len(sched.footprint) == k + 3
-        assert plan.T == len(sched.steps) == 2 * k + 3
+        swap, plan = _transpose(g, (hole,), a, b)
+        footprint = _exchanges(swap)
+        assert footprint is not None and hole in footprint
+        assert len(footprint) == k + 3
+        assert plan.T == len(swap) == 2 * k + 3
         assert _movers(plan) == [1] * (2 * k + 3)
         # the hole's own disc is virtual: every real disc on the path
         # returns to its vertex, a and b trade theirs
@@ -701,8 +780,8 @@ def test_hole_path_takes_2k_plus_3_moves_up_to_four_hops():
         assert plan.positions[-1, disc] == b
     # a lone hole five hops out would cost 13 moves: the word is shorter
     # or as short
-    sched, plan = _transpose(g, (_hole_at(g, a, b, 5),), a, b)
-    assert sched.centers and sched.steps == word
+    swap, plan = _transpose(g, (_hole_at(g, a, b, 5),), a, b)
+    assert _exchanges(swap) is None and swap.steps == word
 
 
 def test_disjoint_transpositions_of_successive_batches_share_steps():
@@ -870,3 +949,62 @@ def test_planner_invariants_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["SwapSearchError", "PlannerInvariantError",
                                    "SolverError"]
+
+
+def _digest_cases():
+    """(name, discrete instance) of the plan-identity pins: local
+    relabellings like paft-dense's, the partial-occupancy makespan
+    instances and full occupancies of 3x3, 4x5 and 6x7.  Seed 0's
+    relabelling has circulation turns of equal gain on one ring, and
+    3x3's 21-vertex snake has a level with an interval of 10 (a leaf)
+    before one of 11 (a split), so these two pin the order of ring
+    turns and of a round's transpositions."""
+    for seed in (0, 2024, 2025, 2026):
+        cont = _local_relabelling(6, 7, 60, seed)
+        yield (f"local-6x7-{seed}",
+               discretize(cont, build_grid(cont.workspace))[0])
+    for n1, n2, count, seed in PAFT_PARTIAL_MAKESPANS:
+        ws = build_workspace(n1, n2)
+        yield (f"dense-{n1}x{n2}-{count}-{seed}",
+               discretize(dense_instance(ws, count, seed), build_grid(ws))[0])
+    for n1, n2, seeds in ((3, 3, 2), (4, 5, 4), (6, 7, 4)):
+        g = build_grid(build_workspace(n1, n2))
+        for seed in range(seeds):
+            yield f"full-{n1}x{n2}-{seed}", full_occupancy_instance(g, seed)
+
+
+def _plan_digest(plan):
+    pos = np.ascontiguousarray(plan.positions, dtype=np.int64)
+    return hashlib.sha256(repr(pos.shape).encode() + pos.tobytes()
+                          ).hexdigest()[:16]
+
+
+# sha256 (first 16 hex digits) of each plan's position array, paft then
+# isag; a router change that keeps the plans keeps these
+PLAN_DIGESTS = {
+    "local-6x7-0": ("617c688617cdbdf1", "5f79894dc393a022"),
+    "local-6x7-2024": ("ecde4068da6a48a5", "ca4aaa9994b7abb6"),
+    "local-6x7-2025": ("01a37e45b324f865", "0e8826c2c3ebfe67"),
+    "local-6x7-2026": ("6268ac83a1419d89", "30ecd043cd874a4d"),
+    "dense-2x3-6-4": ("316fe93cd52252bb", "316fe93cd52252bb"),
+    "dense-4x5-20-3": ("345ee0f7e5f0061e", "345ee0f7e5f0061e"),
+    "dense-4x5-30-1": ("1795941c4b437f94", "1795941c4b437f94"),
+    "dense-6x7-40-2": ("b862534ddb4a38dd", "b862534ddb4a38dd"),
+    "dense-6x7-63-5": ("1ef2f39072de918b", "1ef2f39072de918b"),
+    "full-3x3-0": ("8e27452a20d38dd1", "8e27452a20d38dd1"),
+    "full-3x3-1": ("498899658c883412", "498899658c883412"),
+    "full-4x5-0": ("bda1c467d0de7509", "bda1c467d0de7509"),
+    "full-4x5-1": ("035bb15bbd9ee621", "035bb15bbd9ee621"),
+    "full-4x5-2": ("c2d1f84900e5cf23", "c2d1f84900e5cf23"),
+    "full-4x5-3": ("145423a53fef1ea4", "145423a53fef1ea4"),
+    "full-6x7-0": ("e86c0d00448a5f84", "e86c0d00448a5f84"),
+    "full-6x7-1": ("326f805a16268569", "326f805a16268569"),
+    "full-6x7-2": ("709bf3f7a5be9b17", "709bf3f7a5be9b17"),
+    "full-6x7-3": ("6db12c47531fa30a", "6db12c47531fa30a"),
+}
+
+
+def test_router_plans_keep_their_digests():
+    got = {name: (_plan_digest(paft(inst)[0]), _plan_digest(isag(inst)))
+           for name, inst in _digest_cases()}
+    assert got == PLAN_DIGESTS
