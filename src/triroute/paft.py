@@ -346,8 +346,6 @@ class _Router:
     def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
         """apply_step's general loop: any set of moves, such as a ring
         rotation or a circulation round."""
-        if not moves:
-            return
         occ = self.occ
         discs = []
         for u, _ in moves:
