@@ -317,10 +317,22 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
     with tempfile.TemporaryDirectory(prefix="triroute-ilp-") as tmp:
         model_path = os.path.join(tmp, "model.lp")
         sol_path = os.path.join(tmp, "model.sol")
+        # an unknown or positional placeholder, a lone brace or quote, or
+        # nothing to run is a fault of the template, not of the model
+        try:
+            cmd = template.format(model=model_path, solution=sol_path,
+                                  python=sys.executable)
+            argv = shlex.split(cmd)
+        except (LookupError, AttributeError, TypeError, ValueError) as exc:
+            why = (f"unknown placeholder {exc}" if isinstance(exc, KeyError)
+                   else str(exc))
+            raise SolverError(
+                f"bad solver command template {template!r}: {why}") from None
+        if not argv:
+            raise SolverError(
+                f"solver command template {template!r} names no command")
         with open(model_path, "w") as f:
             f.write(export_lp(model))
-        cmd = template.format(model=model_path, solution=sol_path,
-                              python=sys.executable)
         # the child imports triroute from wherever this process did; it
         # does no dense linear algebra, so one OpenBLAS thread spares it
         # the idle pools that numpy and scipy start (a set value wins)
@@ -329,7 +341,7 @@ def _solve_external(model: IlpModel, solver_cmd: str | None) -> Solution:
                "PYTHONPATH": os.pathsep.join(
                    p for p in (root, os.environ.get("PYTHONPATH")) if p)}
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True,
+            proc = subprocess.run(argv, capture_output=True,
                                   text=True, env=env, timeout=SOLVER_TIMEOUT_S)
         except OSError as exc:
             raise SolverError(f"cannot run solver command {cmd!r}: {exc}") from exc

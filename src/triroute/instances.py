@@ -9,6 +9,10 @@ from .discretize import SEPARATION, ContinuousInstance
 from .geometry import Vec2, Workspace
 
 
+# candidate points rejection sampling draws per configuration
+SAMPLE_ATTEMPTS = 20000
+
+
 class GenerationError(RuntimeError):
     """Could not place the requested number of discs."""
 
@@ -48,15 +52,15 @@ def dense_instance(ws: Workspace, count: int, seed: int,
                               goals=tuple(goals))
 
 
-def _sample_config(ws: Workspace, count: int, rng: random.Random,
-                   attempts: int) -> list[Vec2]:
+def _sample_config(ws: Workspace, count: int, rng: random.Random
+                   ) -> list[Vec2]:
     pts: list[Vec2] = []
-    budget = attempts
+    budget = SAMPLE_ATTEMPTS
     while len(pts) < count:
         if budget <= 0:
             raise GenerationError(
-                f"rejection sampling exhausted after {attempts} attempts "
-                f"({len(pts)}/{count} placed)")
+                f"rejection sampling exhausted after {SAMPLE_ATTEMPTS} "
+                f"attempts ({len(pts)}/{count} placed)")
         budget -= 1
         p = Vec2(rng.uniform(1.0, ws.w - 1.0), rng.uniform(1.0, ws.h - 1.0))
         if all(p.dist(q) > SEPARATION + 1e-9 for q in pts):
@@ -64,11 +68,11 @@ def _sample_config(ws: Workspace, count: int, rng: random.Random,
     return pts
 
 
-def random_instance(ws: Workspace, count: int, seed: int,
-                    attempts: int = 20000) -> ContinuousInstance:
+def random_instance(ws: Workspace, count: int, seed: int
+                    ) -> ContinuousInstance:
     """Rejection-sampled starts and goals at pairwise separation > 8/3."""
     rng = random.Random(seed)
-    starts = _sample_config(ws, count, rng, attempts)
-    goals = _sample_config(ws, count, rng, attempts)
+    starts = _sample_config(ws, count, rng)
+    goals = _sample_config(ws, count, rng)
     return ContinuousInstance(workspace=ws, starts=tuple(starts),
                               goals=tuple(goals))

@@ -14,9 +14,12 @@ step), a real disc and a virtual one take one move, two real discs take
 2k + 3 single moves through the virtual disc nearest to a common
 neighbour, k hops away, when that beats the shortest tabled word, and
 any other pair takes its rotation word.  At full occupancy every
-transposition is a word.  Every step is timed by per-vertex clocks: it
-runs at the first step at which all the vertices its real discs move
-between are free.  These schedules are the workhorse:
+transposition is a word.  Each ring turn is one tuple of moves, built
+once per SwapEngine and shared by every word and circulation round; the
+other three kinds land as exchanges of two vertices' contents.  Every
+step is timed by per-vertex clocks: it runs at the first step at which
+all the vertices its real discs move between are free.  These schedules
+are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
   recursive interval bisection over a snake threading of the covers-all
@@ -38,6 +41,7 @@ rejected as infeasible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -67,11 +71,8 @@ _LEAF = 10
 @dataclass
 class SwapSchedule:
     """A pair's rotation word, turn by turn."""
-    region: frozenset[int]                       # vertices of both rings
-    footprint: frozenset[int]                    # region plus ring centers
-    steps: list[tuple[tuple[int, int], ...]]     # per step: (from, to) moves
-    net_permutation: dict[int, int]              # start vertex -> end vertex
-    centers: tuple[int, int]                     # the two ring centers
+    footprint: frozenset[int]                    # both rings and centers
+    steps: list[tuple[tuple[int, int], ...]]     # SwapEngine.ring_turns rows
 
 
 @dataclass
@@ -90,11 +91,6 @@ def build_cell_partition(grid: TriGrid, d_g: int) -> list[tuple[int, int]]:
     ws = grid.workspace
     side = min(max(5.0 * d_g, 2.0 * EDGE_LEN), max(ws.w, ws.h))
     return [(int(p.x // side), int(p.y // side)) for p in grid.vertices]
-
-
-def _rotation(ring: list[int], d: int) -> tuple[tuple[int, int], ...]:
-    """One synchronous step turning every disc on the ring by d positions."""
-    return tuple((v, ring[(i + d) % len(ring)]) for i, v in enumerate(ring))
 
 
 # One rotation word per canonical region shape (see _shape_key): key
@@ -173,19 +169,23 @@ class SwapEngine:
         self._axial = [grid.axial(v) for v in range(grid.n_vertices)]
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
         self.c_swap = 0
-        # circulation tables, one row per ring turn: by center, clockwise
+        # the turn table, one row per ring turn: by center, clockwise
         # (-1) before counterclockwise (+1), so a stable sort by gain
-        # ranks turns by (-gain, center, turn).  Turn i moves the disc on
-        # ring_tails[i, k] to ring_heads[i, k]; its footprint is the ring
-        # plus its center.
-        turns = [(c, dr) for c in sorted(grid.ring_of) for dr in (-1, 1)]
-        rings = [grid.ring_of[c] for c, _ in turns]
-        self.ring_tails = np.array(rings, dtype=np.intp).reshape(-1, 6)
-        self.ring_heads = np.array(
-            [ring[dr:] + ring[:dr] for ring, (_, dr) in zip(rings, turns)],
-            dtype=np.intp).reshape(-1, 6)
-        self.ring_footprints = [ring + (c,)
-                                for ring, (c, _) in zip(rings, turns)]
+        # ranks turns by (-gain, center, turn).  Turn i is the step
+        # ring_turns[i], which moves the disc on ring_tails[i, k] to
+        # ring_heads[i, k]; its footprint is the ring plus its center.
+        # Rotation words and circulation rounds share these tuples.
+        self._turn_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self.ring_footprints = []
+        for c in sorted(grid.ring_of):
+            ring = grid.ring_of[c]
+            for dr in (-1, 1):
+                self._turn_of[c, dr] = tuple(zip(ring, ring[dr:] + ring[:dr]))
+                self.ring_footprints.append(ring + (c,))
+        self.ring_turns = list(self._turn_of.values())
+        self.ring_tails, self.ring_heads = np.array(
+            self.ring_turns, dtype=np.intp).reshape(-1, 6, 2).transpose(
+                2, 0, 1).copy()
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
         """Best-ranked pair of overlapping rings that together hold a and
@@ -235,23 +235,22 @@ class SwapEngine:
 
     def _materialize(self, c1: int, c2: int, a: int, b: int,
                      word: list) -> SwapSchedule:
-        rings = (self.grid.ring_of[c1], self.grid.ring_of[c2])
-        steps = [_rotation(rings[which], d) for which, d in word]
-        region = frozenset(rings[0]) | frozenset(rings[1])
-        net = {v: v for v in region}
+        """The word's steps as turn-table rows, replayed to check that
+        they are exactly the transposition of a and b."""
+        centers = (c1, c2)
+        steps = [self._turn_of[centers[which], d] for which, d in word]
+        footprint = frozenset(
+            self.grid.ring_of[c1] + self.grid.ring_of[c2] + centers)
+        came_from = {v: v for v in footprint}
         for moves in steps:
-            mv = dict(moves)
-            net = {d0: mv.get(v, v) for d0, v in net.items()}
-        swap = {a: b, b: a}
-        if any(net[v] != swap.get(v, v) for v in region):
+            came_from.update([(v, came_from[u]) for u, v in moves])
+        came_from[a], came_from[b] = came_from[b], came_from[a]
+        if any(u != v for v, u in came_from.items()):
             raise SwapSearchError(
                 f"word {word} on rings {c1}, {c2} is not the transposition "
                 f"of ({a}, {b})")
         self.c_swap = max(self.c_swap, len(steps))
-        return SwapSchedule(region=region,
-                            footprint=region | frozenset((c1, c2)),
-                            steps=steps, net_permutation=net,
-                            centers=(c1, c2))
+        return SwapSchedule(footprint=footprint, steps=steps)
 
     def schedule_for_pair(self, a: int, b: int) -> SwapSchedule:
         """Swap schedule for adjacent covered vertices a, b (cached)."""
@@ -271,45 +270,39 @@ class SwapEngine:
 class _Router:
     """Occupancy state plus plan recording shared by isag and paft.
 
-    Disc ids 0..n_real-1 are the instance robots; higher ids are virtual
-    discs standing in for empty vertices.  Steps where only virtual
-    discs move are not recorded (physically nothing happens).  A recorded
-    step stores only its real moves, timed by per-vertex clocks: it lands
-    on the first plan step after the last one that moved a disc from or
-    to any of its vertices, so every vertex sees its real discs in the
-    order the steps were applied, and moves on disjoint vertices share a
-    plan step.  ``finish`` builds the plan array.  The sort transposes
-    adjacent vertices in one of four ways (see ``_transposition``): a
-    relabel of two virtual discs, one move, 2k + 3 moves through the
-    nearest hole, or the pair's rotation word; at full occupancy only
-    words occur.  The one move and each of the 2k + 3 exchange the
-    contents of two vertices.  Exchanges are the router's unit of work:
-    ``apply_step`` lands each one directly, without its general
-    multi-move loop, and the batch takes its footprint from their
-    endpoints.  Each round reads only the inverted comparators, a set
-    kept up to date as values swap (see ``_run_rounds``).
+    Disc ids 0..n_real-1 are the instance robots, on their starts; higher
+    ids are virtual discs standing in for empty vertices.  Steps where
+    only virtual discs move are not recorded (physically nothing
+    happens).  A recorded step stores only its real moves, timed by
+    per-vertex clocks: it lands on the first plan step after the last one
+    that moved a disc from or to any of its vertices, so every vertex
+    sees its real discs in the order the steps were applied, and moves on
+    disjoint vertices share a plan step.  ``finish`` builds the plan
+    array.  The sort transposes adjacent vertices in one of four ways
+    (see ``_transposition``): a relabel of two virtual discs, one move,
+    2k + 3 moves through the nearest hole, or the pair's rotation word;
+    at full occupancy only words occur.  The relabel, the one move and
+    each of the 2k + 3 swap the contents of two vertices, and
+    ``exchange`` lands each of them; ``apply_step`` lands any other set
+    of moves: a word's turn, a circulation round or a corner staging
+    move.  Each round reads only the inverted comparators, a set kept up
+    to date as values swap (see ``_run_rounds``).
     """
 
-    def __init__(self, grid: TriGrid, engine: SwapEngine | None = None):
+    def __init__(self, grid: TriGrid, starts: tuple[int, ...],
+                 engine: SwapEngine | None = None):
         self.grid = grid
         self.engine = engine if engine is not None else SwapEngine(grid)
-        self.occ = [-1] * grid.n_vertices
-        self.pos: list[int] = []
-        self.n_real = 0
-        self.starts: tuple[int, ...] = ()
-        self.moved: list[int] = []   # step, robot, v - u of every real move
-        self.free = [0] * grid.n_vertices   # first step each vertex is free
-
-    def load(self, starts: tuple[int, ...]) -> None:
         self.n_real = len(starts)
+        self.starts = tuple(starts)
         self.pos = list(starts)
+        self.occ = [-1] * grid.n_vertices
         for r, v in enumerate(starts):
             if self.occ[v] != -1:
                 raise ValueError("duplicate start vertex")
             self.occ[v] = r
-        self.starts = tuple(starts)
-        self.moved = []
-        self.free = [0] * self.grid.n_vertices
+        self.moved: list[int] = []   # step, robot, v - u of every real move
+        self.free = [0] * grid.n_vertices   # first step each vertex is free
 
     def add_virtual(self, v: int) -> int:
         if self.occ[v] != -1:
@@ -319,33 +312,28 @@ class _Router:
         self.occ[v] = d
         return d
 
-    def apply_step(self, moves: list[tuple[int, int]]) -> None:
-        """Move the disc on u to v for every (u, v) at once and time the
-        step's real moves by the clocks.  An exchange ((u, v), (v, u))
-        swaps the two vertices' contents directly."""
-        if len(moves) == 2 and moves[0][::-1] == moves[1]:
-            u, v = moves[0]
-            occ = self.occ
-            du, dv = occ[u], occ[v]
-            if du == -1 or dv == -1:
-                raise PlannerInvariantError(
-                    f"move from empty vertex {u if du == -1 else v}")
-            occ[u], occ[v] = dv, du
-            self.pos[du], self.pos[dv] = v, u
-            n_real, free = self.n_real, self.free
-            if du < n_real or dv < n_real:
-                t = max(free[u], free[v])
-                free[u] = free[v] = t + 1
-                if du < n_real:
-                    self.moved += (t, du, v - u)
-                if dv < n_real:
-                    self.moved += (t, dv, u - v)
-            return
-        self._apply_moves(moves)
+    def exchange(self, u: int, v: int) -> None:
+        """Swap the discs on u and v, the step ((u, v), (v, u)), and time
+        its real moves by the clocks."""
+        occ = self.occ
+        du, dv = occ[u], occ[v]
+        if du == -1 or dv == -1:
+            raise PlannerInvariantError(
+                f"move from empty vertex {u if du == -1 else v}")
+        occ[u], occ[v] = dv, du
+        self.pos[du], self.pos[dv] = v, u
+        n_real, free = self.n_real, self.free
+        if du < n_real or dv < n_real:
+            t = max(free[u], free[v])
+            free[u] = free[v] = t + 1
+            if du < n_real:
+                self.moved += (t, du, v - u)
+            if dv < n_real:
+                self.moved += (t, dv, u - v)
 
-    def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
-        """apply_step's general loop: any set of moves, such as a ring
-        rotation or a circulation round."""
+    def apply_step(self, moves: Sequence[tuple[int, int]]) -> None:
+        """Move the disc on u to v for every (u, v) at once and time the
+        step's real moves by the clocks."""
         occ = self.occ
         discs = []
         for u, _ in moves:
@@ -499,11 +487,9 @@ class _Router:
         target, whose move is not recorded; these come back as the tuple
         of exchanges, whose endpoints are the footprint.  Anything else
         takes the pair's word, the engine's SwapSchedule."""
-        occ, n_real = self.occ, self.n_real
-        da, db = occ[a], occ[b]
+        da, db, n_real = self.occ[a], self.occ[b], self.n_real
         if da >= n_real and db >= n_real:
-            occ[a], occ[b] = db, da
-            self.pos[da], self.pos[db] = b, a
+            self.exchange(a, b)
             return None
         if da >= n_real or db >= n_real:
             return ((a, b),)
@@ -568,9 +554,12 @@ class _Router:
                         deferred.append((a, b))
                         continue
                     used |= footprint
-                    for step in (swap.steps if word else
-                                 (((u, v), (v, u)) for u, v in swap)):
-                        self.apply_step(step)
+                    if word:
+                        for step in swap.steps:
+                            self.apply_step(step)
+                    else:
+                        for u, v in swap:
+                            self.exchange(u, v)
                 wanted = deferred
             for p in todo:
                 vals[p], vals[p + 1] = vals[p + 1], vals[p]
@@ -629,7 +618,7 @@ class _Router:
         for i, (d, tv) in enumerate(real):
             dist[i] = self.grid.hops_from(tv)
             row_of[d] = i
-        tails, heads = eng.ring_tails, eng.ring_heads
+        tails, heads, turns = eng.ring_tails, eng.ring_heads, eng.ring_turns
         done = 0
         for _ in range(cap):
             rows = row_of[np.array(self.occ)[tails]]
@@ -644,7 +633,7 @@ class _Router:
                 if not used.isdisjoint(fp):
                     continue
                 used.update(fp)
-                moves.extend(zip(tails[i].tolist(), heads[i].tolist()))
+                moves.extend(turns[i])
             self.apply_step(moves)
             done += 1
         return done
@@ -681,8 +670,7 @@ def _route(inst: DiscreteInstance, engine: SwapEngine | None,
     with virtual discs, run greedy circulations (only when capped), sort,
     check every goal.  Returns the plan, the circulation rounds run and
     the engine's swap constant."""
-    router = _Router(inst.grid, engine)
-    router.load(inst.v_starts)
+    router = _Router(inst.grid, inst.v_starts, engine)
     circ = 0
     if tuple(inst.v_starts) != tuple(inst.v_goals):
         router.settle_boundary(inst.v_goals)

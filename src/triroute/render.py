@@ -131,18 +131,23 @@ def render(ws: Workspace, grid: TriGrid | None = None,
     return svg.tostring()
 
 
-def render_benchmark(rows: list[dict], metrics: tuple[str, ...] = ("mean_time", "ratio")) -> str:
-    """Stacked line-plot panels (one per metric) against robot count."""
+# the benchmark table columns that render_benchmark plots, one panel each
+BENCHMARK_METRICS = ("mean_time", "ratio")
+
+
+def render_benchmark(rows: list[dict]) -> str:
+    """Stacked line-plot panels (one per BENCHMARK_METRICS column) against
+    robot count."""
     methods = sorted({r["method"] for r in rows})
     ns = sorted({r["n"] for r in rows})
     width, panel_h, pad = 480.0, 240.0, 40.0
-    height = panel_h * max(1, len(metrics))
+    height = panel_h * max(1, len(BENCHMARK_METRICS))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>']
     if rows and ns:
         nmax = max(ns) or 1
-        for pi, metric in enumerate(metrics):
+        for pi, metric in enumerate(BENCHMARK_METRICS):
             top = pi * panel_h
             vals = [float(r[metric]) for r in rows]
             vmax = max(vals) or 1.0

@@ -262,6 +262,32 @@ def test_external_solver_faults_exit_4(tmp_path, monkeypatch, capsys, body,
     assert "solver failure" in err and message in err
 
 
+@pytest.mark.parametrize("template, via", [
+    ("foo {bar} {model} {solution}", "flag"),
+    ("{0} {model} {solution}", "flag"),
+    ("foo {model {solution}", "flag"),
+    ("foo 'bar {model} {solution}", "flag"),
+    (" ", "flag"),
+    ("foo {bar} {model} {solution}", "env"),
+], ids=["unknown-placeholder", "positional-placeholder", "unbalanced-brace",
+        "unbalanced-quote", "no-command", "env-unknown-placeholder"])
+def test_bad_solver_command_template_exits_4(tmp_path, monkeypatch, capsys,
+                                             template, via):
+    # a template that cannot be expanded or split into a command is a
+    # solver failure naming the template, not a traceback or a parse error
+    inst_path = tmp_path / "t.oldr"
+    assert run("gen", "--n1", "2", "--n2", "3", "--count", "2",
+               "--seed", "2", "--out", str(inst_path)) == 0
+    capsys.readouterr()
+    flag = ["--solver-cmd", template] if via == "flag" else []
+    if via == "env":
+        monkeypatch.setenv("TRIROUTE_SOLVER_CMD", template)
+    assert run("solve", str(inst_path), "--backend", "external", *flag) == 4
+    err = capsys.readouterr().err
+    assert err.count("solver failure:") == 1 and repr(template) in err
+    assert "Traceback" not in err
+
+
 def test_prove_failed_sweep_exits_1(tmp_path, capsys):
     cert = tmp_path / "c.cert"
     assert run("prove", "--epsilons", "0.5", "--out", str(cert)) == 1

@@ -46,6 +46,23 @@ def _adjacent_same_cover_hexagons(grid):
     return None
 
 
+def _net(g, steps):
+    """The vertex where the disc starting on each vertex ends after the
+    steps."""
+    pos = list(range(g.n_vertices))
+    for moves in steps:
+        mv = dict(moves)
+        pos = [mv.get(v, v) for v in pos]
+    return pos
+
+
+def _transposed(g, a, b):
+    """_net of the exact transposition of a and b."""
+    net = list(range(g.n_vertices))
+    net[a], net[b] = b, a
+    return net
+
+
 def test_single_hexagon_rotate_and_back(minimal_grid):
     g = minimal_grid
     center = sorted(g.ring_of)[0]
@@ -66,17 +83,17 @@ def test_engine_swaps_shared_edge_of_same_cover_hexagons():
     shared = sorted(set(hex_a) & set(hex_b))
     a, b = shared  # the shared edge endpoints are adjacent
     assert b in g.adjacency[a]
-    sched = SwapEngine(g).schedule_for_pair(a, b)
-    assert sched.net_permutation[a] == b
-    assert sched.net_permutation[b] == a
-    others = [v for v in sched.region if v not in (a, b)]
-    assert all(sched.net_permutation[v] == v for v in others)
+    eng = SwapEngine(g)
+    sched = eng.schedule_for_pair(a, b)
+    assert _net(g, sched.steps) == _transposed(g, a, b)
     # the shortest word swaps the edge on two rings whose centers lie two
     # edges apart in a straight line, not on the two rings that share it
-    (q1, r1), (q2, r2) = map(g.axial, sched.centers)
+    centers = eng._region(a, b)
+    (q1, r1), (q2, r2) = map(g.axial, centers)
     assert (abs(q2 - q1), abs(r2 - r1), abs(q2 - q1 + r2 - r1)) in (
         (2, 0, 2), (0, 2, 2), (2, 2, 0))
-    assert len(sched.region) == 11 and len(sched.steps) == 13
+    assert len(sched.footprint - set(centers)) == 11
+    assert len(sched.steps) == 13
 
 
 def test_engine_swap_any_adjacent_covered_pair():
@@ -88,16 +105,16 @@ def test_engine_swap_any_adjacent_covered_pair():
             for b in g.adjacency[a]:
                 if b > a and b in g.covered:
                     sched = eng.schedule_for_pair(a, b)
-                    assert sched.net_permutation[a] == b
+                    assert _net(g, sched.steps) == _transposed(g, a, b)
         assert eng.c_swap > 0
 
 
-def _shape_class(g, sched, a, b):
+def _shape_class(g, centers, a, b):
     """Region shape up to translation, turns, reflections and ring roles,
     from the vertex coordinates (six turns of 60 degrees, with and
     without a mirror in the x axis)."""
     best = None
-    for base, other in (sched.centers, sched.centers[::-1]):
+    for base, other in (centers, centers[::-1]):
         o = g.vertices[base]
         pts = [(g.vertices[v].x - o.x, g.vertices[v].y - o.y)
                for v in (other, a, b)]
@@ -129,11 +146,11 @@ def test_engine_schedule_constant_across_translates():
         for b in g.adjacency[a]:
             if b > a and b in g.covered:
                 sched = eng.schedule_for_pair(a, b)
-                c1, c2 = sched.centers
+                c1, c2 = eng._region(a, b)
                 base = axial(c1)
                 key = tuple((axial(v)[0] - base[0], axial(v)[1] - base[1])
                             for v in (c2, a, b))
-                shape = _shape_class(g, sched, a, b)
+                shape = _shape_class(g, (c1, c2), a, b)
                 lengths.setdefault(shape, set()).add(len(sched.steps))
                 translates.setdefault(shape, set()).add(key)
     assert len(translates) > 3
@@ -189,17 +206,12 @@ def test_engine_words_match_direct_search(monkeypatch):
         monkeypatch.setattr(SwapEngine, "_rotation_word", lookup)
         assert len(calls) == len(scheds), (n1, n2, len(calls))
         for (a, b), sched in scheds.items():
-            c1, c2 = sched.centers
+            c1, c2 = eng._region(a, b)
             assert len(sched.steps) == _direct_word_length(g, c1, c2, a, b,
                                                            memo), (a, b)
-            pos = list(range(g.n_vertices))
             for moves in sched.steps:
                 assert len({v for _, v in moves}) == len(moves)
-                mv = dict(moves)
-                pos = [mv.get(v, v) for v in pos]
-            expect = list(range(g.n_vertices))
-            expect[a], expect[b] = b, a
-            assert pos == expect, (n1, n2, a, b)
+            assert _net(g, sched.steps) == _transposed(g, a, b), (n1, n2, a, b)
 
 
 def test_engine_schedules_do_not_depend_on_request_order():
@@ -216,6 +228,24 @@ def test_engine_schedules_do_not_depend_on_request_order():
     for a, b in pairs:
         assert (forward.schedule_for_pair(a, b).steps
                 == backward.schedule_for_pair(a, b).steps), (a, b)
+
+
+def test_words_are_built_from_the_turn_table():
+    # every covered adjacent pair of three engines: each step of the
+    # pair's word is one of the engine's ring-turn tuples itself, not a
+    # copy, and replaying the steps swaps a and b and returns every other
+    # vertex home without leaving the footprint
+    for n1, n2 in ((2, 3), (4, 5), (6, 7)):
+        g = build_grid(build_workspace(n1, n2))
+        eng = SwapEngine(g)
+        turn = {id(t): t for t in eng.ring_turns}
+        assert len(turn) == 2 * len(g.ring_of)
+        for a, b in _covered_pairs(g):
+            sched = eng.schedule_for_pair(a, b)
+            assert all(turn.get(id(step)) is step for step in sched.steps)
+            assert {v for step in sched.steps for m in step for v in m
+                    } <= sched.footprint
+            assert _net(g, sched.steps) == _transposed(g, a, b), (n1, n2, a, b)
 
 
 def test_swap_word_table_matches_oracle_search():
@@ -360,17 +390,7 @@ def test_swap_execution_locality(minimal_grid):
     a = covered[0]
     b = next(v for v in g.adjacency[a] if v in g.covered)
     sched = eng.schedule_for_pair(a, b)
-    pos = {v: v for v in range(g.n_vertices)}
-    for moves in sched.steps:
-        mv = dict(moves)
-        pos = {d: mv.get(v, v) for d, v in pos.items()}
-    for v in range(g.n_vertices):
-        if v == a:
-            assert pos[v] == b
-        elif v == b:
-            assert pos[v] == a
-        else:
-            assert pos[v] == v
+    assert _net(g, sched.steps) == _transposed(g, a, b)
 
 
 def test_disjoint_swaps_compose_in_parallel():
@@ -569,19 +589,18 @@ def _transpose(g, holes, a, b, used=()):
     of exchanges of a one-move or hole-path transposition, or the pair's
     word) and the plan."""
     starts = tuple(v for v in range(g.n_vertices) if v not in holes)
-    router = _Router(g)
-    router.load(starts)
+    router = _Router(g, starts)
     for v in holes:
         router.add_virtual(v)
     expect = list(router.occ)
     expect[a], expect[b] = expect[b], expect[a]
     swap = router._transposition(a, b, set(used))
     if isinstance(swap, tuple):
-        steps = [((u, v), (v, u)) for u, v in swap]
-    else:
-        steps = swap.steps if swap else ()
-    for step in steps:
-        router.apply_step(list(step))
+        for u, v in swap:
+            router.exchange(u, v)
+    elif swap is not None:
+        for step in swap.steps:
+            router.apply_step(step)
     assert router.occ == expect
     assert all(router.pos[d] == v for v, d in enumerate(router.occ))
     plan = router.finish()
@@ -593,7 +612,7 @@ def _exchanges(swap):
     """The endpoints of a transposition's exchanges (its footprint), or
     None when it is a rotation word."""
     if isinstance(swap, SwapSchedule):
-        assert swap.centers
+        assert swap.steps
         return None
     assert isinstance(swap, tuple) and swap
     return {v for m in swap for v in m}
@@ -639,7 +658,8 @@ def test_real_real_transposition_without_an_empty_neighbour_takes_its_word(
     word = SwapEngine(g).schedule_for_pair(8, 9).steps
     for holes, used in (((), ()), ((5,), {5})):
         sched, plan = _transpose(g, holes, 8, 9, used)
-        assert sched.centers and sched.steps == word and len(word) >= 13
+        assert isinstance(sched, SwapSchedule)
+        assert sched.steps == word and len(word) >= 13
         assert 0 < plan.T <= len(word)
 
 
@@ -655,19 +675,19 @@ def _grid_and_engine(ws):
 @given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
 def test_exchange_fast_path_matches_the_general_loop(ws, data):
     # random real, virtual and empty vertices and random clocks: each
-    # exchange step ((u, v), (v, u)) leaves occ, pos, free and moved as
-    # the general multi-move loop does, and one from an empty vertex
-    # raises naming it
-    g, _ = _grid_and_engine(ws)
+    # exchange(u, v) leaves occ, pos, free and moved as apply_step's
+    # general multi-move loop does on the step ((u, v), (v, u)), and one
+    # from an empty vertex raises naming it
+    g, engine = _grid_and_engine(ws)
     V = g.n_vertices
     kinds = data.draw(st.lists(st.sampled_from("rrrvve"), min_size=V,
                                max_size=V), label="kinds")
     order = data.draw(st.permutations(range(V)), label="order")
     clocks = data.draw(st.lists(st.integers(0, 20), min_size=V, max_size=V),
                        label="clocks")
-    fast, general = _Router(g), _Router(g)
+    starts = tuple(v for v in order if kinds[v] == "r")
+    fast, general = _Router(g, starts, engine), _Router(g, starts, engine)
     for router in (fast, general):
-        router.load(tuple(v for v in order if kinds[v] == "r"))
         for v in order:
             if kinds[v] == "v":
                 router.add_virtual(v)
@@ -677,16 +697,16 @@ def test_exchange_fast_path_matches_the_general_loop(ws, data):
     for u, v in edges:
         if data.draw(st.booleans(), label="flip"):
             u, v = v, u
-        step = ((u, v), (v, u))
         empty = [w for w in (u, v) if fast.occ[w] == -1]
         if empty:
             named = f"move from empty vertex {empty[0]}$"
-            for apply in (fast.apply_step, general._apply_moves):
-                with pytest.raises(PlannerInvariantError, match=named):
-                    apply(step)
+            with pytest.raises(PlannerInvariantError, match=named):
+                fast.exchange(u, v)
+            with pytest.raises(PlannerInvariantError, match=named):
+                general.apply_step(((u, v), (v, u)))
             return
-        fast.apply_step(step)
-        general._apply_moves(step)
+        fast.exchange(u, v)
+        general.apply_step(((u, v), (v, u)))
         assert (fast.occ, fast.pos, fast.free, fast.moved) == (
             general.occ, general.pos, general.free, general.moved)
 
@@ -702,8 +722,7 @@ def test_circulations_match_the_loop_reference(ws, data):
     cap = data.draw(st.integers(1, 12), label="cap")
     got = []
     for run in (_Router.greedy_circulations, reference_circulations):
-        router = _Router(g, engine)
-        router.load(inst.v_starts)
+        router = _Router(g, inst.v_starts, engine)
         router.settle_boundary(inst.v_goals)
         done = run(router, _completion_targets(router, inst), cap)
         got.append((done, router.occ, router.pos, router.free, router.moved))
@@ -795,13 +814,12 @@ def test_disjoint_transpositions_of_successive_batches_share_steps():
     first = eng.schedule_for_pair(*pairs[0])
     second = next(p for p in pairs
                   if not eng.schedule_for_pair(*p).footprint & first.footprint)
-    router = _Router(g, eng)
-    router.load(tuple(range(g.n_vertices)))
+    router = _Router(g, tuple(range(g.n_vertices)), eng)
     scheds = []
     for a, b in (pairs[0], second):
         sched = router._transposition(a, b, set())
         for step in sched.steps:
-            router.apply_step(list(step))
+            router.apply_step(step)
         scheds.append(sched)
     plan = router.finish()
     assert plan.T == 13
@@ -845,14 +863,20 @@ def test_timed_plan_keeps_every_vertex_order(cont, monkeypatch):
     # timed plan, which is no longer and has no empty row
     g = build_grid(cont.workspace)
     inst, _, _ = discretize(cont, g)
+    # exchange(u, v) is logged as the step it lands, ((u, v), (v, u))
     logged = []
-    apply_step = _Router.apply_step
+    apply_step, exchange = _Router.apply_step, _Router.exchange
 
-    def logging(self, moves):
+    def logged_step(self, moves):
         logged.append(list(moves))
         return apply_step(self, moves)
 
-    monkeypatch.setattr(_Router, "apply_step", logging)
+    def logged_exchange(self, u, v):
+        logged.append([(u, v), (v, u)])
+        return exchange(self, u, v)
+
+    monkeypatch.setattr(_Router, "apply_step", logged_step)
+    monkeypatch.setattr(_Router, "exchange", logged_exchange)
     plan = paft(inst)[0]
     monkeypatch.undo()
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
@@ -928,8 +952,7 @@ def test_planner_invariants_survive_python_O():
         "except SwapSearchError as exc:\n"
         "    if 'not the transposition' in str(exc):\n"
         "        print('SwapSearchError')\n"
-        "router = _Router(g)\n"
-        "router.load((0,))\n"
+        "router = _Router(g, (0,))\n"
         "try:\n"
         "    router.apply_step([(1, 2)])\n"
         "except PlannerInvariantError:\n"
