@@ -346,25 +346,26 @@ def nearest_vertex(g: TriGrid, p: Vec2) -> int:
     Constant time: candidate columns/slots come from lattice-coordinate
     rounding (a 3x3 index neighborhood, clamped to the grid).
     """
-    best: tuple[float, int] | None = None
-    mf = (p.x - CLEARANCE) / ROW_STEP
-    m0 = round(mf)
+    px, py = p.x, p.y
+    vertices, row_start, row_len = g.vertices, g.row_start, g.row_len
+    best, best_d = -1, math.inf
+    m0 = round((px - CLEARANCE) / ROW_STEP)
     for m in (m0 - 1, m0, m0 + 1):
-        if not (0 <= m < g.n_rows):
+        if not 0 <= m < g.n_rows:
             continue
-        off = HALF_SHIFT if m % 2 else 0.0
-        kf = (p.y - CLEARANCE - off) / EDGE_LEN
-        k0 = round(kf)
-        for k in (k0 - 1, k0, k0 + 1):
-            kk = min(max(k, 0), g.row_len[m] - 1)
-            vid = g.vertex_id(kk, m)
-            d = g.vertices[vid].dist(p)
-            if best is None or d < best[0] - GEO_TOL or (
-                    abs(d - best[0]) <= GEO_TOL and vid < best[1]):
-                best = (d, vid)
-    if best is None:
-        raise BoundsError(f"point ({p.x}, {p.y}) lies beyond every grid column")
-    return best[1]
+        k0 = round((py - CLEARANCE - (HALF_SHIFT if m % 2 else 0.0))
+                   / EDGE_LEN)
+        first, last = row_start[m], row_start[m] + row_len[m] - 1
+        for vid in (first + k0 - 1, first + k0, first + k0 + 1):
+            vid = first if vid < first else last if vid > last else vid
+            q = vertices[vid]
+            d = math.hypot(q.x - px, q.y - py)
+            if d < best_d - GEO_TOL or (
+                    abs(d - best_d) <= GEO_TOL and vid < best):
+                best, best_d = vid, d
+    if best < 0:
+        raise BoundsError(f"point ({px}, {py}) lies beyond every grid column")
+    return best
 
 
 def bfs_distances(g: TriGrid, source: int, blocked=()) -> list[int]:

@@ -167,7 +167,16 @@ class SwapEngine:
         self._cover = {c: cover_of_ring[ring]
                        for c, ring in grid.ring_of.items()}
         self._axial = [grid.axial(v) for v in range(grid.n_vertices)]
+        # (c1, c2, footprint) of each pair's region, and its schedule
+        self._regions: dict[tuple[int, int], tuple[int, int, frozenset]] = {}
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
+        # the common neighbours of each adjacent pair, in either order,
+        # lowest id first: where a transposition's hole path ends
+        adjacency = grid.adjacency
+        self.common_neighbours: dict[tuple[int, int], tuple[int, ...]] = {}
+        for a, b in grid.edges:
+            self.common_neighbours[a, b] = self.common_neighbours[b, a] = (
+                tuple(h for h in adjacency[a] if h in adjacency[b]))
         self.c_swap = 0
         # the turn table, one row per ring turn: by center, clockwise
         # (-1) before counterclockwise (+1), so a stable sort by gain
@@ -234,13 +243,11 @@ class SwapEngine:
                 for ring, turn in zip(word[::2], word[1::2])]
 
     def _materialize(self, c1: int, c2: int, a: int, b: int,
-                     word: list) -> SwapSchedule:
+                     word: list, footprint: frozenset[int]) -> SwapSchedule:
         """The word's steps as turn-table rows, replayed to check that
         they are exactly the transposition of a and b."""
         centers = (c1, c2)
         steps = [self._turn_of[centers[which], d] for which, d in word]
-        footprint = frozenset(
-            self.grid.ring_of[c1] + self.grid.ring_of[c2] + centers)
         came_from = {v: v for v in footprint}
         for moves in steps:
             came_from.update([(v, came_from[u]) for u, v in moves])
@@ -252,17 +259,35 @@ class SwapEngine:
         self.c_swap = max(self.c_swap, len(steps))
         return SwapSchedule(footprint=footprint, steps=steps)
 
+    def _pair_region(self, a: int, b: int) -> tuple[int, int, frozenset]:
+        """The centers of the region of adjacent covered vertices a, b
+        (see _region) and its footprint, both rings plus the centers
+        (cached)."""
+        key = (a, b) if a < b else (b, a)
+        region = self._regions.get(key)
+        if region is None:
+            if b not in self.grid.adjacency[a]:
+                raise ValueError(f"vertices {a}, {b} are not adjacent")
+            c1, c2 = self._region(a, b)
+            ring_of = self.grid.ring_of
+            region = self._regions[key] = (
+                c1, c2, frozenset(ring_of[c1] + ring_of[c2] + (c1, c2)))
+        return region
+
+    def pair_footprint(self, a: int, b: int) -> frozenset[int]:
+        """The vertices the word of a and b turns, without building the
+        word: what a batch checks before it asks for the schedule."""
+        return self._pair_region(a, b)[2]
+
     def schedule_for_pair(self, a: int, b: int) -> SwapSchedule:
         """Swap schedule for adjacent covered vertices a, b (cached)."""
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        if b not in self.grid.adjacency[a]:
-            raise ValueError(f"vertices {a}, {b} are not adjacent")
-        c1, c2 = self._region(a, b)
+        c1, c2, footprint = self._pair_region(a, b)
         sched = self._materialize(c1, c2, a, b,
-                                  self._rotation_word(c1, c2, a, b))
+                                  self._rotation_word(c1, c2, a, b), footprint)
         self._pair_cache[key] = sched
         return sched
 
@@ -286,7 +311,11 @@ class _Router:
     ``exchange`` lands each of them; ``apply_step`` lands any other set
     of moves: a word's turn, a circulation round or a corner staging
     move.  Each round reads only the inverted comparators, a set kept up
-    to date as values swap (see ``_run_rounds``).
+    to date as values swap, and forms its batches on one mark byte per
+    vertex: a pair whose a or b the batch holds waits for the next batch
+    before any hole search, and a word is asked of the engine only once
+    its footprint, which the engine keeps per pair, is clear of the
+    batch (see ``_run_rounds``).
     """
 
     def __init__(self, grid: TriGrid, starts: tuple[int, ...],
@@ -324,7 +353,7 @@ class _Router:
         self.pos[du], self.pos[dv] = v, u
         n_real, free = self.n_real, self.free
         if du < n_real or dv < n_real:
-            t = max(free[u], free[v])
+            t = free[u] if free[u] > free[v] else free[v]
             free[u] = free[v] = t + 1
             if du < n_real:
                 self.moved += (t, du, v - u)
@@ -450,15 +479,17 @@ class _Router:
             raise PlannerInvariantError("snake threading broke at a dropped corner")
         return order
 
-    def _hole_path(self, a: int, b: int, used: set[int]) -> list[int] | None:
+    def _hole_path(self, a: int, b: int, mark: bytearray) -> list[int] | None:
         """Shortest path from the virtual disc nearest to a common
         neighbour h of a and b to h, at most _HOLE_REACH hops, entering
-        neither a, b nor the used set (lowest hole id among the nearest);
-        None when no hole is that close."""
+        neither a, b nor a vertex marked as the batch's (lowest hole id
+        among the nearest); None when no hole is that close."""
         occ, n_real, adjacency = self.occ, self.n_real, self.grid.adjacency
-        parent = {h: h for h in adjacency[a]
-                  if h in adjacency[b] and h not in used}
-        frontier = sorted(parent)
+        frontier = [h for h in self.engine.common_neighbours[a, b]
+                    if not mark[h]]
+        # a and b stand in the parent map as roots no path can reach
+        parent = {a: a, b: b}
+        parent.update(zip(frontier, frontier))
         for _ in range(_HOLE_REACH + 1):
             holes = [u for u in frontier if occ[u] >= n_real]
             if holes:
@@ -469,37 +500,61 @@ class _Router:
             nxt = []
             for u in frontier:
                 for w in adjacency[u]:
-                    if w not in parent and w not in used and w != a and w != b:
+                    if w not in parent and not mark[w]:
                         parent[w] = u
                         nxt.append(w)
             frontier = nxt
         return None
 
-    def _transposition(self, a: int, b: int, used: set[int]
+    def _transposition(self, a: int, b: int, mark: bytearray
                        ) -> SwapSchedule | tuple[tuple[int, int], ...] | None:
         """Exchange the discs on adjacent covered vertices a and b, chosen
-        by what they hold.  Two virtual discs swap ids at once (None).  A
-        real disc and a virtual one take one move.  Two real discs with a
-        hole k <= _HOLE_REACH hops from a common neighbour h (see
-        _hole_path) take 2k + 3: the hole walks to h, then a to h, b to a,
-        h to b, and the hole walks back, so every other disc returns home.
-        Each move (u, v) exchanges a real disc with the virtual one at its
-        target, whose move is not recorded; these come back as the tuple
-        of exchanges, whose endpoints are the footprint.  Anything else
-        takes the pair's word, the engine's SwapSchedule."""
-        da, db, n_real = self.occ[a], self.occ[b], self.n_real
+        by what they hold, when the exchange fits the batch: mark holds
+        one byte per vertex, set on the vertices the batch has used.  Two
+        virtual discs swap ids at once, batch or not, and no step is
+        recorded (()).  Otherwise a pair with a or b marked waits for the
+        next batch (None).  A real disc and a virtual one take one move.
+        Two real discs with a hole k <= _HOLE_REACH hops from a common
+        neighbour h (see _hole_path) take 2k + 3: the hole walks to h, then
+        a to h, b to a, h to b, and the hole walks back, so every other
+        disc returns home.  Each move (u, v) exchanges a real disc with
+        the virtual one at its target, whose move is not recorded; these
+        come back as the tuple of exchanges, whose endpoints are the
+        footprint.  Anything else takes the pair's word, the engine's
+        SwapSchedule, once its footprint is clear of the batch (None
+        otherwise).  What fits is landed and its footprint marked."""
+        n_real = self.n_real
+        da, db = self.occ[a], self.occ[b]
         if da >= n_real and db >= n_real:
             self.exchange(a, b)
+            return ()
+        if mark[a] or mark[b]:
             return None
         if da >= n_real or db >= n_real:
-            return ((a, b),)
-        path = self._hole_path(a, b, used) if len(self.pos) > n_real else None
-        if path is None:
-            return self.engine.schedule_for_pair(a, b)
-        h = path[-1]
-        walk = tuple(zip(path[1:], path))
-        return (*walk, (a, h), (b, a), (h, b),
-                *((v, u) for u, v in reversed(walk)))
+            swap = ((a, b),)
+        else:
+            path = (self._hole_path(a, b, mark) if len(self.pos) > n_real
+                    else None)
+            if path is None:
+                footprint = self.engine.pair_footprint(a, b)
+                if any(map(mark.__getitem__, footprint)):
+                    return None
+                for v in footprint:
+                    mark[v] = 1
+                sched = self.engine.schedule_for_pair(a, b)
+                for step in sched.steps:
+                    self.apply_step(step)
+                return sched
+            for v in path:
+                mark[v] = 1
+            h = path[-1]
+            walk = tuple(zip(path[1:], path))
+            swap = (*walk, (a, h), (b, a), (h, b),
+                    *((v, u) for u, v in reversed(walk)))
+        mark[a] = mark[b] = 1
+        for u, v in swap:
+            self.exchange(u, v)
+        return swap
 
     def _run_rounds(self, snake: list[int], vals: list[int],
                     active: list[tuple[int, int]]) -> None:
@@ -515,6 +570,8 @@ class _Router:
         if not active:
             return
         n = len(snake)
+        n_vertices = self.grid.n_vertices
+        transpose = self._transposition
         lo_of, hi_of, order = [0] * n, [0] * n, [0] * n
         inverted: tuple[set[int], set[int]] = (set(), set())  # by parity
         for i, (lo, hi) in enumerate(active):
@@ -537,35 +594,22 @@ class _Router:
                 continue
             clean_streak = 0
             wanted = [(snake[p], snake[p + 1]) for p in todo]
-            # batches of footprint-disjoint transpositions; a pair whose
-            # footprint meets the batch waits for the next one.  The
-            # clocks time each step, so a batch has no common end.
+            # batches of footprint-disjoint transpositions, each marking
+            # the vertices it uses; a pair that meets the batch waits for
+            # the next one.  The clocks time each step, so a batch has no
+            # common end.
             while wanted:
-                used: set[int] = set()
-                deferred: list[tuple[int, int]] = []
-                for a, b in wanted:
-                    swap = self._transposition(a, b, used)
-                    if swap is None:
-                        continue
-                    word = isinstance(swap, SwapSchedule)
-                    footprint = (swap.footprint if word
-                                 else {v for m in swap for v in m})
-                    if not used.isdisjoint(footprint):
-                        deferred.append((a, b))
-                        continue
-                    used |= footprint
-                    if word:
-                        for step in swap.steps:
-                            self.apply_step(step)
-                    else:
-                        for u, v in swap:
-                            self.exchange(u, v)
-                wanted = deferred
+                mark = bytearray(n_vertices)
+                wanted = [(a, b) for a, b in wanted
+                          if transpose(a, b, mark) is None]
             for p in todo:
                 vals[p], vals[p + 1] = vals[p + 1], vals[p]
             for p in todo:
+                # comparators p - 1 .. p + 1 that lie in p's interval (no
+                # max/min calls: this loop is the hot bookkeeping)
                 lo, hi = lo_of[p], hi_of[p]
-                for q in range(max(p - 1, lo), min(p + 2, hi - 1)):
+                for q in range(p - 1 if p > lo else lo,
+                               p + 2 if p + 3 < hi else hi - 1):
                     if vals[q] > vals[q + 1]:
                         inverted[q & 1].add(q)
                     else:

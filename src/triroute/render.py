@@ -7,6 +7,8 @@ usable as golden files.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .discretize import ContinuousInstance
@@ -137,7 +139,8 @@ BENCHMARK_METRICS = ("mean_time", "ratio")
 
 def render_benchmark(rows: list[dict]) -> str:
     """Stacked line-plot panels (one per BENCHMARK_METRICS column) against
-    robot count."""
+    robot count.  A non-finite value (a cell where every instance failed)
+    is left out of its line and of its panel's scale."""
     methods = sorted({r["method"] for r in rows})
     ns = sorted({r["n"] for r in rows})
     width, panel_h, pad = 480.0, 240.0, 40.0
@@ -150,7 +153,7 @@ def render_benchmark(rows: list[dict]) -> str:
         for pi, metric in enumerate(BENCHMARK_METRICS):
             top = pi * panel_h
             vals = [float(r[metric]) for r in rows]
-            vmax = max(vals) or 1.0
+            vmax = max(filter(math.isfinite, vals), default=0.0) or 1.0
             parts.append(f'<line x1="{pad}" y1="{top + panel_h - pad:.1f}" '
                          f'x2="{width - pad}" y2="{top + panel_h - pad:.1f}" '
                          f'stroke="black"/>')
@@ -164,7 +167,8 @@ def render_benchmark(rows: list[dict]) -> str:
             for mi, method in enumerate(methods):
                 color = _PALETTE[mi % len(_PALETTE)]
                 pts = sorted((r["n"], float(r[metric])) for r in rows
-                             if r["method"] == method)
+                             if r["method"] == method
+                             and math.isfinite(float(r[metric])))
                 coords = " ".join(
                     f"{pad + (width - 2 * pad) * (n / nmax):.2f},"
                     f"{top + panel_h - pad - (panel_h - 2 * pad) * (v / vmax):.2f}"

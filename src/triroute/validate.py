@@ -307,12 +307,18 @@ def optimality_metrics(step_counts: list[tuple[int, int]]) -> MetricsAggregate:
     """Ratios from (achieved, lower bound) discrete step counts.
 
     Aggregate = sum of achieved / sum of lower bounds; all-identity
-    suites (zero denominators) report 1.0 by convention.
+    suites (zero denominators) report 1.0 by convention, and an empty
+    suite (every instance failed) reports nan: it has no ratio.
     """
     per = []
     for t, t_hat in step_counts:
         per.append(1.0 if t_hat == 0 else t / t_hat)
     total_hat = sum(t_hat for _, t_hat in step_counts)
     total = sum(t for t, _ in step_counts)
-    agg = 1.0 if total_hat == 0 else total / total_hat
+    if not step_counts:
+        agg = math.nan
+    elif total_hat == 0:
+        agg = 1.0
+    else:
+        agg = total / total_hat
     return MetricsAggregate(per_instance=per, aggregate=agg)

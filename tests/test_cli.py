@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import random
 import types
@@ -196,6 +197,9 @@ def _truncate_rotation_words(monkeypatch):
         return word[:-1] if word else word
 
     monkeypatch.setattr(SwapEngine, "_rotation_word", truncated)
+    # a packing always has a hole in reach of a pair of real discs whose
+    # batch leaves it free, so a word is built only without the hole path
+    monkeypatch.setattr(_Router, "_hole_path", lambda self, a, b, mark: None)
 
 
 def _skip_sort(monkeypatch):
@@ -204,9 +208,9 @@ def _skip_sort(monkeypatch):
 
 @pytest.mark.parametrize("fault", [_truncate_rotation_words, _skip_sort])
 def test_planner_faults_exit_4(tmp_path, monkeypatch, capsys, fault):
-    # the full 9-disc packing (seed 18): some pairs of real discs find
-    # every hole in reach held by their batch, so the sort asks for their
-    # rotation words (and takes the hole path in a later batch)
+    # the full 9-disc packing (seed 18): the sort transposes pairs of
+    # real discs, which take their rotation words once the hole path is
+    # gone
     inst_path = tmp_path / "f.oldr"
     assert run("gen", "--n1", "2", "--n2", "3", "--count", "9",
                "--pattern", "dense", "--seed", "18", "--out", str(inst_path)) == 0
@@ -413,6 +417,23 @@ def test_bench_continues_after_failures(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1].split("\t")[4] == "1"  # failures recorded
+
+
+def test_bench_cell_where_every_instance_failed_has_no_ratio(tmp_path):
+    # 100 discs cannot be generated on 3x3: that cell has no time and no
+    # ratio (nan, not a perfect 1.0), and the plot leaves it out
+    out, plot = tmp_path / "r.tsv", tmp_path / "r.svg"
+    code = run("bench", "--sizes", "3x3", "--robots", "2,100",
+               "--methods", "paft", "--count", "1", "--out", str(out),
+               "--plot", str(plot))
+    assert code == 0
+    rows = [ln.split("\t") for ln in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["2", "100"]
+    assert math.isfinite(float(rows[0][3])) and rows[0][4] == "0"
+    assert rows[1][2:] == ["nan", "nan", "1"]
+    svg = plot.read_text()
+    assert "nan" not in svg
+    assert svg.count("<polyline ") == 2     # one line per metric panel
 
 
 def test_render_deterministic_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -319,6 +320,41 @@ def test_nearest_vertex_tie_break_lowest_id(minimal_grid):
     a, b = 0, 1
     mid = Vec2((g.vertices[a].x + g.vertices[b].x) / 2, g.vertices[a].y)
     assert nearest_vertex(g, mid) == min(a, b)
+
+
+@functools.cache
+def _grid_and_tie_points(size):
+    """The grid of a size, with every vertex, edge midpoint and triangle
+    centroid: the points closest to one, two or three vertices at once."""
+    g = build_grid(build_workspace(*size))
+    v = g.vertices
+    points = list(v)
+    points += [Vec2((v[i].x + v[j].x) / 2, (v[i].y + v[j].y) / 2)
+               for i, j in g.edges]
+    points += [Vec2((v[i].x + v[j].x + v[k].x) / 3,
+                    (v[i].y + v[j].y + v[k].y) / 3) for i, j, k in g.triangles]
+    return g, points
+
+
+@given(size=st.sampled_from(ALL_SIZES), data=st.data())
+def test_nearest_vertex_matches_brute_force_on_every_grid(size, data):
+    # random points of the workspace, and tie points, where the lowest of
+    # the equally close vertex ids must win
+    g, ties = _grid_and_tie_points(size)
+    ws = g.workspace
+    anywhere = st.builds(Vec2, st.floats(0.0, ws.w), st.floats(0.0, ws.h))
+    points = data.draw(st.lists(anywhere, max_size=40), label="points")
+    points += data.draw(st.lists(st.sampled_from(ties), max_size=40),
+                        label="ties")
+    for p in points:
+        assert nearest_vertex(g, p) == brute_nearest(g, p), p
+
+
+@pytest.mark.parametrize("size", ALL_SIZES)
+def test_nearest_vertex_matches_brute_force_at_every_tie_point(size):
+    g, ties = _grid_and_tie_points(size)
+    for p in ties:
+        assert nearest_vertex(g, p) == brute_nearest(g, p), p
 
 
 def test_bfs_helpers(minimal_grid):

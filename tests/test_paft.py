@@ -582,30 +582,40 @@ def test_boundary_settlement_tight_holes(minimal_grid):
 
 
 def _transpose(g, holes, a, b, used=()):
-    """One _Router transposition of a and b, with a real disc on every
-    vertex but the holes and a virtual disc on each hole.  The contents
-    of a and b must trade places and the recorded plan must be legal;
-    returns what _transposition returned (None for a relabel, the tuple
-    of exchanges of a one-move or hole-path transposition, or the pair's
-    word) and the plan."""
+    """One _Router transposition of a and b in a batch that has marked
+    the vertices in used, with a real disc on every vertex but the holes
+    and a virtual disc on each hole.  The contents of a and b must trade
+    places, the recorded plan must be legal and the transposition's
+    footprint must be marked besides used, unless the pair waits for the
+    next batch and nothing changes; returns what _transposition returned
+    (() for a relabel, the tuple of exchanges of a one-move or hole-path
+    transposition, the pair's word, or None when it waits) and the
+    plan."""
     starts = tuple(v for v in range(g.n_vertices) if v not in holes)
     router = _Router(g, starts)
     for v in holes:
         router.add_virtual(v)
     expect = list(router.occ)
-    expect[a], expect[b] = expect[b], expect[a]
-    swap = router._transposition(a, b, set(used))
-    if isinstance(swap, tuple):
-        for u, v in swap:
-            router.exchange(u, v)
-    elif swap is not None:
-        for step in swap.steps:
-            router.apply_step(step)
+    mark = _mark(g, used)
+    swap = router._transposition(a, b, mark)
+    if swap is not None:
+        expect[a], expect[b] = expect[b], expect[a]
     assert router.occ == expect
     assert all(router.pos[d] == v for v, d in enumerate(router.occ))
+    footprint = (swap.footprint if isinstance(swap, SwapSchedule)
+                 else {v for m in swap for v in m} if swap else set())
+    assert {v for v in range(g.n_vertices) if mark[v]} == set(used) | footprint
     plan = router.finish()
     assert not check_plan(g, plan, starts, tuple(router.pos[:len(starts)]))
     return swap, plan
+
+
+def _mark(g, used):
+    """A batch's mark array with the vertices in used marked."""
+    mark = bytearray(g.n_vertices)
+    for v in used:
+        mark[v] = 1
+    return mark
 
 
 def _exchanges(swap):
@@ -628,7 +638,7 @@ def _movers(plan):
 
 def test_hole_hole_transposition_relabels_without_a_step(minimal_grid):
     sched, plan = _transpose(minimal_grid, (8, 9), 8, 9)
-    assert sched is None and plan.T == 0
+    assert sched == () and plan.T == 0
 
 
 def test_real_hole_transposition_is_one_move(minimal_grid):
@@ -653,14 +663,88 @@ def test_real_real_transposition_moves_through_a_common_hole(minimal_grid):
 
 def test_real_real_transposition_without_an_empty_neighbour_takes_its_word(
         minimal_grid):
-    # full occupancy, and a lone hole held by the used set
+    # full occupancy, and a lone hole held by the batch off the word's
+    # footprint (7 is a neighbour of 8 outside both rings)
     g = minimal_grid
     word = SwapEngine(g).schedule_for_pair(8, 9).steps
-    for holes, used in (((), ()), ((5,), {5})):
+    for holes, used in (((), ()), ((7,), {7})):
         sched, plan = _transpose(g, holes, 8, 9, used)
         assert isinstance(sched, SwapSchedule)
         assert sched.steps == word and len(word) >= 13
         assert 0 < plan.T <= len(word)
+
+
+def test_a_pair_meeting_its_batch_waits(minimal_grid, monkeypatch):
+    # a pair with a or b marked waits for the next batch (None) before any
+    # hole search or word request; one whose hole search fails and whose
+    # word's footprint meets the batch waits without a word request; two
+    # virtual discs relabel whatever the batch holds.  Nothing that waits
+    # moves a disc or marks a vertex.
+    g = minimal_grid
+    asked, searched = [], []
+    monkeypatch.setattr(SwapEngine, "schedule_for_pair",
+                        lambda eng, a, b: asked.append((a, b)))
+    hole_path = _Router._hole_path
+    monkeypatch.setattr(_Router, "_hole_path", lambda router, a, b, mark: (
+        searched.append((a, b)) or hole_path(router, a, b, mark)))
+
+    def waits(holes, used):
+        router = _Router(g, tuple(v for v in range(g.n_vertices)
+                                  if v not in holes))
+        for v in holes:
+            router.add_virtual(v)
+        occ, mark = list(router.occ), _mark(g, used)
+        assert router._transposition(8, 9, mark) is None
+        assert router.occ == occ and not router.moved
+        assert mark == _mark(g, used)
+
+    for holes in ((), (9,), (5, 12)):
+        for used in ({8}, {9}, {8, 9}):
+            waits(holes, used)
+    assert not searched and not asked
+    # the only hole, 5, is the batch's and lies in the word's footprint
+    waits((5,), {5})
+    assert searched == [(8, 9)] and not asked
+    router = _Router(g, tuple(v for v in range(g.n_vertices) if v > 9))
+    d8, d9 = router.add_virtual(8), router.add_virtual(9)
+    assert router._transposition(8, 9, _mark(g, {8, 9})) == ()
+    assert (router.occ[8], router.occ[9]) == (d9, d8) and not router.moved
+
+
+def test_the_engine_is_asked_only_for_words_that_land(monkeypatch):
+    # a counting wrapper around schedule_for_pair sees exactly the words
+    # the router lands: the requested words' steps are, in order, the
+    # turn-table rows apply_step receives.  A word whose footprint meets
+    # its batch waits after the footprint lookup, unasked.  On a
+    # relabelling like paft-dense's, pairs whose holes in reach the batch
+    # holds look their word's footprint up, but no word fits, so none is
+    # asked for; on a near-full discrete occupancy and at full occupancy
+    # some words land and others wait.
+    cont = _local_relabelling(6, 7, 60, 0)
+    g45 = build_grid(build_workspace(4, 5))
+    cases = [(discretize(cont, build_grid(cont.workspace))[0], False),
+             (random_discrete_instance(g45, 46, 3), True),
+             (full_occupancy_instance(g45, 0), True)]
+    asked, looked_up, landed = [], [], []
+    schedule = SwapEngine.schedule_for_pair
+    footprint = SwapEngine.pair_footprint
+    apply_step = _Router.apply_step
+    monkeypatch.setattr(SwapEngine, "schedule_for_pair", lambda eng, a, b: (
+        asked.append(schedule(eng, a, b)) or asked[-1]))
+    monkeypatch.setattr(SwapEngine, "pair_footprint", lambda eng, a, b: (
+        looked_up.append((a, b)) or footprint(eng, a, b)))
+    monkeypatch.setattr(_Router, "apply_step", lambda router, moves: (
+        landed.append(moves) or apply_step(router, moves)))
+    for inst, lands_words in cases:
+        for log in (asked, looked_up, landed):
+            log.clear()
+        engine = SwapEngine(inst.grid)
+        turns = {id(t) for t in engine.ring_turns}
+        plan, _ = paft(inst, engine)
+        assert not check_plan(inst.grid, plan, inst.v_starts, inst.v_goals)
+        assert ([id(step) for sched in asked for step in sched.steps]
+                == [id(moves) for moves in landed if id(moves) in turns])
+        assert bool(asked) == lands_words and len(asked) < len(looked_up)
 
 
 _PARTIAL_GRIDS = ((2, 3), (4, 5), (6, 7))
@@ -748,7 +832,8 @@ def test_hole_path_transposition_matches_networkx(ws, data):
     # two real discs on an adjacent covered pair, holes and a used set
     # drawn at random: within 4 hops of the nearest hole the schedule is
     # 2k + 3 single moves off the used set, exchanging a and b and
-    # returning every other vertex's content; farther, it is the word
+    # returning every other vertex's content; farther, it is the word, or
+    # nothing when the word's footprint meets the used set
     g, engine = _grid_and_engine(ws)
     a, b = data.draw(st.sampled_from(_covered_pairs(g)), label="pair")
     rest = [v for v in range(g.n_vertices) if v not in (a, b)]
@@ -760,6 +845,9 @@ def test_hole_path_transposition_matches_networkx(ws, data):
     swap, plan = _transpose(g, tuple(sorted(holes)), a, b, used)
     k = _hole_hops(g, holes, a, b, used)
     if k is None or 2 * k + 3 >= 13:
+        if engine.pair_footprint(a, b) & used:
+            assert swap is None     # the word waits for the next batch
+            return
         assert _exchanges(swap) is None
         assert swap.steps == engine.schedule_for_pair(a, b).steps
         return
@@ -815,12 +903,8 @@ def test_disjoint_transpositions_of_successive_batches_share_steps():
     second = next(p for p in pairs
                   if not eng.schedule_for_pair(*p).footprint & first.footprint)
     router = _Router(g, tuple(range(g.n_vertices)), eng)
-    scheds = []
-    for a, b in (pairs[0], second):
-        sched = router._transposition(a, b, set())
-        for step in sched.steps:
-            router.apply_step(step)
-        scheds.append(sched)
+    scheds = [router._transposition(a, b, _mark(g, ()))
+              for a, b in (pairs[0], second)]
     plan = router.finish()
     assert plan.T == 13
     start, row1 = plan.positions[:2]
@@ -974,10 +1058,16 @@ def test_planner_invariants_survive_python_O():
                                    "SolverError"]
 
 
+# dense_instance seed 0: 40 and 63 (the full packing) discs on 6x7, 60
+# and 80 of the 96 packing points on 8x8
+_DENSE_SEED_0 = ((6, 7, 40, 0), (6, 7, 63, 0), (8, 8, 60, 0), (8, 8, 80, 0))
+
+
 def _digest_cases():
     """(name, discrete instance) of the plan-identity pins: local
     relabellings like paft-dense's, the partial-occupancy makespan
-    instances and full occupancies of 3x3, 4x5 and 6x7.  Seed 0's
+    instances, dense draws of seed 0 and full occupancies of 3x3, 4x5
+    and 6x7.  Seed 0's
     relabelling has circulation turns of equal gain on one ring, and
     3x3's 21-vertex snake has a level with an interval of 10 (a leaf)
     before one of 11 (a split), so these two pin the order of ring
@@ -986,7 +1076,7 @@ def _digest_cases():
         cont = _local_relabelling(6, 7, 60, seed)
         yield (f"local-6x7-{seed}",
                discretize(cont, build_grid(cont.workspace))[0])
-    for n1, n2, count, seed in PAFT_PARTIAL_MAKESPANS:
+    for n1, n2, count, seed in (*PAFT_PARTIAL_MAKESPANS, *_DENSE_SEED_0):
         ws = build_workspace(n1, n2)
         yield (f"dense-{n1}x{n2}-{count}-{seed}",
                discretize(dense_instance(ws, count, seed), build_grid(ws))[0])
@@ -1014,6 +1104,10 @@ PLAN_DIGESTS = {
     "dense-4x5-30-1": ("1795941c4b437f94", "1795941c4b437f94"),
     "dense-6x7-40-2": ("b862534ddb4a38dd", "b862534ddb4a38dd"),
     "dense-6x7-63-5": ("1ef2f39072de918b", "1ef2f39072de918b"),
+    "dense-6x7-40-0": ("f260eecabc5256b8", "f260eecabc5256b8"),
+    "dense-6x7-63-0": ("0e570d80c33eeb52", "0e570d80c33eeb52"),
+    "dense-8x8-60-0": ("949df47fcf3a3edf", "949df47fcf3a3edf"),
+    "dense-8x8-80-0": ("44c2f64262eb1324", "44c2f64262eb1324"),
     "full-3x3-0": ("8e27452a20d38dd1", "8e27452a20d38dd1"),
     "full-3x3-1": ("498899658c883412", "498899658c883412"),
     "full-4x5-0": ("bda1c467d0de7509", "bda1c467d0de7509"),

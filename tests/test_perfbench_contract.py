@@ -16,7 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # One traced set-up and one traced solve_case per kind, as run.py does
-# them; prints the per-pass totals and the tracer's metric names as JSON.
+# them, then one traced paft call on a full occupancy (see WORDS); prints
+# the per-pass totals and the tracer's metric names as JSON.
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -46,6 +47,16 @@ for pass_no, (name, ws, inst, eng, backend) in enumerate(cases):
     tracer.begin_case(name, pass_no)
     run.solve_case(tr, case, grids, eng, backend)
     tracer.end_case()
+g = grids[(3, 4)]
+a = min(g.covered)
+b = next(v for v in g.adjacency[a] if v in g.covered)
+goals = list(range(g.n_vertices))
+goals[a], goals[b] = b, a
+full = tr.discretize.DiscreteInstance(g, tuple(range(g.n_vertices)),
+                                      tuple(goals))
+tracer.begin_case("words", len(cases))
+tr.paft.paft(full, engine)
+tracer.end_case()
 print(json.dumps({
     "totals": {p: dict(c) for p, c in tracer.pass_totals().items()},
     "setup": list(SETUP_METRICS), "layer": list(LAYER_METRICS)}))
@@ -62,12 +73,15 @@ ILP = ["triilp.horizons", "triilp.infeasible_horizons", "ilp.build_model_s",
 EXTERNAL = ["ilp.export_lp_s", "ilp.lp_bytes", "lpsolve.solve_lp_text_s",
             "ilp.solver_startup_s", "ilp.parse_solution_s"]
 # the full 18-disc packing of 3x4 with two neighbouring pairs of goals
-# exchanged: four cells, one circulation round, and a pair of real discs
-# that twice finds its holes in reach held by its batch and asks for its
-# rotation word
-PAFT = ["paft.paft_s", "paft.schedule_calls", "paft.makespan",
-        "paft.lower_bound", "paft.cells", "paft.circulation_steps",
-        "paft.swap_constant"]
+# exchanged: four cells and one circulation round
+PAFT = ["paft.paft_s", "paft.makespan", "paft.lower_bound", "paft.cells",
+        "paft.circulation_steps", "paft.swap_constant"]
+# the router asks the engine only for rotation words it lands, and no
+# packing instance lands one (a hole is always in reach), so the word
+# path is a full occupancy of 3x4 with two neighbours exchanged, routed
+# by paft on the warmed engine
+WORDS = ["paft.paft_s", "paft.schedule_calls", "paft.makespan",
+         "paft.swap_constant"]
 
 
 def test_perfbench_selftest_passes():
@@ -84,10 +98,11 @@ def test_traced_solves_record_every_metric_on_their_path():
     setup, totals = out["setup"], out["totals"]
     # every metric the tracer defines, bar its own overhead, is on a path
     # checked here, so a metric added to the tracer cannot go unchecked
-    assert (set(setup + PIPELINE + ILP + EXTERNAL + PAFT)
+    assert (set(setup + PIPELINE + ILP + EXTERNAL + PAFT + WORDS)
             == set(out["layer"]) - {"trace.overhead_s"})
     expected = {"-1": setup, "0": PIPELINE + ILP,
-                "1": PIPELINE + ILP + EXTERNAL, "2": PIPELINE + PAFT}
+                "1": PIPELINE + ILP + EXTERNAL, "2": PIPELINE + PAFT,
+                "3": WORDS}
     zero = {p: [m for m in names if not totals.get(p, {}).get(m)]
             for p, names in expected.items()}
     assert zero == {p: [] for p in expected}

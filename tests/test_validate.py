@@ -187,6 +187,9 @@ def test_optimality_metrics():
     m3 = optimality_metrics([(0, 0), (0, 0)])
     assert m3.aggregate == 1.0
     assert m3.per_instance == [1.0, 1.0]
+    # no instance, no ratio (a bench cell where every instance failed)
+    m4 = optimality_metrics([])
+    assert math.isnan(m4.aggregate) and m4.per_instance == []
 
 
 # ------------------------------------------------- array layers vs oracles
