@@ -509,20 +509,22 @@ class _Router:
     def _transposition(self, a: int, b: int, mark: bytearray
                        ) -> SwapSchedule | tuple[tuple[int, int], ...] | None:
         """Exchange the discs on adjacent covered vertices a and b, chosen
-        by what they hold, when the exchange fits the batch: mark holds
-        one byte per vertex, set on the vertices the batch has used.  Two
-        virtual discs swap ids at once, batch or not, and no step is
-        recorded (()).  Otherwise a pair with a or b marked waits for the
-        next batch (None).  A real disc and a virtual one take one move.
-        Two real discs with a hole k <= _HOLE_REACH hops from a common
-        neighbour h (see _hole_path) take 2k + 3: the hole walks to h, then
-        a to h, b to a, h to b, and the hole walks back, so every other
-        disc returns home.  Each move (u, v) exchanges a real disc with
-        the virtual one at its target, whose move is not recorded; these
-        come back as the tuple of exchanges, whose endpoints are the
-        footprint.  Anything else takes the pair's word, the engine's
-        SwapSchedule, once its footprint is clear of the batch (None
-        otherwise).  What fits is landed and its footprint marked."""
+        by what they hold, if the exchange fits the batch: mark holds one
+        byte per vertex, set on the vertices the batch has used.  What
+        fits is landed, its footprint marked and its moves returned; a
+        pair that does not fit changes nothing and returns None, to wait
+        for the next batch.  Two virtual discs swap ids at once, batch or
+        not, with no step (returns ()).  Otherwise a pair with a or b
+        marked waits before any search.  A real disc and a virtual one
+        take one move.  Two real discs with a hole k <= _HOLE_REACH hops
+        from a common neighbour h (see _hole_path) take 2k + 3: the hole
+        walks to h, then a to h, b to a, h to b, and the hole walks back,
+        so every other disc returns home.  Each move (u, v) exchanges a
+        real disc with the virtual one at its target, whose move is not
+        recorded; these come back as the tuple of exchanges, whose
+        endpoints are the footprint.  Anything else takes the pair's word,
+        the engine's SwapSchedule, which is asked for only once the
+        word's footprint is clear of the batch."""
         n_real = self.n_real
         da, db = self.occ[a], self.occ[b]
         if da >= n_real and db >= n_real:
