@@ -20,9 +20,8 @@ list its hexagon ring counterclockwise.  A ring's cover is its centre's
 colour (q - r) % 3, so the rings fall into up to three interleaving
 covers.  The sharp ("locked") corners are the degree-2 vertices: they
 lie on no hexagon, and the covers reach every other vertex.  The grid
-also carries two families of vertex-disjoint paths: "horizontal" waving
-paths that cover every vertex, and "vertical" column-pair waves that
-miss the rightmost column.  Built on first use and kept with the grid:
+also carries one family of vertex-disjoint "horizontal" waving paths
+that cover every vertex.  Built on first use and kept with the grid:
 the vertex coordinates (``TriGrid.coords``), the directed arcs
 (``TriGrid.arcs``) and, per source asked for, one BFS row of hop
 distances (``TriGrid.hops_from``, V int64) that every lower bound,
@@ -97,7 +96,6 @@ class TriGrid:
     edges: list[tuple[int, int]]          # (i, j) with i < j, sorted
     triangles: list[tuple[int, int, int]]  # sorted triples, sorted list
     hex_covers: list[list[tuple[int, ...]]] = field(default_factory=list)
-    vertical_paths: list[list[int]] = field(default_factory=list)
     horizontal_paths: list[list[int]] = field(default_factory=list)
     # lattice bookkeeping: "row" m is the m-th vertex column (x = 1 + 2m),
     # "col" k is the position inside it (y = 1 + k*edge, odd columns offset)
@@ -279,11 +277,10 @@ def build_grid(ws: Workspace) -> TriGrid:
     if missing:
         raise CoverageError(
             f"hexagon covers miss non-corner vertices {sorted(missing)}")
-    vertical, horizontal = _path_families(row_start, row_len, adjacency)
     return TriGrid(
         workspace=ws, vertices=vertices, adjacency=adjacency, edges=edges,
         triangles=triangles, hex_covers=_covers(ring_of, axial),
-        vertical_paths=vertical, horizontal_paths=horizontal,
+        horizontal_paths=_path_family(row_start, row_len, adjacency),
         row_of=row_of, col_of=col_of, row_start=row_start, row_len=row_len,
         n_rows=len(row_len), len_even=row_len[0], ring_of=ring_of,
         locked=locked, covered=covered)
@@ -301,13 +298,10 @@ def _covers(ring_of: dict[int, tuple[int, ...]],
     return [cover for cover in by_color if cover]
 
 
-def _path_families(row_start: list[int], row_len: list[int],
-                   adjacency: list[list[int]]
-                   ) -> tuple[list[list[int]], list[list[int]]]:
-    """(vertical, horizontal): vertical column-pair waves (miss the
-    rightmost column, since the column count 2*n1 + 1 is odd) and
-    horizontal waving paths (cover everything; the last one widens to
-    absorb the long even columns)."""
+def _path_family(row_start: list[int], row_len: list[int],
+                 adjacency: list[list[int]]) -> list[list[int]]:
+    """Horizontal waving paths, vertex-disjoint, that cover everything;
+    the last one widens to absorb the long even columns."""
     def at(k: int, m: int) -> int:
         return row_start[m] + k
 
@@ -324,20 +318,12 @@ def _path_families(row_start: list[int], row_len: list[int],
                 wide.append(at(lo - 1, m + 1))
         horizontal.append(wide)
 
-    vertical = []
-    for base in range(0, nrows - 1, 2):
-        wave = [at(k, m) for k in range(row_len[base + 1])
-                for m in (base, base + 1)]
-        if row_len[base] > row_len[base + 1]:
-            wave.append(at(row_len[base] - 1, base))
-        vertical.append(wave)
-
-    for path in vertical + horizontal:
+    for path in horizontal:
         for a, b in zip(path, path[1:]):
             if b not in adjacency[a]:
                 raise CoverageError(
                     f"path family not a grid path: {a} and {b} are not adjacent")
-    return vertical, horizontal
+    return horizontal
 
 
 def nearest_vertex(g: TriGrid, p: Vec2) -> int:

@@ -68,9 +68,25 @@ def _sample_config(ws: Workspace, count: int, rng: random.Random
     return pts
 
 
+def packing_bound(ws: Workspace) -> int:
+    """Most disc centres at pairwise separation d = 8/3 that the inset box
+    [1, w - 1] x [1, h - 1] holds, by Oler's bound for points at least d
+    apart in a convex region of area A and perimeter P:
+    N <= 2A / (sqrt(3) d^2) + P / (2d) + 1."""
+    a, b = ws.w - 2.0, ws.h - 2.0
+    return math.floor(2.0 * a * b / (math.sqrt(3.0) * SEPARATION ** 2)
+                      + (a + b) / SEPARATION + 1.0 + 1e-9)
+
+
 def random_instance(ws: Workspace, count: int, seed: int
                     ) -> ContinuousInstance:
-    """Rejection-sampled starts and goals at pairwise separation > 8/3."""
+    """Rejection-sampled starts and goals at pairwise separation > 8/3.
+    A count above packing_bound is rejected before any draw."""
+    bound = packing_bound(ws)
+    if count > bound:
+        raise GenerationError(
+            f"workspace holds at most {bound} discs at separation 8/3, "
+            f"wanted {count}")
     rng = random.Random(seed)
     starts = _sample_config(ws, count, rng)
     goals = _sample_config(ws, count, rng)

@@ -22,13 +22,13 @@ all the vertices its real discs move between are free.  These schedules
 are the workhorse:
 
 * ``isag``    routes a (virtually completed) full-occupancy instance by
-  recursive interval bisection over a snake threading of the covers-all
-  waving path family, each level realized as rounds of odd-even adjacent
-  transpositions, formed greedily under footprint disjointness.
+  one odd-even transposition sort over a snake threading of the
+  covers-all waving path family, each round's transpositions formed
+  greedily into batches under footprint disjointness.
 * ``paft``    wraps the same core with the cell pipeline: compute the
   max start-goal distance, partition the workspace into square cells,
   run greedy hexagon circulations that push discs toward their goal
-  cells, then finish with the bisection sort.
+  cells, then finish with the odd-even sort.
 
 Sharp boundary corners lie on no hexagon, so they are settled before
 the parallel machinery runs: their goal discs are rolled in (or the
@@ -63,9 +63,6 @@ class SwapSearchError(RuntimeError):
 
 class PlannerInvariantError(RuntimeError):
     """A router invariant failed; the plan built so far is unusable."""
-
-
-_LEAF = 10
 
 
 @dataclass
@@ -303,7 +300,8 @@ class _Router:
     that moved a disc from or to any of its vertices, so every vertex
     sees its real discs in the order the steps were applied, and moves on
     disjoint vertices share a plan step.  ``finish`` builds the plan
-    array.  The sort transposes adjacent vertices in one of four ways
+    array.  The sort, one odd-even transposition sort along the snake
+    by target slot, transposes adjacent vertices in one of four ways
     (see ``_transposition``): a relabel of two virtual discs, one move,
     2k + 3 moves through the nearest hole, or the pair's rotation word;
     at full occupancy only words occur.  The relabel, the one move and
@@ -315,7 +313,7 @@ class _Router:
     vertex: a pair whose a or b the batch holds waits for the next batch
     before any hole search, and a word is asked of the engine only once
     its footprint, which the engine keeps per pair, is clear of the
-    batch (see ``_run_rounds``).
+    batch (see ``sort_covered``).
     """
 
     def __init__(self, grid: TriGrid, starts: tuple[int, ...],
@@ -558,92 +556,56 @@ class _Router:
             self.exchange(u, v)
         return swap
 
-    def _run_rounds(self, snake: list[int], vals: list[int],
-                    active: list[tuple[int, int]]) -> None:
-        """Odd-even transposition rounds until every interval is clean.
+    def sort_covered(self, target_of: dict[int, int]) -> None:
+        """Route every disc with a covered target to it by one odd-even
+        transposition sort over the whole snake.
 
-        vals[p] is the comparison value of the disc on snake[p]; a
-        comparator p (positions p and p + 1 of one interval) is inverted
-        when vals[p] > vals[p + 1], and only inverted comparators of the
-        round's parity transpose.  The inverted set is kept incrementally:
-        a transposition swaps two values, so only comparators p - 1, p and
-        p + 1 are tested again.  A round's transpositions run in interval
-        order (that of active), then by p."""
-        if not active:
-            return
+        vals[p] is the target slot of the disc on snake[p]; comparator p
+        is inverted when vals[p] > vals[p + 1], and a round transposes
+        the inverted comparators of its parity in order of p.  The
+        inverted sets are kept incrementally: a transposition swaps two
+        values, so only comparators p - 1, p and p + 1 are tested again.
+        n slots sort in at most n rounds (Habermann 1972)."""
+        snake = self._snake()
         n = len(snake)
-        n_vertices = self.grid.n_vertices
+        slot_of = {v: i for i, v in enumerate(snake)}
+        key = [0] * len(self.pos)
+        for d, tv in target_of.items():
+            key[d] = slot_of[tv]
+        vals = [key[self.occ[v]] for v in snake]
         transpose = self._transposition
-        lo_of, hi_of, order = [0] * n, [0] * n, [0] * n
         inverted: tuple[set[int], set[int]] = (set(), set())  # by parity
-        for i, (lo, hi) in enumerate(active):
-            for p in range(lo, hi):
-                lo_of[p], hi_of[p], order[p] = lo, hi, i * n + p
-                if p + 1 < hi and vals[p] > vals[p + 1]:
-                    inverted[p & 1].add(p)
-        max_len = max(hi - lo for lo, hi in active)
-        clean_streak = 0
-        parity = 0
+        for p in range(n - 1):
+            if vals[p] > vals[p + 1]:
+                inverted[p & 1].add(p)
         rounds = 0
-        while clean_streak < 2:
-            rounds += 1
-            if rounds > max_len + 4:
+        while inverted[0] or inverted[1]:
+            if rounds == n:
                 raise PlannerInvariantError("odd-even rounds failed to converge")
-            todo = sorted(inverted[parity], key=order.__getitem__)
-            parity ^= 1
-            if not todo:
-                clean_streak += 1
-                continue
-            clean_streak = 0
+            todo = sorted(inverted[rounds & 1])
+            rounds += 1
             wanted = [(snake[p], snake[p + 1]) for p in todo]
             # batches of footprint-disjoint transpositions, each marking
             # the vertices it uses; a pair that meets the batch waits for
             # the next one.  The clocks time each step, so a batch has no
             # common end.
             while wanted:
-                mark = bytearray(n_vertices)
+                mark = bytearray(self.grid.n_vertices)
                 wanted = [(a, b) for a, b in wanted
                           if transpose(a, b, mark) is None]
             for p in todo:
                 vals[p], vals[p + 1] = vals[p + 1], vals[p]
             for p in todo:
-                # comparators p - 1 .. p + 1 that lie in p's interval (no
-                # max/min calls: this loop is the hot bookkeeping)
-                lo, hi = lo_of[p], hi_of[p]
-                for q in range(p - 1 if p > lo else lo,
-                               p + 2 if p + 3 < hi else hi - 1):
+                # comparators p - 1 .. p + 1 inside the snake (no max/min
+                # calls: this loop is the hot bookkeeping)
+                for q in range(p - 1 if p else 0,
+                               p + 2 if p + 3 < n else n - 1):
                     if vals[q] > vals[q + 1]:
                         inverted[q & 1].add(q)
                     else:
                         inverted[q & 1].discard(q)
-
-    def sort_covered(self, target_of: dict[int, int]) -> None:
-        """Route every disc with a covered target to it by bisection sort.
-
-        Each level compares discs by their target slot, or, inside an
-        interval still to split, by the half their target lies in."""
-        snake = self._snake()
-        slot_of = {v: i for i, v in enumerate(snake)}
-        key = [0] * len(self.pos)
-        for d, tv in target_of.items():
-            key[d] = slot_of[tv]
-
-        intervals = [(0, len(snake))]
-        while intervals:
-            splits = [(lo, hi) for lo, hi in intervals if hi - lo > _LEAF]
-            leaves = [(lo, hi) for lo, hi in intervals if hi - lo <= _LEAF]
-            vals = [key[self.occ[v]] for v in snake]
-            for lo, hi in splits:
-                mid = (lo + hi) // 2
-                vals[lo:hi] = [int(k >= mid) for k in vals[lo:hi]]
-            self._run_rounds(snake, vals, splits + leaves)
-            if any(key[self.occ[snake[p]]] != p
-                   for lo, hi in leaves for p in range(lo, hi)):
-                raise PlannerInvariantError("leaf sort incomplete")
-            intervals = []
-            for lo, hi in splits:
-                mid = (lo + hi) // 2
-                intervals.extend([(lo, mid), (mid, hi)])
+        if any(key[self.occ[v]] != p for p, v in enumerate(snake)):
+            raise PlannerInvariantError("odd-even sort incomplete")
 
     def greedy_circulations(self, target_of: dict[int, int], cap: int) -> int:
         """Synchronized ring rotations chosen by a goal-distance potential.
@@ -733,7 +695,7 @@ def _route(inst: DiscreteInstance, engine: SwapEngine | None,
 
 def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
          ) -> DiscretePlan:
-    """Route the instance by boundary settlement plus bisection sorting.
+    """Route the instance by boundary settlement plus one odd-even sort.
 
     Accepts any occupancy up to n = |V|; empty vertices are completed
     with virtual discs so the sort operates on a full permutation.  A

@@ -409,9 +409,9 @@ def test_substitute_benchmarks_logged():
 # --------------------------------------------------------------- criterion 10
 
 # makespan / d_g of the seed-7 full-occupancy instances below, as recorded
-# when per-vertex clocks began to time the plan steps; a longer plan on
-# any size fails the scaling test
-PAFT_RATIO_BOUNDS = (5270 / 7, 11631 / 11, 28060 / 18, 58395 / 23)
+# when the sort became one odd-even pass over the whole snake; a longer
+# plan on any size fails the scaling test
+PAFT_RATIO_BOUNDS = (5144 / 7, 11245 / 11, 23718 / 18, 49678 / 23)
 
 
 def test_paft_scaling():
@@ -448,12 +448,11 @@ def test_paft_scaling():
 
 
 # PAFT makespans of dense partial occupancies (`gen --pattern dense`):
-# (n1, n2, count, seed) -> steps, as recorded when transpositions began
-# to walk the nearest hole and per-vertex clocks to time the steps; a
-# longer plan on any instance fails
-PAFT_PARTIAL_MAKESPANS = {(2, 3, 6, 4): 25, (4, 5, 20, 3): 85,
-                          (4, 5, 30, 1): 192, (6, 7, 40, 2): 408,
-                          (6, 7, 63, 5): 782}
+# (n1, n2, count, seed) -> steps, as recorded when the sort became one
+# odd-even pass over the whole snake; a longer plan on any instance fails
+PAFT_PARTIAL_MAKESPANS = {(2, 3, 6, 4): 25, (4, 5, 20, 3): 77,
+                          (4, 5, 30, 1): 170, (6, 7, 40, 2): 322,
+                          (6, 7, 63, 5): 705}
 
 
 def test_paft_partial_occupancy_makespans():

@@ -13,7 +13,8 @@ from triroute import io as tio
 from triroute.cli import EXIT_PROOF_FAILED, main
 from triroute.discretize import discretize, validate_separation
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
-from triroute.instances import dense_instance, dense_points, random_instance
+from triroute.instances import (GenerationError, dense_instance, dense_points,
+                                packing_bound, random_instance)
 from triroute.paft import SwapEngine, _Router
 from triroute.plan import DiscretePlan, check_plan
 from triroute.render import render
@@ -52,6 +53,31 @@ def test_gen_dense_capacity_error(tmp_path):
     out = tmp_path / "over.oldr"
     assert run("gen", "--n1", "2", "--n2", "3", "--count", "500",
                "--pattern", "dense", "--out", str(out)) == 4
+
+
+def test_random_instance_rejects_counts_above_the_packing_bound(
+        tmp_path, monkeypatch):
+    # a count the inset box cannot hold fails before any draw, in the
+    # library and through gen; every count a dense packing reaches, at
+    # the strict pitch or the exact one, stays admissible
+    ws = build_workspace(3, 3)
+    assert packing_bound(ws) == 21
+
+    def no_draw(*_):
+        raise AssertionError("drew a point for a count that cannot fit")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(random.Random, "uniform", no_draw)
+        for count in (22, 100):
+            with pytest.raises(GenerationError, match="at most 21 discs"):
+                random_instance(ws, count, seed=0)
+        assert run("gen", "--n1", "3", "--n2", "3", "--count", "100",
+                   "--out", str(tmp_path / "over.oldr")) == 4
+    for n1 in range(2, 13):
+        for n2 in range(3, 13):
+            ws = build_workspace(n1, n2)
+            assert len(dense_points(ws)) <= packing_bound(ws)
+            assert len(dense_points(ws, strict=False)) <= packing_bound(ws)
 
 
 def test_gen_non_strict_reproduces_exact_pitch():
@@ -464,19 +490,20 @@ def test_render_static_and_snapshot(tmp_path):
 # sha256 of SVG renders of a 2x3 ILP plan (dense_instance, 5 discs,
 # seed 3) and the 4x5 full-occupancy PAFT plan; the ILP entries were
 # recorded when render still drew from the (time, Vec2) point lists, the
-# PAFT snapshots when swaps first took the shortest rotation word, and
-# the PAFT trace when per-vertex clocks began to time the plan steps
+# PAFT start and end snapshots when swaps first took the shortest
+# rotation word, and the other PAFT entries when the sort became one
+# odd-even pass over the whole snake
 RENDER_SHA256 = {
     "ilp trace": "066e646c686652123524f75b80ac708dc020a77e1a0308085229a11472a39983",
-    "paft trace": "6a5284cc5b51e382207d9f928d3f12ce16f973a361db600bc6947c97d390cbb1",
+    "paft trace": "16cbf5121de2e1a027722be4c87ed49370f12514d44929dc3a0f591a71d45964",
     "ilp 0": "5b3acb62f391985caa121924daa95dbfaec81ace90a05dab85f62612846acc58",
     "paft 0": "126c227552b130b65f666b5a08fbcc2be77440f0e2cd8dc8437e570291cd9161",
     "ilp 0.3": "8fbcec0111e46b8b91f16365a1a30f0fc597497847af510405066a7230d5c2ea",
-    "paft 0.3": "0b5c75bbfd1b64acc332ccd7de6c08a0868c3c1111842e6ce39b6d3ecd1e3c48",
+    "paft 0.3": "f7f639470cec14bb3b87db7688a1bcc9465930269fbd8ab74de7606856b8100d",
     "ilp 3": "9598b2296f7376b8b35f91d4cfe2d4240f58713440db340ff9a656df219b94aa",
-    "paft 3": "ccfc81df4b447f9a7fdf57182c08b0c29e110c13d4df10fcb533850898bc1d2b",
+    "paft 3": "bb3c3c01fd24e80383d274b8b8afd6ec47b49639571c585322dfc646f8e47c52",
     "ilp 4.6188": "0b70a19fa5c9e83b8c0faad7375f3826f000ec7469965b0833e9affcc877a7b3",
-    "paft 4.6188": "61094c82eda2b8bc0afb72ba70d5bc9af4b6381cd4838356463a49607a67d4ba",
+    "paft 4.6188": "86d09ae240df5b4e96650f89c342d1847d1f9203ccbee2fd029ae3a4b9aaf308",
     "ilp 1e+09": "f72dccc67f37ea577c12d350386e677b34390cc82baa5922f7918bb09a287630",
     "paft 1e+09": "9b7fa853f35b5b059797d013d9ae3733617bec39c047464262c8ae29920f5d9a",
 }

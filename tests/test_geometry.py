@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from _oracles import (brute_nearest, enumerate_sharp_angles,
                       joint_bfs_makespan, lattice_count)
 from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
-                               Vec2, _path_families, bfs_distances, bfs_path,
+                               Vec2, _path_family, bfs_distances, bfs_path,
                                build_grid, build_workspace, density_limit,
                                nearest_vertex, triangle_circumradius)
 
@@ -138,21 +138,21 @@ def test_grid_determinism():
     assert a.edges == b.edges
     assert a.triangles == b.triangles
     assert a.hex_covers == b.hex_covers
-    assert a.vertical_paths == b.vertical_paths
     assert a.horizontal_paths == b.horizontal_paths
 
 
 # sha256 over every compared TriGrid field.  The grid was first pinned
 # when it was still built from per-parity candidate lists, atan2-sorted
 # rings and a cosine test for the locked corners; these digests were
-# taken from that same grid without its since-deleted len_odd field
+# taken from that same grid without its since-deleted len_odd and
+# vertical_paths fields
 PINNED_GRID_DIGESTS = {
-    (2, 3): "e081d4cc557accb2870eb7181444abe8a0009c922e4dcef0ef0c20fa50ab20e6",
-    (4, 5): "165dfc6665805bd6e3b3ff676fbefcc18693fe0dac6427ea6cd9a84be7ab6283",
-    (6, 7): "7fda54bc04f853b124f3836c77a9ed70929981019486bb7a91cad639cfcf16a4",
-    (9, 10): "a5b79a00be2415bf15089c232eb0118fd28ce594dbc683dc46b8548f9bd6959f",
-    (11, 17): "b223738ef81d776ef36c76f5caaf889631fba6ea83faef8cb1ee32fe35882da1",
-    (12, 12): "37ef754cd584aeceb109af9317ed3451b33c2a91b075d3e6d7857dad9adc00ef",
+    (2, 3): "03c4bdaf55e68406c06e63bfddb8c22a3a867604f285bd451a799b1e83abaf1b",
+    (4, 5): "d4e8da17356144d3a16feb096f5f0a116dbc73b54aadd124cfdb588ef3a6287f",
+    (6, 7): "3cd427bc5239324471ef74ae31dae3fcf99da84ad8107bcf8520a9812dc7ea7c",
+    (9, 10): "143ede23d61a1c3f20607c132941753543683379d6b9039fe56bc064b8573e04",
+    (11, 17): "dfda19ad2edc938fe45f70cd654c5eabb84828119ca17123d24f39b3f961ccd5",
+    (12, 12): "32de1887278b47e558e77aafd1fe2a4f800b27929b2395f5349c28a1b2b753c4",
 }
 
 
@@ -276,15 +276,6 @@ def test_path_families():
             assert not (set(path) & seen)
             seen.update(path)
         assert seen == set(range(g.n_vertices)), (n1, n2)  # full coverage
-        vseen = set()
-        for path in g.vertical_paths:
-            for a, b in zip(path, path[1:]):
-                assert b in g.adjacency[a]
-            assert not (set(path) & vseen)
-            vseen.update(path)
-        # the column count 2*n1 + 1 is odd: the rightmost column is missed
-        assert vseen == {v for v in range(g.n_vertices)
-                         if g.row_of[v] < g.n_rows - 1}, (n1, n2)
 
 
 def test_path_family_off_the_grid_raises_coverage_error():
@@ -293,7 +284,7 @@ def test_path_family_off_the_grid_raises_coverage_error():
     g.adjacency[a].remove(b)
     g.adjacency[b].remove(a)
     with pytest.raises(CoverageError, match="not a grid path"):
-        _path_families(g.row_start, g.row_len, g.adjacency)
+        _path_family(g.row_start, g.row_len, g.adjacency)
 
 
 def test_nearest_vertex_beyond_every_column_raises_bounds_error(minimal_grid):

@@ -459,13 +459,24 @@ def test_isag_partial_occupancy_with_corner_traffic(minimal_grid):
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
 
 
-def test_isag_bisection_exchanges_across_halves():
-    # discs with goals on the far half cross the split; all end on target
+def test_isag_sort_carries_discs_across_the_snake():
+    # discs whose goals lie far along the snake cross it; all end on target
     g = build_grid(build_workspace(3, 3))
     inst = full_occupancy_instance(g, seed=9)
     plan = isag(inst)
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
     assert plan.steps[-1] == inst.v_goals
+
+
+def test_sort_that_moves_nothing_raises_planner_invariant_error(
+        minimal_grid, monkeypatch):
+    # transpositions that report landing but move no disc leave the snake
+    # unsorted: the final check raises instead of returning a wrong plan
+    monkeypatch.setattr(_Router, "_transposition", lambda self, a, b, mark: ())
+    inst = full_occupancy_instance(minimal_grid, 0)
+    with pytest.raises(PlannerInvariantError,
+                       match="odd-even sort incomplete"):
+        isag(inst)
 
 
 def test_isag_full_occupancy_corner_move_is_infeasible(minimal_grid):
@@ -998,6 +1009,63 @@ def test_partial_occupancy_plans_are_legal_and_valid(ws, data):
                                                          ref.boundary_ok)
 
 
+def _odd_even_comparators(vals):
+    """The comparators p that an odd-even transposition sort of vals
+    transposes, round by round from the even one; also sorts vals."""
+    done, parity = [], 0
+    while any(x > y for x, y in zip(vals, vals[1:])):
+        for p in range(parity, len(vals) - 1, 2):
+            if vals[p] > vals[p + 1]:
+                vals[p], vals[p + 1] = vals[p + 1], vals[p]
+                done.append(p)
+        parity ^= 1
+    return done
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_sort_transposes_each_inversion_once(ws, data):
+    # any occupancy, full included: the sort lands exactly as many
+    # transpositions (relabels of two virtual discs too) as the initial
+    # target slots along the snake have inversions, and they are the
+    # comparators a plain odd-even transposition sort of those slots
+    # transposes, so no pair is transposed twice or in order
+    g, engine = _grid_and_engine(ws)
+    V = g.n_vertices
+    n = data.draw(st.integers(0, V - 1) | st.just(V), label="n")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    inst = (full_occupancy_instance(g, seed) if n == V
+            else random_discrete_instance(g, n, seed))
+    planner = data.draw(st.sampled_from((isag, paft)), label="planner")
+    sorts = []      # (initial slots, snake position of each landed pair)
+    snake_pos = {}
+    sort_covered, transposition = _Router.sort_covered, _Router._transposition
+
+    def counted_sort(self, target_of):
+        snake = self._snake()
+        snake_pos.update((v, i) for i, v in enumerate(snake))
+        sorts.append(([snake_pos[target_of[self.occ[v]]] for v in snake], []))
+        sort_covered(self, target_of)
+
+    def counted_transposition(self, a, b, mark):
+        swap = transposition(self, a, b, mark)
+        if swap is not None:
+            sorts[-1][1].append(snake_pos[a])
+        return swap
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Router, "sort_covered", counted_sort)
+        mp.setattr(_Router, "_transposition", counted_transposition)
+        plan = planner(inst, engine)
+    if planner is paft:
+        plan = plan[0]
+    assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+    for slots, landed in sorts:
+        inversions = sum(x > y for i, x in enumerate(slots)
+                         for y in slots[i + 1:])
+        assert len(landed) == inversions
+        assert sorted(landed) == sorted(_odd_even_comparators(slots))
+
+
 def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid,
                                                          monkeypatch):
     g = minimal_grid
@@ -1067,11 +1135,12 @@ def _digest_cases():
     """(name, discrete instance) of the plan-identity pins: local
     relabellings like paft-dense's, the partial-occupancy makespan
     instances, dense draws of seed 0 and full occupancies of 3x3, 4x5
-    and 6x7.  Seed 0's
-    relabelling has circulation turns of equal gain on one ring, and
-    3x3's 21-vertex snake has a level with an interval of 10 (a leaf)
-    before one of 11 (a split), so these two pin the order of ring
-    turns and of a round's transpositions."""
+    and 6x7.  Seed 0's relabelling has circulation turns of equal gain
+    on one ring, so it pins the order of ring turns.  A round's
+    transpositions land in order of p and a pair that meets its batch
+    waits for the next one, so that order decides which of two
+    overlapping pairs goes first; run in descending p, all 23 plans
+    change, so these pin it too."""
     for seed in (0, 2024, 2025, 2026):
         cont = _local_relabelling(6, 7, 60, seed)
         yield (f"local-6x7-{seed}",
@@ -1095,29 +1164,29 @@ def _plan_digest(plan):
 # sha256 (first 16 hex digits) of each plan's position array, paft then
 # isag; a router change that keeps the plans keeps these
 PLAN_DIGESTS = {
-    "local-6x7-0": ("617c688617cdbdf1", "5f79894dc393a022"),
-    "local-6x7-2024": ("ecde4068da6a48a5", "ca4aaa9994b7abb6"),
-    "local-6x7-2025": ("01a37e45b324f865", "0e8826c2c3ebfe67"),
-    "local-6x7-2026": ("6268ac83a1419d89", "30ecd043cd874a4d"),
+    "local-6x7-0": ("d782e5cf77636f89", "ad74167b931d180d"),
+    "local-6x7-2024": ("7906e9de694bcbb8", "b05ceff0b2a61082"),
+    "local-6x7-2025": ("041fbea997ecaa34", "f011923c64321121"),
+    "local-6x7-2026": ("f596ca73c27b1c56", "82f6b615fc333feb"),
     "dense-2x3-6-4": ("316fe93cd52252bb", "316fe93cd52252bb"),
-    "dense-4x5-20-3": ("345ee0f7e5f0061e", "345ee0f7e5f0061e"),
-    "dense-4x5-30-1": ("1795941c4b437f94", "1795941c4b437f94"),
-    "dense-6x7-40-2": ("b862534ddb4a38dd", "b862534ddb4a38dd"),
-    "dense-6x7-63-5": ("1ef2f39072de918b", "1ef2f39072de918b"),
-    "dense-6x7-40-0": ("f260eecabc5256b8", "f260eecabc5256b8"),
-    "dense-6x7-63-0": ("0e570d80c33eeb52", "0e570d80c33eeb52"),
-    "dense-8x8-60-0": ("949df47fcf3a3edf", "949df47fcf3a3edf"),
-    "dense-8x8-80-0": ("44c2f64262eb1324", "44c2f64262eb1324"),
-    "full-3x3-0": ("8e27452a20d38dd1", "8e27452a20d38dd1"),
-    "full-3x3-1": ("498899658c883412", "498899658c883412"),
-    "full-4x5-0": ("bda1c467d0de7509", "bda1c467d0de7509"),
-    "full-4x5-1": ("035bb15bbd9ee621", "035bb15bbd9ee621"),
-    "full-4x5-2": ("c2d1f84900e5cf23", "c2d1f84900e5cf23"),
-    "full-4x5-3": ("145423a53fef1ea4", "145423a53fef1ea4"),
-    "full-6x7-0": ("e86c0d00448a5f84", "e86c0d00448a5f84"),
-    "full-6x7-1": ("326f805a16268569", "326f805a16268569"),
-    "full-6x7-2": ("709bf3f7a5be9b17", "709bf3f7a5be9b17"),
-    "full-6x7-3": ("6db12c47531fa30a", "6db12c47531fa30a"),
+    "dense-4x5-20-3": ("69ecb93e4b7e46da", "69ecb93e4b7e46da"),
+    "dense-4x5-30-1": ("677f63dc87e2fb7c", "677f63dc87e2fb7c"),
+    "dense-6x7-40-2": ("a21322a4fee899ac", "a21322a4fee899ac"),
+    "dense-6x7-63-5": ("e3b173d7466357f6", "e3b173d7466357f6"),
+    "dense-6x7-40-0": ("8002484c425411e5", "8002484c425411e5"),
+    "dense-6x7-63-0": ("06ccf96f449ba585", "06ccf96f449ba585"),
+    "dense-8x8-60-0": ("0984034b02312931", "0984034b02312931"),
+    "dense-8x8-80-0": ("e8ebc439a6d13e88", "e8ebc439a6d13e88"),
+    "full-3x3-0": ("dc2d263d5cea4c08", "dc2d263d5cea4c08"),
+    "full-3x3-1": ("f840e57802976789", "f840e57802976789"),
+    "full-4x5-0": ("6cb0f73058f78c2a", "6cb0f73058f78c2a"),
+    "full-4x5-1": ("45f3f726a447a818", "45f3f726a447a818"),
+    "full-4x5-2": ("43ac02f73bd83f91", "43ac02f73bd83f91"),
+    "full-4x5-3": ("92aed7a51541f1ea", "92aed7a51541f1ea"),
+    "full-6x7-0": ("1fd33fe5012047ec", "1fd33fe5012047ec"),
+    "full-6x7-1": ("69ddb8a2d008ea5d", "69ddb8a2d008ea5d"),
+    "full-6x7-2": ("aa69cbea5463ce7c", "aa69cbea5463ce7c"),
+    "full-6x7-3": ("430f4a4e4d5c9309", "430f4a4e4d5c9309"),
 }
 
 

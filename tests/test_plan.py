@@ -12,12 +12,12 @@ from triroute.plan import DiscretePlan, check_plan
 
 # sha256 of the discrete plan text: the ilp_suite plans' texts joined in
 # order, recorded when plans were lists of tuples, and the 4x5
-# full-occupancy PAFT plan, recorded when per-vertex clocks began to time
-# its steps
+# full-occupancy PAFT plan, recorded when the sort became one odd-even
+# pass over the whole snake
 ILP_SUITE_TEXT_SHA = \
     "8cf4338c19fa3214287a4b386b5891b59438b4777ff95c19ccfa25584a34df77"
 PAFT_FULL_TEXT_SHA = \
-    "16b4dc1da7a8aa714344878322245f6a0d55f51ea2f985b66dfc9e437f2adbd9"
+    "d600c0c13009631f5ad1ae1775196eac59cda035e67d395b0231496667274395"
 
 
 def _sha(text: str) -> str:
