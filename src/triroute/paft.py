@@ -21,14 +21,19 @@ step is timed by per-vertex clocks: it runs at the first step at which
 all the vertices its real discs move between are free.  These schedules
 are the workhorse:
 
-* ``isag``    routes a (virtually completed) full-occupancy instance by
-  one odd-even transposition sort over a snake threading of the
-  covers-all waving path family, each round's transpositions formed
-  greedily into batches under footprint disjointness.
+* ``isag``    routes a (virtually completed) full-occupancy instance in
+  three phases, as on a Rubik table (Szegedy and Yu; Yu, RSS 2018):
+  odd-even transposition sorts along every vertex column at once, so
+  that each horizontal waving path ("row") holds the goal columns of
+  its own vertices, then along every row into the goal columns, then
+  along every column onto the goals.  A last sort over the snake (the
+  rows end to end) completes what an inexact row assignment left.  Each
+  round's transpositions are formed greedily into batches under
+  footprint disjointness.
 * ``paft``    wraps the same core with the cell pipeline: compute the
   max start-goal distance, partition the workspace into square cells,
   run greedy hexagon circulations that push discs toward their goal
-  cells, then finish with the odd-even sort.
+  cells, then finish with the three phases.
 
 Sharp boundary corners lie on no hexagon, so they are settled before
 the parallel machinery runs: their goal discs are rolled in (or the
@@ -41,7 +46,7 @@ rejected as infeasible.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -300,14 +305,16 @@ class _Router:
     that moved a disc from or to any of its vertices, so every vertex
     sees its real discs in the order the steps were applied, and moves on
     disjoint vertices share a plan step.  ``finish`` builds the plan
-    array.  The sort, one odd-even transposition sort along the snake
-    by target slot, transposes adjacent vertices in one of four ways
-    (see ``_transposition``): a relabel of two virtual discs, one move,
-    2k + 3 moves through the nearest hole, or the pair's rotation word;
-    at full occupancy only words occur.  The relabel, the one move and
-    each of the 2k + 3 swap the contents of two vertices, and
-    ``exchange`` lands each of them; ``apply_step`` lands any other set
-    of moves: a word's turn, a circulation round or a corner staging
+    array.  ``route_covered`` runs the three phases and the completion
+    pass, each one odd-even transposition sort by target slot over a
+    family of vertex-disjoint paths (``sort_covered``), whose paths the
+    clocks run side by side.  A sort transposes adjacent vertices in one
+    of four ways (see ``_transposition``): a relabel of two virtual
+    discs, one move, 2k + 3 moves through the nearest hole, or the pair's
+    rotation word; at full occupancy only words occur.  The relabel, the
+    one move and each of the 2k + 3 swap the contents of two vertices,
+    and ``exchange`` lands each of them; ``apply_step`` lands any other
+    set of moves: a word's turn, a circulation round or a corner staging
     move.  Each round reads only the inverted comparators, a set kept up
     to date as values swap, and forms its batches on one mark byte per
     vertex: a pair whose a or b the batch holds waits for the next batch
@@ -467,15 +474,27 @@ class _Router:
 
     # parallel swap machinery
 
-    def _snake(self) -> list[int]:
-        order: list[int] = []
-        for i, path in enumerate(self.grid.horizontal_paths):
-            seq = path if i % 2 == 0 else list(reversed(path))
-            order.extend(v for v in seq if v in self.grid.covered)
-        if set(order) != self.grid.covered or any(
-                b not in self.grid.adjacency[a] for a, b in zip(order, order[1:])):
-            raise PlannerInvariantError("snake threading broke at a dropped corner")
-        return order
+    def _families(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """The covered vertices as three paths or families of
+        vertex-disjoint paths: the columns (a vertex column in slot order,
+        the grid's ``row_start``/``row_len``), the rows (a horizontal path
+        in path order) and the snake (the rows end to end, every other one
+        reversed).  A column's slots lie in order of their rows, so its
+        vertices in id order run from the lowest row to the highest."""
+        grid = self.grid
+        covered, adjacency = grid.covered, grid.adjacency
+        columns = [[v for v in range(s, s + n) if v in covered]
+                   for s, n in zip(grid.row_start, grid.row_len)]
+        rows = [[v for v in path if v in covered]
+                for path in grid.horizontal_paths]
+        snake = [v for i, row in enumerate(rows)
+                 for v in (row if i % 2 == 0 else reversed(row))]
+        if set(snake) != covered or any(
+                b not in adjacency[a] for path in (*columns, *rows, snake)
+                for a, b in zip(path, path[1:])):
+            raise PlannerInvariantError(
+                "path family broke at a dropped corner")
+        return columns, rows, snake
 
     def _hole_path(self, a: int, b: int, mark: bytearray) -> list[int] | None:
         """Shortest path from the virtual disc nearest to a common
@@ -556,35 +575,49 @@ class _Router:
             self.exchange(u, v)
         return swap
 
-    def sort_covered(self, target_of: dict[int, int]) -> None:
-        """Route every disc with a covered target to it by one odd-even
-        transposition sort over the whole snake.
+    def sort_covered(self, paths: Sequence[Sequence[int]],
+                     target_of: dict[int, int]) -> None:
+        """Route every disc on a family of vertex-disjoint paths to its
+        target, which lies on the disc's own path, by one odd-even
+        transposition sort over all the paths at once.
 
-        vals[p] is the target slot of the disc on snake[p]; comparator p
-        is inverted when vals[p] > vals[p + 1], and a round transposes
+        The paths lie end to end on one line; vals[p] is the line slot of
+        the target of the disc on line[p].  Comparator p joins line[p] and
+        line[p + 1] of one path, and its parity counts from the path's
+        first slot, so every path runs its own sort from the even round.
+        It is inverted when vals[p] > vals[p + 1], and a round transposes
         the inverted comparators of its parity in order of p.  The
         inverted sets are kept incrementally: a transposition swaps two
         values, so only comparators p - 1, p and p + 1 are tested again.
-        n slots sort in at most n rounds (Habermann 1972)."""
-        snake = self._snake()
-        n = len(snake)
-        slot_of = {v: i for i, v in enumerate(snake)}
+        A path of n slots sorts in at most n rounds (Habermann 1972), and
+        the clocks run the paths' transpositions on disjoint vertices in
+        the same plan steps."""
+        line = [v for path in paths for v in path]
+        # the parity of comparator p, None where line[p] ends its path;
+        # the last slot's None also stands for p = -1
+        parity: list[int | None] = [None] * len(line)
+        start = 0
+        for path in paths:
+            parity[start:start + len(path) - 1] = [
+                i & 1 for i in range(len(path) - 1)]
+            start += len(path)
+        slot_of = {v: i for i, v in enumerate(line)}
         key = [0] * len(self.pos)
         for d, tv in target_of.items():
             key[d] = slot_of[tv]
-        vals = [key[self.occ[v]] for v in snake]
+        vals = [key[self.occ[v]] for v in line]
         transpose = self._transposition
         inverted: tuple[set[int], set[int]] = (set(), set())  # by parity
-        for p in range(n - 1):
-            if vals[p] > vals[p + 1]:
-                inverted[p & 1].add(p)
-        rounds = 0
+        for p, par in enumerate(parity):
+            if par is not None and vals[p] > vals[p + 1]:
+                inverted[par].add(p)
+        rounds, limit = 0, max(map(len, paths), default=0)
         while inverted[0] or inverted[1]:
-            if rounds == n:
+            if rounds == limit:
                 raise PlannerInvariantError("odd-even rounds failed to converge")
             todo = sorted(inverted[rounds & 1])
             rounds += 1
-            wanted = [(snake[p], snake[p + 1]) for p in todo]
+            wanted = [(line[p], line[p + 1]) for p in todo]
             # batches of footprint-disjoint transpositions, each marking
             # the vertices it uses; a pair that meets the batch waits for
             # the next one.  The clocks time each step, so a batch has no
@@ -596,16 +629,50 @@ class _Router:
             for p in todo:
                 vals[p], vals[p + 1] = vals[p + 1], vals[p]
             for p in todo:
-                # comparators p - 1 .. p + 1 inside the snake (no max/min
-                # calls: this loop is the hot bookkeeping)
-                for q in range(p - 1 if p else 0,
-                               p + 2 if p + 3 < n else n - 1):
-                    if vals[q] > vals[q + 1]:
-                        inverted[q & 1].add(q)
-                    else:
-                        inverted[q & 1].discard(q)
-        if any(key[self.occ[v]] != p for p, v in enumerate(snake)):
+                for q in (p - 1, p, p + 1):
+                    par = parity[q]
+                    if par is not None:
+                        if vals[q] > vals[q + 1]:
+                            inverted[par].add(q)
+                        else:
+                            inverted[par].discard(q)
+        if any(key[self.occ[v]] != p for p, v in enumerate(line)):
             raise PlannerInvariantError("odd-even sort incomplete")
+
+    def _placed(self, paths: list[list[int]], rank: Callable[[int], object]
+                ) -> dict[int, int]:
+        """Targets that put the discs of each path, in order of rank, on
+        its vertices in id order."""
+        occ = self.occ
+        return {d: v for path in paths
+                for d, v in zip(sorted((occ[v] for v in path), key=rank),
+                                sorted(path))}
+
+    def route_covered(self, target_of: dict[int, int]) -> None:
+        """Route every disc with a covered target to it: three phases of
+        parallel path sorts, then a completion pass.
+
+        (A) The columns sort each disc into the row that
+        ``_row_assignment`` gives it, so that every row holds the goal
+        columns of its own vertices.  (B) The rows sort each disc into its
+        goal column.  (C) The columns sort each disc onto its target.
+        Vertex ids run column by column, so in B and C a path's discs in
+        order of target id meet its vertices in id order.  Last, one sort
+        over the snake routes what an inexact row assignment left; after
+        an exact one it finds nothing inverted."""
+        columns, rows, snake = self._families()
+        row_at = {v: i for i, row in enumerate(rows) for v in row}
+        pos = self.pos
+        # the grid numbers its vertex columns by row_of
+        assigned = _row_assignment(
+            rows, row_at, self.grid.row_of,
+            {d: (pos[d], t) for d, t in target_of.items()})
+        self.sort_covered(columns, self._placed(
+            columns, lambda d: (assigned[d], pos[d])))
+        self.sort_covered(rows, self._placed(rows, target_of.__getitem__))
+        self.sort_covered(columns,
+                          self._placed(columns, target_of.__getitem__))
+        self.sort_covered([snake], target_of)
 
     def greedy_circulations(self, target_of: dict[int, int], cap: int) -> int:
         """Synchronized ring rotations chosen by a goal-distance potential.
@@ -672,12 +739,110 @@ def _completion_targets(router: _Router, inst: DiscreteInstance
     return target_of
 
 
+def _row_assignment(rows: list[list[int]], row_at: dict[int, int],
+                    column: list[int], ends: dict[int, tuple[int, int]]
+                    ) -> dict[int, int]:
+    """Phase A's row of each disc, given its vertex and target in ends.
+
+    Every row must receive, from each column, as many discs as it has
+    vertices there, and for each column as many discs bound there (their
+    goal column, the column of their target) as it has vertices there:
+    one b-matching per row on the bipartite multigraph of columns and
+    goal columns whose edges are the discs.  Rows are matched one at a
+    time, the irregular ones first: row 0 loses the two sharp corners
+    and the wide last row holds two slots of each inner even column.  What
+    they leave is regular (every other row holds one vertex of each
+    column), so it splits into perfect matchings (König).  A row takes
+    the discs it can greedily, nearest first by |row - R| + |goal row - R|,
+    and completes its matching by augmenting paths over the counts of
+    each (column, goal column) edge.  If a row's matching cannot be
+    completed, the columns it is short of give it their nearest remaining
+    discs, so each phase is still a permutation of every path; the
+    completion pass then routes what the rows got wrong."""
+    n = max(column) + 1
+    caps = [[0] * n for _ in rows]
+    for cap, row in zip(caps, rows):
+        for v in row:
+            cap[column[v]] += 1
+    edge = {d: (column[v], column[t]) for d, (v, t) in ends.items()}
+    order = [0, len(rows) - 1, *range(1, len(rows) - 1)]
+    left = sorted(ends)
+    row_of: dict[int, int] = {}
+    for r in order:
+        cap = caps[r]
+        left.sort(key=lambda d: (abs(row_at[ends[d][0]] - r)
+                                 + abs(row_at[ends[d][1]] - r), d))
+        group: dict[tuple[int, int], list[int]] = {}
+        out, into = [0] * n, [0] * n    # discs taken by column, goal column
+        take: dict[tuple[int, int], int] = {}
+        for d in left:
+            m, c = e = edge[d]
+            group.setdefault(e, []).append(d)
+            if out[m] < cap[m] and into[c] < cap[c]:
+                out[m] += 1
+                into[c] += 1
+                take[e] = take.get(e, 0) + 1
+        while out != cap and _augment(cap, out, into, take, group):
+            pass
+        chosen = [d for e, k in take.items() for d in group[e][:k]]
+        taken = set(chosen)
+        for d in left:
+            m = edge[d][0]
+            if out[m] < cap[m] and d not in taken:
+                out[m] += 1
+                chosen.append(d)
+        for d in chosen:
+            row_of[d] = r
+        left = [d for d in left if d not in row_of]
+    return row_of
+
+
+def _augment(cap: list[int], out: list[int], into: list[int],
+             take: dict[tuple[int, int], int],
+             group: dict[tuple[int, int], list[int]]) -> bool:
+    """Grow a row's b-matching by one disc along an augmenting path, a
+    breadth-first search from the columns short of the row's vertices
+    that ends at a goal column short of them: forward over an edge with
+    discs left to take, back over one with discs taken.  False when no
+    such path exists."""
+    n = len(cap)
+    # column -> goal column it was reached back from (None: a start)
+    back: dict[int, int | None] = {m: None for m in range(n)
+                                   if out[m] < cap[m]}
+    via: dict[int, int] = {}    # goal column -> column it was reached from
+    frontier = list(back)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for c in range(n):
+                if c in via or (take.get((m, c), 0)
+                                >= len(group.get((m, c), ()))):
+                    continue
+                via[c] = m
+                if into[c] < cap[c]:
+                    into[c] += 1
+                    while True:
+                        m = via[c]
+                        take[m, c] = take.get((m, c), 0) + 1
+                        c = back[m]
+                        if c is None:
+                            out[m] += 1
+                            return True
+                        take[m, c] -= 1
+                for m2 in range(n):
+                    if m2 not in back and take.get((m2, c), 0):
+                        back[m2] = c
+                        nxt.append(m2)
+        frontier = nxt
+    return False
+
+
 def _route(inst: DiscreteInstance, engine: SwapEngine | None,
            circulation_cap: int | None = None) -> tuple[DiscretePlan, int, int]:
     """Routing core shared by isag and paft: settle the boundary, complete
-    with virtual discs, run greedy circulations (only when capped), sort,
-    check every goal.  Returns the plan, the circulation rounds run and
-    the engine's swap constant."""
+    with virtual discs, run greedy circulations (only when capped), route
+    the covered vertices in three phases, check every goal.  Returns the
+    plan, the circulation rounds run and the engine's swap constant."""
     router = _Router(inst.grid, inst.v_starts, engine)
     circ = 0
     if tuple(inst.v_starts) != tuple(inst.v_goals):
@@ -685,7 +850,7 @@ def _route(inst: DiscreteInstance, engine: SwapEngine | None,
         target_of = _completion_targets(router, inst)
         if circulation_cap is not None:
             circ = router.greedy_circulations(target_of, circulation_cap)
-        router.sort_covered(target_of)
+        router.route_covered(target_of)
         for r, g in enumerate(inst.v_goals):
             if router.pos[r] != g:
                 raise PlannerInvariantError(
@@ -695,10 +860,12 @@ def _route(inst: DiscreteInstance, engine: SwapEngine | None,
 
 def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
          ) -> DiscretePlan:
-    """Route the instance by boundary settlement plus one odd-even sort.
+    """Route the instance by boundary settlement plus the three phases
+    of parallel odd-even sorts (columns, rows, columns) and the snake
+    completion pass.
 
     Accepts any occupancy up to n = |V|; empty vertices are completed
-    with virtual discs so the sort operates on a full permutation.  A
+    with virtual discs so every sort operates on a full permutation.  A
     shared SwapEngine carries warm schedule caches across instances.
     """
     return _route(inst, engine)[0]
@@ -706,7 +873,8 @@ def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
 
 def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
          ) -> tuple[DiscretePlan, PaftReport]:
-    """Cell pipeline: partition, circulations toward goal cells, sort."""
+    """Cell pipeline: partition, circulations toward goal cells, then
+    the three phases (columns, rows, columns) and the completion pass."""
     d_g = underestimated_makespan(inst)
     if d_g == 0:
         plan = DiscretePlan.from_steps([inst.v_starts])

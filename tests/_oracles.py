@@ -7,8 +7,10 @@ separation check, a from-scratch lattice enumeration, the per-corner
 sharp-angle rows, a direct search for the snap-phase clearance infimum,
 the ILP's original goal-subset walk search, the permutation search
 that regenerates the planner's table of swap rotation words, a
-one-step-per-move replay of the planner's logical moves, and the
-planner's greedy circulations as a loop over every ring turn.
+one-step-per-move replay of the planner's logical moves, the
+planner's greedy circulations as a loop over every ring turn, and an
+integer program that decides whether the planner's first phase has an
+exact row assignment.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 EDGE = 4.0 / math.sqrt(3.0)
 SNAP_SEPARATION = 8.0 / 3.0
@@ -747,3 +750,31 @@ def reference_circulations(router, target_of: dict[int, int], cap: int
         router.apply_step(moves)
         done += 1
     return done
+
+
+def exact_row_assignment_exists(rows, column, ends) -> bool:
+    """Whether the discs can be given rows so that every row receives,
+    from each column and for each goal column, as many discs as it has
+    vertices there: a feasibility MILP over one binary per (disc, row),
+    ends mapping each disc to its (vertex, target)."""
+    discs, n_rows = sorted(ends), len(rows)
+    a, rhs = [], []
+    for k, d in enumerate(discs):              # one row per disc
+        row = np.zeros(len(discs) * n_rows)
+        row[k * n_rows:(k + 1) * n_rows] = 1
+        a.append(row)
+        rhs.append(1)
+    for r, path in enumerate(rows):
+        for end in (0, 1):                     # by column, by goal column
+            for m in sorted({column[v] for v in path}
+                            | {column[e[end]] for e in ends.values()}):
+                row = np.zeros(len(discs) * n_rows)
+                for k, d in enumerate(discs):
+                    if column[ends[d][end]] == m:
+                        row[k * n_rows + r] = 1
+                a.append(row)
+                rhs.append(sum(column[v] == m for v in path))
+    res = milp(np.zeros(len(discs) * n_rows),
+               constraints=LinearConstraint(np.array(a), rhs, rhs),
+               integrality=np.ones(len(discs) * n_rows), bounds=Bounds(0, 1))
+    return res.status == 0

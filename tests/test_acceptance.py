@@ -409,9 +409,9 @@ def test_substitute_benchmarks_logged():
 # --------------------------------------------------------------- criterion 10
 
 # makespan / d_g of the seed-7 full-occupancy instances below, as recorded
-# when the sort became one odd-even pass over the whole snake; a longer
-# plan on any size fails the scaling test
-PAFT_RATIO_BOUNDS = (5144 / 7, 11245 / 11, 23718 / 18, 49678 / 23)
+# when routing became three phases of parallel sorts along the columns,
+# rows and columns; a longer plan on any size fails the scaling test
+PAFT_RATIO_BOUNDS = (1691 / 7, 2591 / 11, 4097 / 18, 6895 / 23)
 
 
 def test_paft_scaling():
@@ -429,30 +429,34 @@ def test_paft_scaling():
         best = math.inf
         reps = 3 if g.n_vertices <= 100 else 1
         for _ in range(reps):
-            t0 = time.perf_counter()
+            # process CPU time, so load from other processes does not move it
+            t0 = time.process_time()
             plan, rep = paft(inst, engine)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         vs.append(g.n_vertices)
         times.append(best)
         ratios.append(rep.ratio)
     lx = np.log(np.array(vs, dtype=float))
     ly = np.log(np.array(times))
     slope = float(np.polyfit(lx, ly, 1)[0])
-    ok = 1.6 <= slope <= 2.4 and all(
+    # each phase sorts paths of O(rows + cols) slots, so the transpositions
+    # grow like |V| (rows + cols), about |V|^1.5; the serial snake sort
+    # before the phases measured 2.1
+    ok = 1.2 <= slope <= 2.0 and all(
         r <= bound + 1e-9 for r, bound in zip(ratios, PAFT_RATIO_BOUNDS))
     assert _report(
         "paft-scaling", ok,
         f"sizes={vs} times={[f'{t:.3f}' for t in times]} slope={slope:.2f} "
-        f"in [1.6, 2.4]; makespan/d_g ratios={[f'{r:.0f}' for r in ratios]} "
+        f"in [1.2, 2.0]; makespan/d_g ratios={[f'{r:.0f}' for r in ratios]} "
         f"bounded by recorded {[f'{b:.0f}' for b in PAFT_RATIO_BOUNDS]}")
 
 
 # PAFT makespans of dense partial occupancies (`gen --pattern dense`):
-# (n1, n2, count, seed) -> steps, as recorded when the sort became one
-# odd-even pass over the whole snake; a longer plan on any instance fails
-PAFT_PARTIAL_MAKESPANS = {(2, 3, 6, 4): 25, (4, 5, 20, 3): 77,
-                          (4, 5, 30, 1): 170, (6, 7, 40, 2): 322,
-                          (6, 7, 63, 5): 705}
+# (n1, n2, count, seed) -> steps, as recorded when routing became three
+# phases of parallel sorts; a longer plan on any instance fails
+PAFT_PARTIAL_MAKESPANS = {(2, 3, 6, 4): 16, (4, 5, 20, 3): 37,
+                          (4, 5, 30, 1): 63, (6, 7, 40, 2): 89,
+                          (6, 7, 63, 5): 139}
 
 
 def test_paft_partial_occupancy_makespans():

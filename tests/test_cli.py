@@ -229,7 +229,8 @@ def _truncate_rotation_words(monkeypatch):
 
 
 def _skip_sort(monkeypatch):
-    monkeypatch.setattr(_Router, "sort_covered", lambda self, target_of: None)
+    monkeypatch.setattr(_Router, "sort_covered",
+                        lambda self, paths, target_of: None)
 
 
 @pytest.mark.parametrize("fault", [_truncate_rotation_words, _skip_sort])
@@ -491,19 +492,19 @@ def test_render_static_and_snapshot(tmp_path):
 # seed 3) and the 4x5 full-occupancy PAFT plan; the ILP entries were
 # recorded when render still drew from the (time, Vec2) point lists, the
 # PAFT start and end snapshots when swaps first took the shortest
-# rotation word, and the other PAFT entries when the sort became one
-# odd-even pass over the whole snake
+# rotation word, and the other PAFT entries when routing became three
+# phases of parallel sorts along the columns, rows and columns
 RENDER_SHA256 = {
     "ilp trace": "066e646c686652123524f75b80ac708dc020a77e1a0308085229a11472a39983",
-    "paft trace": "16cbf5121de2e1a027722be4c87ed49370f12514d44929dc3a0f591a71d45964",
+    "paft trace": "cff6543eee8eb696da8654e2eac994310ebab87421b0a27bcff4fa292e684b63",
     "ilp 0": "5b3acb62f391985caa121924daa95dbfaec81ace90a05dab85f62612846acc58",
     "paft 0": "126c227552b130b65f666b5a08fbcc2be77440f0e2cd8dc8437e570291cd9161",
     "ilp 0.3": "8fbcec0111e46b8b91f16365a1a30f0fc597497847af510405066a7230d5c2ea",
-    "paft 0.3": "f7f639470cec14bb3b87db7688a1bcc9465930269fbd8ab74de7606856b8100d",
+    "paft 0.3": "2847cf734bd3e387243464a045d4c97ef629790db09fc61031c87cc2882dabe7",
     "ilp 3": "9598b2296f7376b8b35f91d4cfe2d4240f58713440db340ff9a656df219b94aa",
-    "paft 3": "bb3c3c01fd24e80383d274b8b8afd6ec47b49639571c585322dfc646f8e47c52",
+    "paft 3": "949fce37e3e4e1696ea720307edaea3e7c101a29cde97c3c3f83d539e75d8e27",
     "ilp 4.6188": "0b70a19fa5c9e83b8c0faad7375f3826f000ec7469965b0833e9affcc877a7b3",
-    "paft 4.6188": "86d09ae240df5b4e96650f89c342d1847d1f9203ccbee2fd029ae3a4b9aaf308",
+    "paft 4.6188": "2c7270fd45a53d0ad0c626c23e22f6e9edbe2005d257e3af6fa9d3cc11d976ef",
     "ilp 1e+09": "f72dccc67f37ea577c12d350386e677b34390cc82baa5922f7918bb09a287630",
     "paft 1e+09": "9b7fa853f35b5b059797d013d9ae3733617bec39c047464262c8ae29920f5d9a",
 }

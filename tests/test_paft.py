@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import (bidirectional_search, canonical_word, occupant_orders,
+from _oracles import (bidirectional_search, canonical_word,
+                      exact_row_assignment_exists, occupant_orders,
                       reference_circulations, reference_validate,
                       replay_logical_steps, ring_generators)
 from conftest import full_occupancy_instance, random_discrete_instance
@@ -355,12 +357,12 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
     monkeypatch.undo()
 
     # the CLI maps the missing word to exit 4: remove every tabled shape
-    # that a paft solve of the instance asks for (the full 9-disc packing,
-    # seed 18: some pairs of real discs find every hole in reach held by
-    # their batch, so the sort asks for their words)
+    # that a paft solve of the instance looks up (the full 9-disc packing,
+    # seed 14: some pairs of real discs find every hole in reach held by
+    # their batch, so the sort looks up their words' footprints)
     inst_path = str(tmp_path / "m.oldr")
     assert cli_main(["gen", "--n1", "2", "--n2", "3", "--count", "9",
-                     "--pattern", "dense", "--seed", "18",
+                     "--pattern", "dense", "--seed", "14",
                      "--out", inst_path]) == 0
     shape, keys = SwapEngine._canonical_shape, []
 
@@ -727,14 +729,14 @@ def test_the_engine_is_asked_only_for_words_that_land(monkeypatch):
     # the router lands: the requested words' steps are, in order, the
     # turn-table rows apply_step receives.  A word whose footprint meets
     # its batch waits after the footprint lookup, unasked.  On a
-    # relabelling like paft-dense's, pairs whose holes in reach the batch
-    # holds look their word's footprint up, but no word fits, so none is
-    # asked for; on a near-full discrete occupancy and at full occupancy
-    # some words land and others wait.
-    cont = _local_relabelling(6, 7, 60, 0)
+    # relabelling like paft-dense's (seed 4), a pair whose holes in reach
+    # the batch holds looks its word's footprint up, but no word fits, so
+    # none is asked for; on a near-full discrete occupancy (seed 0) and
+    # at full occupancy some words land and others wait.
+    cont = _local_relabelling(6, 7, 60, 4)
     g45 = build_grid(build_workspace(4, 5))
     cases = [(discretize(cont, build_grid(cont.workspace))[0], False),
-             (random_discrete_instance(g45, 46, 3), True),
+             (random_discrete_instance(g45, 46, 0), True),
              (full_occupancy_instance(g45, 0), True)]
     asked, looked_up, landed = [], [], []
     schedule = SwapEngine.schedule_for_pair
@@ -1024,11 +1026,13 @@ def _odd_even_comparators(vals):
 
 @given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
 def test_sort_transposes_each_inversion_once(ws, data):
-    # any occupancy, full included: the sort lands exactly as many
-    # transpositions (relabels of two virtual discs too) as the initial
-    # target slots along the snake have inversions, and they are the
-    # comparators a plain odd-even transposition sort of those slots
-    # transposes, so no pair is transposed twice or in order
+    # any occupancy, full included: every sort runs over a family of
+    # vertex-disjoint paths (the columns, the rows, the snake), and on
+    # each path it lands exactly as many transpositions (relabels of two
+    # virtual discs too) as the path's initial target slots have
+    # inversions, and they are the comparators a plain odd-even
+    # transposition sort of those slots transposes: no pair is transposed
+    # twice or in order, and no comparator joins two paths
     g, engine = _grid_and_engine(ws)
     V = g.n_vertices
     n = data.draw(st.integers(0, V - 1) | st.just(V), label="n")
@@ -1036,20 +1040,25 @@ def test_sort_transposes_each_inversion_once(ws, data):
     inst = (full_occupancy_instance(g, seed) if n == V
             else random_discrete_instance(g, n, seed))
     planner = data.draw(st.sampled_from((isag, paft)), label="planner")
-    sorts = []      # (initial slots, snake position of each landed pair)
-    snake_pos = {}
+    sorts = []      # (slots of each path, (path, slot) of each landed pair)
+    at = {}         # the (path, slot) of each vertex in the current sort
     sort_covered, transposition = _Router.sort_covered, _Router._transposition
 
-    def counted_sort(self, target_of):
-        snake = self._snake()
-        snake_pos.update((v, i) for i, v in enumerate(snake))
-        sorts.append(([snake_pos[target_of[self.occ[v]]] for v in snake], []))
-        sort_covered(self, target_of)
+    def counted_sort(self, paths, target_of):
+        at.clear()
+        at.update((v, (i, j)) for i, path in enumerate(paths)
+                  for j, v in enumerate(path))
+        ends = [[at[target_of[self.occ[v]]] for v in path] for path in paths]
+        assert all(i == k for i, path in enumerate(ends) for k, _ in path)
+        sorts.append(([[j for _, j in path] for path in ends], []))
+        sort_covered(self, paths, target_of)
 
     def counted_transposition(self, a, b, mark):
         swap = transposition(self, a, b, mark)
         if swap is not None:
-            sorts[-1][1].append(snake_pos[a])
+            i, j = at[a]
+            assert at[b] == (i, j + 1)
+            sorts[-1][1].append((i, j))
         return swap
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1060,10 +1069,97 @@ def test_sort_transposes_each_inversion_once(ws, data):
         plan = plan[0]
     assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
     for slots, landed in sorts:
-        inversions = sum(x > y for i, x in enumerate(slots)
-                         for y in slots[i + 1:])
-        assert len(landed) == inversions
-        assert sorted(landed) == sorted(_odd_even_comparators(slots))
+        for i, path in enumerate(slots):
+            got = [j for k, j in landed if k == i]
+            inversions = sum(x > y for j, x in enumerate(path)
+                             for y in path[j + 1:])
+            assert len(got) == inversions
+            assert sorted(got) == sorted(_odd_even_comparators(path))
+
+
+def _phase_log(planner, inst, engine=None):
+    """Route inst; return the plan, the arguments and result of phase A's
+    row assignment (None when nothing was routed) and the transpositions
+    each sort landed, in the order the sorts ran."""
+    calls, landed = [], []
+    assign = PAFT._row_assignment
+    sort_covered, transposition = _Router.sort_covered, _Router._transposition
+
+    def logged_assignment(*args):
+        calls.append((*args, assign(*args)))
+        return calls[-1][-1]
+
+    def logged_sort(self, paths, target_of):
+        landed.append(0)
+        sort_covered(self, paths, target_of)
+
+    def logged_transposition(self, a, b, mark):
+        swap = transposition(self, a, b, mark)
+        landed[-1] += swap is not None
+        return swap
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PAFT, "_row_assignment", logged_assignment)
+        mp.setattr(_Router, "sort_covered", logged_sort)
+        mp.setattr(_Router, "_transposition", logged_transposition)
+        plan = planner(inst, engine)
+    if planner is paft:
+        plan = plan[0]
+    return plan, (calls[0] if calls else None), landed
+
+
+def _assignment_is_exact(rows, row_at, column, ends, row_of):
+    """Whether every row received the goal columns of its own vertices."""
+    got = [Counter() for _ in rows]
+    for d, r in row_of.items():
+        got[r][column[ends[d][1]]] += 1
+    return got == [Counter(column[v] for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("n1, n2, count, seed, exact",
+                         [(3, 3, 10, 11, False), (2, 3, 6, 2, True)])
+def test_row_assignment_edge_cases_route(n1, n2, count, seed, exact):
+    # 3x3 with 10 discs (seed 11) has no exact row assignment at all, so
+    # the completion pass routes what the three phases leave; 2x3 with 6
+    # discs (seed 2) has one that greedy picks alone miss and the
+    # augmenting paths complete, so the completion pass finds nothing
+    # inverted.  Both planners' plans are legal and valid.
+    ws = build_workspace(n1, n2)
+    g = build_grid(ws)
+    inst = discretize(dense_instance(ws, count, seed), g)[0]
+    for planner in (isag, paft):
+        plan, (rows, row_at, column, ends, row_of), landed = _phase_log(
+            planner, inst)
+        assert exact_row_assignment_exists(rows, column, ends) == exact
+        assert _assignment_is_exact(rows, row_at, column, ends,
+                                    row_of) == exact
+        assert len(landed) == 4 and (landed[-1] == 0) == exact
+        assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+        assert validate(synthesize_discrete(g, plan), ws).valid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PAFT, "_augment", lambda *args: False)
+        _, (rows, row_at, column, ends, row_of), _ = _phase_log(isag, inst)
+        assert not _assignment_is_exact(rows, row_at, column, ends, row_of)
+
+
+@given(ws=st.sampled_from(((2, 3), (3, 3), (3, 4), (4, 5))), data=st.data())
+def test_exact_row_assignment_leaves_the_completion_pass_nothing(ws, data):
+    # partial and full occupancies: every plan is legal and validates, and
+    # whenever phase A's row assignment is exact the columns, rows and
+    # columns put every disc on its target, so the snake pass lands no
+    # transposition
+    g, engine = _grid_and_engine(ws)
+    V = g.n_vertices
+    n = data.draw(st.integers(1, V - 1) | st.just(V), label="n")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    inst = (full_occupancy_instance(g, seed) if n == V
+            else random_discrete_instance(g, n, seed))
+    planner = data.draw(st.sampled_from((isag, paft)), label="planner")
+    plan, call, landed = _phase_log(planner, inst, engine)
+    assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
+    assert validate(synthesize_discrete(g, plan), g.workspace).valid
+    if call is not None and _assignment_is_exact(*call):
+        assert len(landed) == 4 and landed[-1] == 0
 
 
 def test_corrupted_rotation_word_raises_swap_search_error(minimal_grid,
@@ -1126,6 +1222,21 @@ def test_planner_invariants_survive_python_O():
                                    "SolverError"]
 
 
+def test_planner_and_cli_import_neither_scipy_nor_networkx():
+    # the row assignment is pure Python: importing the planner or the CLI
+    # in a fresh interpreter loads neither scipy nor networkx
+    src = str(Path(__import__("triroute").__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import triroute.paft, triroute.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "             & {'scipy', 'networkx'}))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 # dense_instance seed 0: 40 and 63 (the full packing) discs on 6x7, 60
 # and 80 of the 96 packing points on 8x8
 _DENSE_SEED_0 = ((6, 7, 40, 0), (6, 7, 63, 0), (8, 8, 60, 0), (8, 8, 80, 0))
@@ -1164,29 +1275,29 @@ def _plan_digest(plan):
 # sha256 (first 16 hex digits) of each plan's position array, paft then
 # isag; a router change that keeps the plans keeps these
 PLAN_DIGESTS = {
-    "local-6x7-0": ("d782e5cf77636f89", "ad74167b931d180d"),
-    "local-6x7-2024": ("7906e9de694bcbb8", "b05ceff0b2a61082"),
-    "local-6x7-2025": ("041fbea997ecaa34", "f011923c64321121"),
-    "local-6x7-2026": ("f596ca73c27b1c56", "82f6b615fc333feb"),
-    "dense-2x3-6-4": ("316fe93cd52252bb", "316fe93cd52252bb"),
-    "dense-4x5-20-3": ("69ecb93e4b7e46da", "69ecb93e4b7e46da"),
-    "dense-4x5-30-1": ("677f63dc87e2fb7c", "677f63dc87e2fb7c"),
-    "dense-6x7-40-2": ("a21322a4fee899ac", "a21322a4fee899ac"),
-    "dense-6x7-63-5": ("e3b173d7466357f6", "e3b173d7466357f6"),
-    "dense-6x7-40-0": ("8002484c425411e5", "8002484c425411e5"),
-    "dense-6x7-63-0": ("06ccf96f449ba585", "06ccf96f449ba585"),
-    "dense-8x8-60-0": ("0984034b02312931", "0984034b02312931"),
-    "dense-8x8-80-0": ("e8ebc439a6d13e88", "e8ebc439a6d13e88"),
-    "full-3x3-0": ("dc2d263d5cea4c08", "dc2d263d5cea4c08"),
-    "full-3x3-1": ("f840e57802976789", "f840e57802976789"),
-    "full-4x5-0": ("6cb0f73058f78c2a", "6cb0f73058f78c2a"),
-    "full-4x5-1": ("45f3f726a447a818", "45f3f726a447a818"),
-    "full-4x5-2": ("43ac02f73bd83f91", "43ac02f73bd83f91"),
-    "full-4x5-3": ("92aed7a51541f1ea", "92aed7a51541f1ea"),
-    "full-6x7-0": ("1fd33fe5012047ec", "1fd33fe5012047ec"),
-    "full-6x7-1": ("69ddb8a2d008ea5d", "69ddb8a2d008ea5d"),
-    "full-6x7-2": ("aa69cbea5463ce7c", "aa69cbea5463ce7c"),
-    "full-6x7-3": ("430f4a4e4d5c9309", "430f4a4e4d5c9309"),
+    "local-6x7-0": ("b93df0b8e9d127d9", "4adb8a1caa6ead29"),
+    "local-6x7-2024": ("a51eb071c593f697", "c0afa0f708bb6647"),
+    "local-6x7-2025": ("6435dbdce160462b", "0da490127c77c476"),
+    "local-6x7-2026": ("2f7a3c806ba4c0a2", "109882b64b084c0a"),
+    "dense-2x3-6-4": ("7d125e41f4b5fb83", "7d125e41f4b5fb83"),
+    "dense-4x5-20-3": ("2f34d916a9e4e7b5", "2f34d916a9e4e7b5"),
+    "dense-4x5-30-1": ("38a1faec71fcb7bc", "38a1faec71fcb7bc"),
+    "dense-6x7-40-2": ("c62c76d24887bb88", "c62c76d24887bb88"),
+    "dense-6x7-63-5": ("a5c53dbfa45f41bb", "a5c53dbfa45f41bb"),
+    "dense-6x7-40-0": ("e603d5dc517e96b6", "e603d5dc517e96b6"),
+    "dense-6x7-63-0": ("97e10e12925798a8", "97e10e12925798a8"),
+    "dense-8x8-60-0": ("197eb57d54ce65cf", "197eb57d54ce65cf"),
+    "dense-8x8-80-0": ("56d66aefec44e267", "56d66aefec44e267"),
+    "full-3x3-0": ("34a07f28446a7c98", "34a07f28446a7c98"),
+    "full-3x3-1": ("dc7748dccdbaa40b", "dc7748dccdbaa40b"),
+    "full-4x5-0": ("5f1673587b691e06", "5f1673587b691e06"),
+    "full-4x5-1": ("0a8eee868363ab47", "0a8eee868363ab47"),
+    "full-4x5-2": ("1572039dedabdb9f", "1572039dedabdb9f"),
+    "full-4x5-3": ("0e5fa58c3ced00fd", "0e5fa58c3ced00fd"),
+    "full-6x7-0": ("e3a384c2062e1713", "e3a384c2062e1713"),
+    "full-6x7-1": ("877e6a92ffc44f1e", "877e6a92ffc44f1e"),
+    "full-6x7-2": ("213220c1df7e5aef", "213220c1df7e5aef"),
+    "full-6x7-3": ("e481b512e08baa25", "e481b512e08baa25"),
 }
 
 

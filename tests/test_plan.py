@@ -12,12 +12,12 @@ from triroute.plan import DiscretePlan, check_plan
 
 # sha256 of the discrete plan text: the ilp_suite plans' texts joined in
 # order, recorded when plans were lists of tuples, and the 4x5
-# full-occupancy PAFT plan, recorded when the sort became one odd-even
-# pass over the whole snake
+# full-occupancy PAFT plan, recorded when routing became three phases of
+# parallel sorts
 ILP_SUITE_TEXT_SHA = \
     "8cf4338c19fa3214287a4b386b5891b59438b4777ff95c19ccfa25584a34df77"
 PAFT_FULL_TEXT_SHA = \
-    "d600c0c13009631f5ad1ae1775196eac59cda035e67d395b0231496667274395"
+    "a302246e024a8df282df252300dab6c6f72be64a3e9019c95d62ca21f40e2451"
 
 
 def _sha(text: str) -> str:
