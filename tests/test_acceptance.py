@@ -427,9 +427,9 @@ def test_paft_scaling():
                     engine.schedule_for_pair(a, b)
         inst = full_occupancy_instance(g, seed=7)
         best = math.inf
-        reps = 3 if g.n_vertices <= 100 else 1
-        for _ in range(reps):
-            # process CPU time, so load from other processes does not move it
+        # best of three process CPU times at every size, so load from other
+        # processes and one slow repetition do not move the slope
+        for _ in range(3):
             t0 = time.process_time()
             plan, rep = paft(inst, engine)
             best = min(best, time.process_time() - t0)
@@ -440,8 +440,8 @@ def test_paft_scaling():
     ly = np.log(np.array(times))
     slope = float(np.polyfit(lx, ly, 1)[0])
     # each phase sorts paths of O(rows + cols) slots, so the transpositions
-    # grow like |V| (rows + cols), about |V|^1.5; the serial snake sort
-    # before the phases measured 2.1
+    # grow like |V| (rows + cols), about |V|^1.5; one serial sort over the
+    # snake, Theta(|V|) rounds, measures 2.1, above the band
     ok = 1.2 <= slope <= 2.0 and all(
         r <= bound + 1e-9 for r, bound in zip(ratios, PAFT_RATIO_BOUNDS))
     assert _report(
