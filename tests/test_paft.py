@@ -1108,8 +1108,9 @@ def _phase_log(planner, inst, engine=None):
     return plan, (calls[0] if calls else None), landed
 
 
-def _assignment_is_exact(rows, row_at, column, ends, row_of):
-    """Whether every row received the goal columns of its own vertices."""
+def _assignment_is_exact(rows, _row_at, column, ends, row_of):
+    """Whether every row received the goal columns of its own vertices
+    (the arguments and result of one _row_assignment call)."""
     got = [Counter() for _ in rows]
     for d, r in row_of.items():
         got[r][column[ends[d][1]]] += 1
