@@ -31,8 +31,9 @@ The arcs carry the model's per-step exclusions as one rule table
 (``Arcs.at_most_one``) that the ILP's rows, the exhaustive search's
 conflict bits and ``plan.check_plan`` all read.  ``bfs_distances`` is
 the only whole-grid BFS and ``bfs_path`` the only path rule; PAFT's
-``_Router._hole_path`` runs its own multi-source search, bounded to a
-few hops around a vertex pair, for the nearest hole.
+``_Router._hole_path`` runs its own multi-source search for the nearest
+hole, a few hops around a vertex pair for a transposition and over the
+whole grid for corner staging.
 """
 
 from __future__ import annotations

@@ -38,22 +38,22 @@ are the workhorse:
 Sharp boundary corners lie on no hexagon, so they are settled before
 the parallel machinery runs: their goal discs are rolled in (or the
 corner is emptied) one single-disc move at a time, which the clocks
-overlap only where the moves share no vertex.  At full occupancy
-nothing can move a corner disc at all, so instances that demand it are
-rejected as infeasible.
+overlap only where the moves share no vertex.  Each move takes its hole
+from the transpositions' hole search, run from the vertex to empty.  At
+full occupancy nothing can move a corner disc at all, so instances that
+demand it are rejected as infeasible.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .discretize import DiscreteInstance
-from .geometry import EDGE_LEN, TriGrid, bfs_distances, bfs_path
+from .geometry import EDGE_LEN, TriGrid, bfs_path
 from .plan import DiscretePlan
 from .triilp import _ratio, underestimated_makespan
 
@@ -101,10 +101,10 @@ def build_cell_partition(grid: TriGrid, d_g: int) -> list[tuple[int, int]]:
 # counterclockwise and "-" clockwise.  Each word is the shortest one that
 # swaps a and b and returns every other slot home; tests/_oracles.py
 # regenerates them by a bidirectional search.  SwapEngine._region ranks
-# a pair's regions by word length, so these are the shapes that rank
-# first on every buildable grid up to 12x12: the four 13-turn ones with
-# the partner center two edges away in a straight line, and the 15- and
-# 17-turn ones of pairs that no such region covers.
+# only tabled shapes, by word length; these give every pair on every
+# buildable grid up to 12x12 a region with its shortest word: the four
+# 13-turn ones with the partner center two edges away in a straight
+# line, and the 15- and 17-turn ones of pairs that no such region covers.
 _SWAP_WORDS = {
     ((-2, 0), (-3, 0), (-3, 1)): "A+B+A-B+A+B+B+A-B+A+B+A-B+",
     ((-2, 0), (-3, 1), (-2, 1)): "A+B+A-B+B+A+B+A-B+A+B+A-B+",
@@ -164,10 +164,6 @@ class SwapEngine:
         self._overlap = {
             c: {c2 for v in ring for c2 in self._member[v]} - {c}
             for c, ring in grid.ring_of.items()}
-        cover_of_ring = {ring: i for i, cover in enumerate(grid.hex_covers)
-                         for ring in cover}
-        self._cover = {c: cover_of_ring[ring]
-                       for c, ring in grid.ring_of.items()}
         self._axial = [grid.axial(v) for v in range(grid.n_vertices)]
         # (c1, c2, footprint) of each pair's region, and its schedule
         self._regions: dict[tuple[int, int], tuple[int, int, frozenset]] = {}
@@ -200,28 +196,23 @@ class SwapEngine:
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
         """Best-ranked pair of overlapping rings that together hold a and
-        b, as their centers: shortest tabled word first, then two rings of
-        one cover, then the smallest center ids.  A region whose shape has
-        no word is not ranked; when no region has one, the error names the
-        shape the rest of the rule would pick."""
+        b, as their centers: shortest tabled word first, then the smallest
+        center ids.  A region whose shape has no word is not ranked; when
+        no region has one, the error names the shape of the pair of
+        smallest center ids."""
         ring_of = self.grid.ring_of
         pairs = {(min(c1, c2), max(c1, c2))
                  for c1 in self._member.get(a, ()) for c2 in self._overlap[c1]
                  if b in ring_of[c1] or b in ring_of[c2]}
         if not pairs:
             raise SwapSearchError(f"no pair of rings covers ({a}, {b})")
-        cover = self._cover
-        ranked = []
-        for p in pairs:
-            word = _SWAP_WORDS.get(self._canonical_shape(*p, a, b)[0])
-            ranked.append((len(word) if word else math.inf,
-                           cover[p[0]] != cover[p[1]], p))
-        length, _, best = min(ranked)
-        if length == math.inf:
-            best = min(ranked, key=lambda r: r[1:])[2]
-            key = self._canonical_shape(*best, a, b)[0]
+        ranked = [(len(word), p) for p in pairs
+                  if (word := _SWAP_WORDS.get(
+                      self._canonical_shape(*p, a, b)[0]))]
+        if not ranked:
+            key = self._canonical_shape(*min(pairs), a, b)[0]
             raise SwapSearchError(f"no rotation word for region shape {key}")
-        return best
+        return min(ranked)[1]
 
     def _canonical_shape(self, c1: int, c2: int, a: int, b: int
                          ) -> tuple[tuple, int, int]:
@@ -315,9 +306,11 @@ class _Router:
     one move and each of the 2k + 3 swap the contents of two vertices,
     and ``exchange`` lands each of them; ``apply_step`` lands any other
     set of moves: a word's turn, a circulation round or a corner staging
-    move.  Each round reads only the inverted comparators, a set kept up
-    to date as values swap, and forms its batches on one mark byte per
-    vertex: a pair whose a or b the batch holds waits for the next batch
+    move.  ``_hole_path`` finds the holes of the 2k + 3 moves and of
+    corner staging alike.  Each round reads only the inverted comparators,
+    a set kept up to date as values swap, and forms its batches on one
+    mark byte per vertex, the sharp corners marked from the start: a
+    pair whose a or b the batch holds waits for the next batch
     before any hole search, and a word is asked of the engine only once
     its footprint, which the engine keeps per pair, is clear of the
     batch (see ``sort_covered``).
@@ -412,65 +405,43 @@ class _Router:
 
     # sequential single-disc machinery (boundary corners)
 
-    def _nearest_hole(self, target: int, forbidden: set[int]) -> int:
-        """The empty vertex closest to target off the forbidden set,
-        lowest id first."""
-        dist = bfs_distances(self.grid, target, forbidden)
-        holes = [(d, u) for u, d in enumerate(dist)
-                 if d >= 0 and self.occ[u] == -1 and u not in forbidden]
-        if not holes:
+    def _empty(self, target: int, blocked: set[int]) -> None:
+        """Walk the empty vertex nearest to target off the blocked set to
+        target (see _hole_path); the discs it passes shift one step back."""
+        n = self.grid.n_vertices
+        path = self._hole_path((target,), blocked, bytes(n), n)
+        if path is None:
             raise SwapSearchError(f"no reachable hole near {target}")
-        return min(holes)[1]
+        for u, v in zip(path[1:], path):
+            self.apply_step(((u, v),))
 
-    def walk_hole(self, hole: int, target: int, forbidden: set[int]) -> None:
-        """Move the empty slot to target; passed discs shift one step."""
-        cur = hole
-        for w in bfs_path(self.grid, hole, target, forbidden)[1:]:
-            self.apply_step([(w, cur)])
-            cur = w
-
-    def place_disc(self, d: int, target: int, forbidden: set[int]) -> None:
-        """Roll disc d to target with single moves, never entering forbidden."""
-        while self.pos[d] != target:
-            try:
-                w = bfs_path(self.grid, self.pos[d], target, forbidden)[1]
-            except ValueError as exc:
-                raise SwapSearchError(str(exc)) from None
-            protect = forbidden | {self.pos[d]}
-            hole = self._nearest_hole(w, protect)
-            self.walk_hole(hole, w, protect)
-            self.apply_step([(self.pos[d], w)])
-
-    def settle_boundary(self, goals: tuple[int, ...]) -> set[int]:
-        """Fix every non-hexagon vertex to its final content.
-
-        Goal owners are rolled in first; remaining such vertices are
-        emptied.  At full occupancy any required change is impossible.
-        """
-        unswappable = sorted(set(range(self.grid.n_vertices)) - self.grid.covered)
-        if not unswappable:
-            return set()
+    def settle_boundary(self, goals: tuple[int, ...]) -> None:
+        """Fix every sharp corner (on no hexagon) to its final content by
+        single moves: goal owners roll in along one shortest path off the
+        settled corners, the vertex ahead emptied before each move, then
+        the other corners are emptied.  At full occupancy any required
+        change is impossible."""
         owner = {g: r for r, g in enumerate(goals)}
-        has_hole = self.n_real < self.grid.n_vertices
-        finalized: set[int] = set()
-        for u in unswappable:
-            if u in owner:
-                r = owner[u]
-                if self.pos[r] != u:
-                    if not has_hole:
-                        raise InfeasibleInstanceError(
-                            f"full occupancy: vertex {u} lies on no hexagon, its "
-                            f"disc can never move")
-                    self.place_disc(r, u, finalized)
-                finalized.add(u)
-        for u in unswappable:
-            if u not in owner:
-                if self.occ[u] != -1:
-                    # a non-goal vertex implies a hole exists somewhere
-                    hole = self._nearest_hole(u, finalized)
-                    self.walk_hole(hole, u, finalized)
-                finalized.add(u)
-        return finalized
+        settled: set[int] = set()
+        for u in sorted(owner.keys() & self.grid.locked):
+            if self.pos[owner[u]] != u:
+                if self.n_real == self.grid.n_vertices:
+                    raise InfeasibleInstanceError(
+                        f"full occupancy: vertex {u} lies on no hexagon, its "
+                        f"disc can never move")
+                try:
+                    path = bfs_path(self.grid, self.pos[owner[u]], u, settled)
+                except ValueError as exc:
+                    raise SwapSearchError(str(exc)) from None
+                for v, w in zip(path, path[1:]):
+                    self._empty(w, settled | {v})
+                    self.apply_step(((v, w),))
+            settled.add(u)
+        for u in sorted(self.grid.locked - owner.keys()):
+            if self.occ[u] != -1:
+                # a non-goal corner implies a hole exists somewhere
+                self._empty(u, settled)
+            settled.add(u)
 
     # parallel swap machinery
 
@@ -496,24 +467,26 @@ class _Router:
                 "path family broke at a dropped corner")
         return columns, rows, snake
 
-    def _hole_path(self, a: int, b: int, mark: bytearray) -> list[int] | None:
-        """Shortest path from the virtual disc nearest to a common
-        neighbour h of a and b to h, at most _HOLE_REACH hops, entering
-        neither a, b nor a vertex marked as the batch's (lowest hole id
-        among the nearest); None when no hole is that close."""
+    def _hole_path(self, ends: Sequence[int], blocked: Iterable[int],
+                   mark: bytes | bytearray, reach: int) -> list[int] | None:
+        """Shortest path from the hole nearest to ends (lowest id among the
+        nearest) to an end, at most reach hops, entering no blocked vertex
+        and none the batch has marked; None when no hole is that close.  A
+        hole holds no real disc.  Transpositions search around their pair,
+        corner staging from the vertex to empty, over the whole grid."""
         occ, n_real, adjacency = self.occ, self.n_real, self.grid.adjacency
-        frontier = [h for h in self.engine.common_neighbours[a, b]
-                    if not mark[h]]
-        # a and b stand in the parent map as roots no path can reach
-        parent = {a: a, b: b}
+        frontier = [h for h in ends if not mark[h]]
+        # blocked vertices stand in the parent map, so no path enters them
+        parent = dict.fromkeys(blocked)
         parent.update(zip(frontier, frontier))
-        for _ in range(_HOLE_REACH + 1):
-            holes = [u for u in frontier if occ[u] >= n_real]
+        while frontier and reach >= 0:
+            holes = [u for u in frontier if occ[u] >= n_real or occ[u] < 0]
             if holes:
                 path = [min(holes)]
                 while parent[path[-1]] != path[-1]:
                     path.append(parent[path[-1]])
                 return path
+            reach -= 1
             nxt = []
             for u in frontier:
                 for w in adjacency[u]:
@@ -552,8 +525,9 @@ class _Router:
         if da >= n_real or db >= n_real:
             swap = ((a, b),)
         else:
-            path = (self._hole_path(a, b, mark) if len(self.pos) > n_real
-                    else None)
+            path = (self._hole_path(self.engine.common_neighbours[a, b],
+                                    (a, b), mark, _HOLE_REACH)
+                    if len(self.pos) > n_real else None)
             if path is None:
                 footprint = self.engine.pair_footprint(a, b)
                 if any(map(mark.__getitem__, footprint)):
@@ -611,6 +585,11 @@ class _Router:
         for p, par in enumerate(parity):
             if par is not None and vals[p] > vals[p + 1]:
                 inverted[par].add(p)
+        # every batch starts with the sharp corners marked: an emptied
+        # corner holds no disc to exchange, so it is never a hole
+        walls = bytearray(self.grid.n_vertices)
+        for v in self.grid.locked:
+            walls[v] = 1
         rounds, limit = 0, max(map(len, paths), default=0)
         while inverted[0] or inverted[1]:
             if rounds == limit:
@@ -623,7 +602,7 @@ class _Router:
             # the next one.  The clocks time each step, so a batch has no
             # common end.
             while wanted:
-                mark = bytearray(self.grid.n_vertices)
+                mark = bytearray(walls)
                 wanted = [(a, b) for a, b in wanted
                           if transpose(a, b, mark) is None]
             for p in todo:

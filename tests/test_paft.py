@@ -281,15 +281,6 @@ def _candidate_regions(g):
     return cands
 
 
-def _cover_rule(g):
-    """The tie-break after word length: two rings of one cover first,
-    then the smallest center ids."""
-    center_of = {ring: c for c, ring in g.ring_of.items()}
-    cover = {center_of[ring]: i for i, rings in enumerate(g.hex_covers)
-             for ring in rings}
-    return lambda p: (cover[p[0]] != cover[p[1]], p)
-
-
 def test_first_ranked_regions_are_all_in_table():
     # every buildable grid up to 12x12 (n2 = 2 is too short to build):
     # the first-ranked region of every covered adjacent pair has a word
@@ -308,13 +299,14 @@ def test_first_ranked_regions_are_all_in_table():
 def test_chosen_region_has_the_shortest_word_of_all_candidates():
     # every covered adjacent pair on every buildable grid up to 12x12:
     # the engine swaps on the region ranked first by the oracle's word
-    # length over all candidate regions, ties broken by the cover rule
+    # length over all candidate regions, ties broken by a tabled shape
+    # first, then by the smallest center ids.  The table holds one of the
+    # shortest shapes of every pair, not all of them
     length: dict = {}
     for n1 in range(2, 13):
         for n2 in range(3, 13):
             g = build_grid(build_workspace(n1, n2))
             eng = SwapEngine(g)
-            rule = _cover_rule(g)
             for (a, b), cands in _candidate_regions(g).items():
                 ranked = []
                 for p in cands:
@@ -322,7 +314,8 @@ def test_chosen_region_has_the_shortest_word_of_all_candidates():
                     if key not in length:
                         word = canonical_word(key)
                         length[key] = len(word) // 2 if word else math.inf
-                    ranked.append((length[key], *rule(p)))
+                    ranked.append((length[key],
+                                   key not in PAFT._SWAP_WORDS, p))
                 best = min(ranked)
                 assert eng._region(a, b) == best[-1], (n1, n2, a, b)
                 assert len(eng._rotation_word(*best[-1], a, b)) == best[0]
@@ -333,7 +326,7 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
                                                     capsys):
     # deleting the first-ranked word falls back to the next tabled region;
     # with every tabled shape of the pair gone, the error names the shape
-    # the cover rule picks
+    # of the candidate pair of smallest center ids
     g = build_grid(build_workspace(2, 3))
     eng = SwapEngine(g)
     cands = _candidate_regions(g)
@@ -350,7 +343,7 @@ def test_missing_table_key_raises_swap_search_error(tmp_path, monkeypatch,
     assert shape(eng._region(a, b), a, b) in tabled - {first}
     for key in tabled - {first}:
         monkeypatch.delitem(PAFT._SWAP_WORDS, key)
-    named = shape(min(cands[a, b], key=_cover_rule(g)), a, b)
+    named = shape(min(cands[a, b]), a, b)
     with pytest.raises(SwapSearchError,
                        match=re.escape(f"region shape {named}")):
         eng.schedule_for_pair(a, b)
@@ -698,8 +691,8 @@ def test_a_pair_meeting_its_batch_waits(minimal_grid, monkeypatch):
     monkeypatch.setattr(SwapEngine, "schedule_for_pair",
                         lambda eng, a, b: asked.append((a, b)))
     hole_path = _Router._hole_path
-    monkeypatch.setattr(_Router, "_hole_path", lambda router, a, b, mark: (
-        searched.append((a, b)) or hole_path(router, a, b, mark)))
+    monkeypatch.setattr(_Router, "_hole_path", lambda router, *args: (
+        searched.append(tuple(args[1])) or hole_path(router, *args)))
 
     def waits(holes, used):
         router = _Router(g, tuple(v for v in range(g.n_vertices)
@@ -826,18 +819,19 @@ def test_circulations_match_the_loop_reference(ws, data):
     assert got[0] == got[1]
 
 
-def _hole_hops(g, holes, a, b, used):
-    """networkx: hops from the nearest hole off the used set to a common
-    neighbour of a and b off the used set, entering neither a, b nor the
-    used set; None when no hole reaches one."""
-    free = nx.Graph(g.edges).subgraph(set(range(g.n_vertices)) - used - {a, b})
-    sources = [u for u in holes if u in free]
+def _nearest_holes(g, holes, ends, blocked):
+    """networkx: the hops from the nearest ends to the nearest holes, over
+    paths that enter no blocked vertex, and those holes in id order;
+    (None, []) when no hole reaches an end."""
+    free = nx.Graph(g.edges).subgraph(set(range(g.n_vertices)) - set(blocked))
+    sources = [h for h in ends if h in free]
     if not sources:
-        return None
+        return None, []
     hops = nx.multi_source_dijkstra_path_length(free, sources)
-    common = [h for h in set(g.adjacency[a]) & set(g.adjacency[b])
-              if h in hops]
-    return min((hops[h] for h in common), default=None)
+    near = sorted((d, u) for u, d in hops.items() if u in holes)
+    if not near:
+        return None, []
+    return near[0][0], [u for d, u in near if d == near[0][0]]
 
 
 @given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
@@ -856,7 +850,8 @@ def test_hole_path_transposition_matches_networkx(ws, data):
     holes = set(data.draw(st.permutations(rest), label="order")[:n])
     used = data.draw(st.sets(st.sampled_from(rest), max_size=12), label="used")
     swap, plan = _transpose(g, tuple(sorted(holes)), a, b, used)
-    k = _hole_hops(g, holes, a, b, used)
+    k, _ = _nearest_holes(g, holes, set(g.adjacency[a]) & set(g.adjacency[b]),
+                          used | {a, b})
     if k is None or 2 * k + 3 >= 13:
         if engine.pair_footprint(a, b) & used:
             assert swap is None     # the word waits for the next batch
@@ -869,6 +864,49 @@ def test_hole_path_transposition_matches_networkx(ws, data):
     assert len(swap) == 2 * k + 3 == plan.T
     assert len(footprint) == k + 3
     assert _movers(plan) == [1] * plan.T
+
+
+@given(ws=st.sampled_from(_PARTIAL_GRIDS), data=st.data())
+def test_corner_staging_walks_the_nearest_hole_like_networkx(ws, data):
+    # real discs and empty vertices drawn at random, a vertex to empty and
+    # a blocked set of sharp corners and neighbours of the vertex (the
+    # settled corners and the staged disc): the empty vertex nearest to
+    # it off the blocked set, lowest id among the nearest, walks to it
+    # along a shortest path off the blocked set, one single move per hop,
+    # and each disc on the path shifts one step back along it; with no
+    # empty vertex in reach the staging raises and moves nothing
+    g, engine = _grid_and_engine(ws)
+    V = g.n_vertices
+    order = data.draw(st.permutations(range(V)), label="order")
+    # few empty vertices put the nearest one farther out
+    n = data.draw(st.integers(V - 3, V) | st.integers(1, V), label="n")
+    target = data.draw(st.sampled_from(range(V)), label="target")
+    blocked = data.draw(st.sets(st.sampled_from(
+        sorted((g.locked | set(g.adjacency[target])) - {target}))),
+        label="blocked")
+    starts = tuple(order[:n])
+    router = _Router(g, starts, engine)
+    occ = list(router.occ)
+    k, nearest = _nearest_holes(g, set(order[n:]), (target,), blocked)
+    if k is None:
+        with pytest.raises(SwapSearchError,
+                           match=f"no reachable hole near {target}$"):
+            router._empty(target, blocked)
+        assert router.occ == occ and not router.moved
+        return
+    router._empty(target, blocked)
+    # the disc now on each vertex of the hole's walk came from the next one
+    came_from = {d: v for v, d in enumerate(occ) if d != -1}
+    path = [nearest[0]]
+    while router.occ[path[-1]] != -1 and len(path) <= V:
+        path.append(came_from[router.occ[path[-1]]])
+    assert path[-1] == target and len(path) == k + 1
+    assert all(w in g.adjacency[v] for v, w in zip(path, path[1:]))
+    assert not set(path) & blocked
+    assert all(router.occ[v] == occ[v] for v in range(V) if v not in path)
+    plan = router.finish()
+    assert plan.T == k and _movers(plan) == [1] * k
+    assert not check_plan(g, plan, starts, tuple(router.pos))
 
 
 def _hole_at(g, a, b, k):
@@ -1243,6 +1281,12 @@ def test_planner_and_cli_import_neither_scipy_nor_networkx():
 _DENSE_SEED_0 = ((6, 7, 40, 0), (6, 7, 63, 0), (8, 8, 60, 0), (8, 8, 80, 0))
 
 
+# dense_instance seed 2 with 7 discs on 2x3 rolls a goal disc into a sharp
+# corner over four staged moves and empties a non-goal corner, which no
+# other pin does
+_STAGING = (2, 3, 7, 2)
+
+
 def _digest_cases():
     """(name, discrete instance) of the plan-identity pins: local
     relabellings like paft-dense's, the partial-occupancy makespan
@@ -1251,13 +1295,15 @@ def _digest_cases():
     on one ring, so it pins the order of ring turns.  A round's
     transpositions land in order of p and a pair that meets its batch
     waits for the next one, so that order decides which of two
-    overlapping pairs goes first; run in descending p, all 23 plans
-    change, so these pin it too."""
+    overlapping pairs goes first; run in descending p, all 24 plans
+    change, so these pin it too.  The staging pin (_STAGING) also pins
+    which hole corner staging walks."""
     for seed in (0, 2024, 2025, 2026):
         cont = _local_relabelling(6, 7, 60, seed)
         yield (f"local-6x7-{seed}",
                discretize(cont, build_grid(cont.workspace))[0])
-    for n1, n2, count, seed in (*PAFT_PARTIAL_MAKESPANS, *_DENSE_SEED_0):
+    for n1, n2, count, seed in (*PAFT_PARTIAL_MAKESPANS, *_DENSE_SEED_0,
+                                _STAGING):
         ws = build_workspace(n1, n2)
         yield (f"dense-{n1}x{n2}-{count}-{seed}",
                discretize(dense_instance(ws, count, seed), build_grid(ws))[0])
@@ -1289,6 +1335,7 @@ PLAN_DIGESTS = {
     "dense-6x7-63-0": ("97e10e12925798a8", "97e10e12925798a8"),
     "dense-8x8-60-0": ("197eb57d54ce65cf", "197eb57d54ce65cf"),
     "dense-8x8-80-0": ("56d66aefec44e267", "56d66aefec44e267"),
+    "dense-2x3-7-2": ("dbdc416b94bc987a", "dbdc416b94bc987a"),
     "full-3x3-0": ("34a07f28446a7c98", "34a07f28446a7c98"),
     "full-3x3-1": ("dc7748dccdbaa40b", "dc7748dccdbaa40b"),
     "full-4x5-0": ("5f1673587b691e06", "5f1673587b691e06"),
