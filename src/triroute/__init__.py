@@ -7,3 +7,9 @@ planner), then synthesize and validate continuous trajectories.
 """
 
 __version__ = "0.1.0"
+
+# Row senses of the LP dialect that ilp.export_lp writes and lpsolve
+# reads, indices into SENSES.  They live here so that the solver child,
+# ``python -m triroute.lpsolve``, loads no other triroute module.
+EQ, LE = 0, 1
+SENSES = ("=", "<=")

@@ -44,6 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import EQ, LE, SENSES
 from .discretize import DiscreteInstance
 from .geometry import Arcs
 from .io import real
@@ -63,8 +64,6 @@ DEFAULT_SOLVER_CMD = "{python} -m triroute.lpsolve {model} {solution}"
 SOLVER_CMD_ENV = "TRIROUTE_SOLVER_CMD"
 SOLVER_TIMEOUT_S = 600.0  # wall-clock limit on one external solver call
 
-EQ, LE = 0, 1             # row senses, indices into SENSES
-SENSES = ("=", "<=")
 
 
 @dataclass(frozen=True)

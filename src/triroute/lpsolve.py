@@ -2,11 +2,13 @@
 
 Solves, with scipy's MILP interface, models in the one LP dialect that
 :func:`triroute.ilp.export_lp` writes: ``Maximize`` / ``obj: 0`` /
-``Subject To``, one ``cK: +- x ... (= | <=) rhs`` row per line, the
-``Binary`` names, then ``End``.  The output file has one "name value"
-line per variable, and none when the model is infeasible.  A malformed
-or unreadable model, an unwritable output, or a ``milp`` run that settles
-neither way prints one ``lpsolve: ...`` line to stderr and exits 2.
+``Subject To``, one ``cK: +- x ... (= | <=) rhs`` row per line with an
+integer rhs, the ``Binary`` names, then ``End``.  The output file has
+one "name value" line per variable, and none when the model is
+infeasible.  A malformed or unreadable model, an unwritable output, or a
+``milp`` run that settles neither way prints one ``lpsolve: ...`` line
+to stderr and exits 2.  The child loads no triroute module but this one
+and the package, which holds the row senses writer and reader share.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .ilp import EQ, SENSES
-from .io import real
+from . import EQ, SENSES
 
 HEAD = ("Maximize", "obj: 0", "Subject To")
 # Wall-clock bound on the root-only call, over 10x the slowest root of
@@ -58,7 +59,7 @@ def parse_lp(text: str) -> tuple[list[str], sparse.csr_matrix,
                     or not all(map(str.isidentifier, words[2:-2:2]))):
                 raise ValueError
             eq.append(SENSES.index(words[-2]) == EQ)
-            upper.append(real(words[-1]))
+            upper.append(int(words[-1]))
         except (ValueError, IndexError):
             raise fail(k, f"expected row 'c{k - first}: +- name ... "
                           "(= | <=) rhs' or 'Binary'") from None
@@ -73,7 +74,8 @@ def parse_lp(text: str) -> tuple[list[str], sparse.csr_matrix,
                                 np.cumsum([0] + counts)),
                                shape=(len(counts), len(col)))
     matrix.sum_duplicates()   # canonical: sorted columns within each row
-    return list(col), matrix, np.where(eq, upper, -np.inf), np.array(upper)
+    upper = np.array(upper, dtype=float)
+    return list(col), matrix, np.where(eq, upper, -np.inf), upper
 
 
 def solve_lp_text(text: str) -> tuple[list[str], list[int]] | None:

@@ -46,9 +46,9 @@ demand it are rejected as infeasible.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -93,6 +93,73 @@ def build_cell_partition(grid: TriGrid, d_g: int) -> list[tuple[int, int]]:
     ws = grid.workspace
     side = min(max(5.0 * d_g, 2.0 * EDGE_LEN), max(ws.w, ws.h))
     return [(int(p.x // side), int(p.y // side)) for p in grid.vertices]
+
+
+def _path_families(grid: TriGrid) -> tuple[list[list[int]], list[list[int]],
+                                             list[int]]:
+    """The covered vertices as three paths or families of vertex-disjoint
+    paths: the columns (a vertex column in slot order, the grid's
+    ``row_start``/``row_len``), the rows (a horizontal path in path order)
+    and the snake (the rows end to end, every other one reversed).  A
+    column's slots lie in order of their rows, so its vertices in id
+    order run from the lowest row to the highest."""
+    covered, adjacency = grid.covered, grid.adjacency
+    columns = [[v for v in range(s, s + n) if v in covered]
+               for s, n in zip(grid.row_start, grid.row_len)]
+    rows = [[v for v in path if v in covered]
+            for path in grid.horizontal_paths]
+    snake = [v for i, row in enumerate(rows)
+             for v in (row if i % 2 == 0 else reversed(row))]
+    if set(snake) != covered or any(
+            b not in adjacency[a] for path in (*columns, *rows, snake)
+            for a, b in zip(path, path[1:])):
+        raise PlannerInvariantError("path family broke at a dropped corner")
+    return columns, rows, snake
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A family of vertex-disjoint paths with the tables its odd-even
+    sort reads (see ``_Router.sort_covered``); it iterates as its paths.
+
+    The paths lie end to end on one line.  Comparator p joins line[p]
+    and line[p + 1] of one path, ``pairs[p]``, and its parity counts
+    from the path's first slot: ``parity[p]`` is None where line[p] ends
+    its path (the last slot's None also stands for p = -1), and
+    ``comparators`` lists the comparators of each parity.  ``slot`` is
+    each vertex's line slot (-1 off the line), ``by_id`` each path's
+    vertices in id order, and ``rounds`` the longest path, the most
+    rounds a sort takes."""
+    paths: tuple[tuple[int, ...], ...]
+    line: list[int]
+    parity: list[int | None]
+    comparators: tuple[list[int], list[int]]
+    pairs: list[tuple[int, int]]
+    slot: list[int]
+    by_id: list[list[int]]
+    rounds: int
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.paths)
+
+    @classmethod
+    def of(cls, paths: Sequence[Sequence[int]], n_vertices: int) -> _Family:
+        line = [v for path in paths for v in path]
+        parity: list[int | None] = [None] * len(line)
+        start = 0
+        for path in paths:
+            parity[start:start + len(path) - 1] = [
+                i & 1 for i in range(len(path) - 1)]
+            start += len(path)
+        slot = [-1] * n_vertices
+        for i, v in enumerate(line):
+            slot[v] = i
+        return cls(paths=tuple(map(tuple, paths)), line=line, parity=parity,
+                   comparators=tuple([p for p, par in enumerate(parity)
+                                      if par == k] for k in (0, 1)),
+                   pairs=list(zip(line, line[1:])), slot=slot,
+                   by_id=[sorted(path) for path in paths],
+                   rounds=max(map(len, paths), default=0))
 
 
 # One rotation word per canonical region shape (see _shape_key): key
@@ -152,7 +219,21 @@ def _shape_key(pq: int, pr: int, aq: int, ar: int, bq: int, br: int
 
 
 class SwapEngine:
-    """Builds and caches adjacent-pair swap schedules on a grid."""
+    """Builds and caches adjacent-pair swap schedules on a grid, and keeps
+    the per-grid tables every route on it reads.
+
+    Built with the engine: the ring turns (see below) and the common
+    neighbours of each adjacent pair.  Built on first request: each
+    pair's region and word (``schedule_for_pair``).  Built on the first
+    route and kept for every later one: the three path families with
+    their sort tables (``families``) and each covered vertex's row
+    (``row_at``), the sharp-corner walls every sort batch starts from
+    (``walls``), the cell count per d_g (``cell_count``) and the hop
+    distances the circulations rank turns by (``hop_table``, one row per
+    target vertex, filled as targets are asked for).  None of them
+    depends on an instance, so one engine serves every instance on its
+    grid, or on any grid built for an equal workspace.
+    """
 
     def __init__(self, grid: TriGrid):
         self.grid = grid
@@ -168,6 +249,7 @@ class SwapEngine:
         # (c1, c2, footprint) of each pair's region, and its schedule
         self._regions: dict[tuple[int, int], tuple[int, int, frozenset]] = {}
         self._pair_cache: dict[tuple[int, int], SwapSchedule] = {}
+        self._cells: dict[int, int] = {}     # cell count per d_g
         # the common neighbours of each adjacent pair, in either order,
         # lowest id first: where a transposition's hole path ends
         adjacency = grid.adjacency
@@ -180,19 +262,73 @@ class SwapEngine:
         # (-1) before counterclockwise (+1), so a stable sort by gain
         # ranks turns by (-gain, center, turn).  Turn i is the step
         # ring_turns[i], which moves the disc on ring_tails[i, k] to
-        # ring_heads[i, k]; its footprint is the ring plus its center.
-        # Rotation words and circulation rounds share these tuples.
+        # ring_heads[i, k]; its footprint, the ring plus its center, is
+        # the bit mask ring_masks[i] (bit v for vertex v).  Rotation
+        # words and circulation rounds share these tuples.
         self._turn_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self.ring_footprints = []
+        self.ring_masks: list[int] = []
         for c in sorted(grid.ring_of):
             ring = grid.ring_of[c]
             for dr in (-1, 1):
                 self._turn_of[c, dr] = tuple(zip(ring, ring[dr:] + ring[:dr]))
-                self.ring_footprints.append(ring + (c,))
+                self.ring_masks.append(sum(1 << v for v in ring + (c,)))
         self.ring_turns = list(self._turn_of.values())
         self.ring_tails, self.ring_heads = np.array(
             self.ring_turns, dtype=np.intp).reshape(-1, 6, 2).transpose(
                 2, 0, 1).copy()
+
+    @cached_property
+    def families(self) -> tuple[_Family, _Family, _Family]:
+        """The columns, the rows and the snake (see _path_families), each
+        a _Family; the snake is a family of one path."""
+        columns, rows, snake = _path_families(self.grid)
+        V = self.grid.n_vertices
+        return (_Family.of(columns, V), _Family.of(rows, V),
+                _Family.of([snake], V))
+
+    @cached_property
+    def row_at(self) -> list[int]:
+        """The row of each covered vertex, -1 on a sharp corner."""
+        row_at = [-1] * self.grid.n_vertices
+        for i, row in enumerate(self.families[1]):
+            for v in row:
+                row_at[v] = i
+        return row_at
+
+    @cached_property
+    def walls(self) -> bytes:
+        """One byte per vertex, set on the sharp corners: the mark bytes
+        every sort batch starts from."""
+        return bytes(v in self.grid.locked
+                     for v in range(self.grid.n_vertices))
+
+    def cell_count(self, d_g: int) -> int:
+        """How many cells build_cell_partition makes for d_g (cached)."""
+        count = self._cells.get(d_g)
+        if count is None:
+            count = self._cells[d_g] = len(set(
+                build_cell_partition(self.grid, d_g)))
+        return count
+
+    @cached_property
+    def _hops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hop table behind hop_table, all rows zero, and which rows
+        hold their distances: only the zero row V at first."""
+        V = self.grid.n_vertices
+        known = np.zeros(V + 1, dtype=bool)
+        known[V] = True
+        return np.zeros((V + 1, V), dtype=np.int64), known
+
+    def hop_table(self, targets: np.ndarray) -> np.ndarray:
+        """The (V + 1, V) table whose row t holds the hop distances from
+        vertex t for every t in targets (a row is filled from the grid's
+        kept BFS row once, on first request); row V is all zeros."""
+        table, known = self._hops
+        if not known[targets].all():
+            for t in np.unique(targets[~known[targets]]).tolist():
+                table[t] = self.grid.hops_from(t)
+                known[t] = True
+        return table
 
     def _region(self, a: int, b: int) -> tuple[int, int]:
         """Best-ranked pair of overlapping rings that together hold a and
@@ -313,13 +449,23 @@ class _Router:
     pair whose a or b the batch holds waits for the next batch
     before any hole search, and a word is asked of the engine only once
     its footprint, which the engine keeps per pair, is clear of the
-    batch (see ``sort_covered``).
+    batch (see ``sort_covered``).  Everything that depends on the grid
+    alone, the path families and their sort tables, the rows, the walls,
+    the cell counts and the hop rows, is read from the engine, so a
+    route does only per-instance work; an engine built for another
+    workspace is refused.
     """
 
     def __init__(self, grid: TriGrid, starts: tuple[int, ...],
                  engine: SwapEngine | None = None):
         self.grid = grid
-        self.engine = engine if engine is not None else SwapEngine(grid)
+        if engine is None:
+            engine = SwapEngine(grid)
+        elif engine.grid.workspace != grid.workspace:
+            raise ValueError(
+                f"SwapEngine built for {engine.grid.workspace}, but the "
+                f"instance is on {grid.workspace}")
+        self.engine = engine
         self.n_real = len(starts)
         self.starts = tuple(starts)
         self.pos = list(starts)
@@ -445,28 +591,6 @@ class _Router:
 
     # parallel swap machinery
 
-    def _families(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
-        """The covered vertices as three paths or families of
-        vertex-disjoint paths: the columns (a vertex column in slot order,
-        the grid's ``row_start``/``row_len``), the rows (a horizontal path
-        in path order) and the snake (the rows end to end, every other one
-        reversed).  A column's slots lie in order of their rows, so its
-        vertices in id order run from the lowest row to the highest."""
-        grid = self.grid
-        covered, adjacency = grid.covered, grid.adjacency
-        columns = [[v for v in range(s, s + n) if v in covered]
-                   for s, n in zip(grid.row_start, grid.row_len)]
-        rows = [[v for v in path if v in covered]
-                for path in grid.horizontal_paths]
-        snake = [v for i, row in enumerate(rows)
-                 for v in (row if i % 2 == 0 else reversed(row))]
-        if set(snake) != covered or any(
-                b not in adjacency[a] for path in (*columns, *rows, snake)
-                for a, b in zip(path, path[1:])):
-            raise PlannerInvariantError(
-                "path family broke at a dropped corner")
-        return columns, rows, snake
-
     def _hole_path(self, ends: Sequence[int], blocked: Iterable[int],
                    mark: bytes | bytearray, reach: int) -> list[int] | None:
         """Shortest path from the hole nearest to ends (lowest id among the
@@ -549,83 +673,74 @@ class _Router:
             self.exchange(u, v)
         return swap
 
-    def sort_covered(self, paths: Sequence[Sequence[int]],
-                     target_of: dict[int, int]) -> None:
+    def sort_covered(self, family: _Family, target_of: dict[int, int]
+                     ) -> None:
         """Route every disc on a family of vertex-disjoint paths to its
         target, which lies on the disc's own path, by one odd-even
         transposition sort over all the paths at once.
 
-        The paths lie end to end on one line; vals[p] is the line slot of
-        the target of the disc on line[p].  Comparator p joins line[p] and
-        line[p + 1] of one path, and its parity counts from the path's
-        first slot, so every path runs its own sort from the even round.
-        It is inverted when vals[p] > vals[p + 1], and a round transposes
-        the inverted comparators of its parity in order of p.  The
-        inverted sets are kept incrementally: a transposition swaps two
-        values, so only comparators p - 1, p and p + 1 are tested again.
-        A path of n slots sorts in at most n rounds (Habermann 1972), and
-        the clocks run the paths' transpositions on disjoint vertices in
-        the same plan steps."""
-        line = [v for path in paths for v in path]
-        # the parity of comparator p, None where line[p] ends its path;
-        # the last slot's None also stands for p = -1
-        parity: list[int | None] = [None] * len(line)
-        start = 0
-        for path in paths:
-            parity[start:start + len(path) - 1] = [
-                i & 1 for i in range(len(path) - 1)]
-            start += len(path)
-        slot_of = {v: i for i, v in enumerate(line)}
+        vals[p] is the line slot of the target of the disc on line[p]
+        (see _Family).  A comparator is inverted when vals[p] > vals[p + 1],
+        and a round transposes the inverted comparators of its parity in
+        order of p, so every path runs its own sort from the even round.
+        The inverted sets are kept incrementally: a round leaves none of
+        its own parity inverted, and a transposition swaps two values, so
+        only comparators p - 1 and p + 1 are tested again.  A path of n
+        slots sorts in at most n rounds (Habermann 1972), and the clocks
+        run the paths' transpositions on disjoint vertices in the same
+        plan steps."""
+        line, parity, pairs = family.line, family.parity, family.pairs
+        slot, occ = family.slot, self.occ
         key = [0] * len(self.pos)
         for d, tv in target_of.items():
-            key[d] = slot_of[tv]
-        vals = [key[self.occ[v]] for v in line]
-        transpose = self._transposition
-        inverted: tuple[set[int], set[int]] = (set(), set())  # by parity
-        for p, par in enumerate(parity):
-            if par is not None and vals[p] > vals[p + 1]:
-                inverted[par].add(p)
-        # every batch starts with the sharp corners marked: an emptied
-        # corner holds no disc to exchange, so it is never a hole
-        walls = bytearray(self.grid.n_vertices)
-        for v in self.grid.locked:
-            walls[v] = 1
-        rounds, limit = 0, max(map(len, paths), default=0)
+            key[d] = slot[tv]
+        vals = [key[d] for d in map(occ.__getitem__, line)]
+        inverted = tuple({p for p in ps if vals[p] > vals[p + 1]}
+                         for ps in family.comparators)
+        transpose, walls = self._transposition, self.engine.walls
+        rounds = 0
         while inverted[0] or inverted[1]:
-            if rounds == limit:
+            if rounds == family.rounds:
                 raise PlannerInvariantError("odd-even rounds failed to converge")
-            todo = sorted(inverted[rounds & 1])
+            par = rounds & 1
+            todo = sorted(inverted[par])
             rounds += 1
-            wanted = [(line[p], line[p + 1]) for p in todo]
+            wanted = [pairs[p] for p in todo]
             # batches of footprint-disjoint transpositions, each marking
             # the vertices it uses; a pair that meets the batch waits for
-            # the next one.  The clocks time each step, so a batch has no
-            # common end.
+            # the next one.  Every batch starts with the sharp corners
+            # marked: an emptied corner holds no disc to exchange, so it
+            # is never a hole.  The clocks time each step, so a batch has
+            # no common end.
             while wanted:
                 mark = bytearray(walls)
                 wanted = [(a, b) for a, b in wanted
                           if transpose(a, b, mark) is None]
+            inverted[par].clear()
+            other = inverted[par ^ 1]
             for p in todo:
                 vals[p], vals[p + 1] = vals[p + 1], vals[p]
             for p in todo:
-                for q in (p - 1, p, p + 1):
-                    par = parity[q]
-                    if par is not None:
+                for q in (p - 1, p + 1):
+                    if parity[q] is not None:
                         if vals[q] > vals[q + 1]:
-                            inverted[par].add(q)
+                            other.add(q)
                         else:
-                            inverted[par].discard(q)
-        if any(key[self.occ[v]] != p for p, v in enumerate(line)):
+                            other.discard(q)
+        if [key[d] for d in map(occ.__getitem__, line)] != list(
+                range(len(line))):
             raise PlannerInvariantError("odd-even sort incomplete")
 
-    def _placed(self, paths: list[list[int]], rank: Callable[[int], object]
+    def _placed(self, family: _Family, rank: Callable[[int], object]
                 ) -> dict[int, int]:
         """Targets that put the discs of each path, in order of rank, on
         its vertices in id order."""
         occ = self.occ
-        return {d: v for path in paths
-                for d, v in zip(sorted((occ[v] for v in path), key=rank),
-                                sorted(path))}
+        placed: dict[int, int] = {}
+        for path, ids in zip(family.paths, family.by_id):
+            placed.update(zip(sorted(map(occ.__getitem__, path), key=rank),
+                              ids))
+        return placed
 
     def route_covered(self, target_of: dict[int, int]) -> None:
         """Route every disc with a covered target to it: three phases of
@@ -639,56 +754,64 @@ class _Router:
         order of target id meet its vertices in id order.  Last, one sort
         over the snake routes what an inexact row assignment left; after
         an exact one it finds nothing inverted."""
-        columns, rows, snake = self._families()
-        row_at = {v: i for i, row in enumerate(rows) for v in row}
+        columns, rows, snake = self.engine.families
         pos = self.pos
         # the grid numbers its vertex columns by row_of
         assigned = _row_assignment(
-            rows, row_at, self.grid.row_of,
+            rows.paths, self.engine.row_at, self.grid.row_of,
             {d: (pos[d], t) for d, t in target_of.items()})
-        self.sort_covered(columns, self._placed(
-            columns, lambda d: (assigned[d], pos[d])))
+        rank = {d: (r, pos[d]) for d, r in assigned.items()}
+        self.sort_covered(columns, self._placed(columns, rank.__getitem__))
         self.sort_covered(rows, self._placed(rows, target_of.__getitem__))
         self.sort_covered(columns,
                           self._placed(columns, target_of.__getitem__))
-        self.sort_covered([snake], target_of)
+        self.sort_covered(snake, target_of)
 
     def greedy_circulations(self, target_of: dict[int, int], cap: int) -> int:
         """Synchronized ring rotations chosen by a goal-distance potential.
 
         Real discs pull rotations toward their targets; virtual discs are
         free riders.  Every ring turn's gain (the drop in its real discs'
-        hop distances to their targets) comes from the engine's
-        per-grid tables in one array expression; the best turns on
-        disjoint rings run as one step.  Stops at the first iteration
-        with no improving ring or after cap rounds.
+        hop distances to their targets) is read from the engine's hop
+        table in one array expression, by the row of the target each ring
+        vertex's disc carries; the best turns on disjoint rings (their
+        footprint masks) run as one step, and the rows move with their
+        discs.  Stops at the first iteration with no improving ring or
+        after cap rounds.
         """
-        eng = self.engine
-        real = [(d, tv) for d, tv in target_of.items() if d < self.n_real]
-        # hops to each real disc's target, one row per disc, and a zero
-        # row for every other disc and for an empty vertex (index -1)
-        dist = np.zeros((len(real) + 1, self.grid.n_vertices), dtype=np.int64)
-        row_of = np.full(len(self.pos) + 1, len(real), dtype=np.intp)
-        for i, (d, tv) in enumerate(real):
-            dist[i] = self.grid.hops_from(tv)
-            row_of[d] = i
-        tails, heads, turns = eng.ring_tails, eng.ring_heads, eng.ring_turns
+        eng, pos, V = self.engine, self.pos, self.grid.n_vertices
+        # the target of the real disc on each vertex, V (the hop table's
+        # zero row) where a virtual disc or none stands; times V, where
+        # that row starts in the flattened table
+        goal = [V] * V
+        for d, tv in target_of.items():
+            if d < self.n_real:
+                goal[pos[d]] = tv
+        row = np.array(goal, dtype=np.intp)
+        hops = eng.hop_table(row).ravel()
+        row *= V
+        tails, heads = eng.ring_tails, eng.ring_heads
+        shift = heads - tails
+        turns, masks = eng.ring_turns, eng.ring_masks
         done = 0
         for _ in range(cap):
-            rows = row_of[np.array(self.occ)[tails]]
-            gain = (dist[rows, tails] - dist[rows, heads]).sum(axis=1)
+            at = row[tails]
+            at += tails
+            gain = hops[at]
+            at += shift
+            gain -= hops[at]
+            gain = gain.sum(axis=1)
             better = np.flatnonzero(gain > 0)
             if not better.size:
                 break
-            used: set[int] = set()
-            moves: list[tuple[int, int]] = []
+            used, chosen = 0, []
             for i in better[np.argsort(-gain[better], kind="stable")].tolist():
-                fp = eng.ring_footprints[i]
-                if not used.isdisjoint(fp):
-                    continue
-                used.update(fp)
-                moves.extend(turns[i])
-            self.apply_step(moves)
+                if not used & masks[i]:
+                    used |= masks[i]
+                    chosen.append(i)
+            self.apply_step([move for i in chosen for move in turns[i]])
+            ran = np.array(chosen)
+            row[heads[ran]] = row[tails[ran]]
             done += 1
         return done
 
@@ -718,8 +841,8 @@ def _completion_targets(router: _Router, inst: DiscreteInstance
     return target_of
 
 
-def _row_assignment(rows: list[list[int]], row_at: dict[int, int],
-                    column: list[int], ends: dict[int, tuple[int, int]]
+def _row_assignment(rows: Sequence[Sequence[int]], row_at: Sequence[int],
+                    column: Sequence[int], ends: dict[int, tuple[int, int]]
                     ) -> dict[int, int]:
     """Phase A's row of each disc, given its vertex and target in ends.
 
@@ -743,47 +866,58 @@ def _row_assignment(rows: list[list[int]], row_at: dict[int, int],
     for cap, row in zip(caps, rows):
         for v in row:
             cap[column[v]] += 1
-    edge = {d: (column[v], column[t]) for d, (v, t) in ends.items()}
+    # per disc id: its row, its goal row, its column, its goal column and
+    # its edge, numbered m * n + c
+    D = max(ends, default=0) + 1
+    row, goal_row, col, goal_col, edge = ([0] * D for _ in range(5))
+    for d, (v, t) in ends.items():
+        row[d], goal_row[d] = row_at[v], row_at[t]
+        col[d], goal_col[d] = m, c = column[v], column[t]
+        edge[d] = m * n + c
+    left = list(ends)
     order = [0, len(rows) - 1, *range(1, len(rows) - 1)]
-    left = sorted(ends)
     row_of: dict[int, int] = {}
     for r in order:
         cap = caps[r]
-        left.sort(key=lambda d: (abs(row_at[ends[d][0]] - r)
-                                 + abs(row_at[ends[d][1]] - r), d))
-        group: dict[tuple[int, int], list[int]] = {}
+        # nearest first, ties by disc id: one integer key per disc
+        left = [k % D for k in sorted([
+            (abs(row[d] - r) + abs(goal_row[d] - r)) * D + d for d in left])]
+        have = [0] * (n * n)            # discs left per edge
+        take = [0] * (n * n)            # discs taken per edge
         out, into = [0] * n, [0] * n    # discs taken by column, goal column
-        take: dict[tuple[int, int], int] = {}
         for d in left:
-            m, c = e = edge[d]
-            group.setdefault(e, []).append(d)
+            m, c, e = col[d], goal_col[d], edge[d]
+            have[e] += 1
             if out[m] < cap[m] and into[c] < cap[c]:
                 out[m] += 1
                 into[c] += 1
-                take[e] = take.get(e, 0) + 1
-        while out != cap and _augment(cap, out, into, take, group):
+                take[e] += 1
+        while out != cap and _augment(cap, out, into, take, have):
             pass
-        chosen = [d for e, k in take.items() for d in group[e][:k]]
-        taken = set(chosen)
+        # each edge gives its first take[e] discs; then the columns still
+        # short of the row's vertices give it their nearest remaining ones
+        rest = []
         for d in left:
-            m = edge[d][0]
-            if out[m] < cap[m] and d not in taken:
+            e, m = edge[d], col[d]
+            if take[e]:
+                take[e] -= 1
+                row_of[d] = r
+            elif out[m] < cap[m]:
                 out[m] += 1
-                chosen.append(d)
-        for d in chosen:
-            row_of[d] = r
-        left = [d for d in left if d not in row_of]
+                row_of[d] = r
+            else:
+                rest.append(d)
+        left = rest
     return row_of
 
 
 def _augment(cap: list[int], out: list[int], into: list[int],
-             take: dict[tuple[int, int], int],
-             group: dict[tuple[int, int], list[int]]) -> bool:
+             take: list[int], have: list[int]) -> bool:
     """Grow a row's b-matching by one disc along an augmenting path, a
     breadth-first search from the columns short of the row's vertices
     that ends at a goal column short of them: forward over an edge with
-    discs left to take, back over one with discs taken.  False when no
-    such path exists."""
+    discs left to take, back over one with discs taken.  Edge (m, c) is
+    entry m * n + c of take and have.  False when no such path exists."""
     n = len(cap)
     # column -> goal column it was reached back from (None: a start)
     back: dict[int, int | None] = {m: None for m in range(n)
@@ -794,35 +928,33 @@ def _augment(cap: list[int], out: list[int], into: list[int],
         nxt = []
         for m in frontier:
             for c in range(n):
-                if c in via or (take.get((m, c), 0)
-                                >= len(group.get((m, c), ()))):
+                if c in via or take[m * n + c] >= have[m * n + c]:
                     continue
                 via[c] = m
                 if into[c] < cap[c]:
                     into[c] += 1
                     while True:
                         m = via[c]
-                        take[m, c] = take.get((m, c), 0) + 1
+                        take[m * n + c] += 1
                         c = back[m]
                         if c is None:
                             out[m] += 1
                             return True
-                        take[m, c] -= 1
+                        take[m * n + c] -= 1
                 for m2 in range(n):
-                    if m2 not in back and take.get((m2, c), 0):
+                    if m2 not in back and take[m2 * n + c]:
                         back[m2] = c
                         nxt.append(m2)
         frontier = nxt
     return False
 
 
-def _route(inst: DiscreteInstance, engine: SwapEngine | None,
-           circulation_cap: int | None = None) -> tuple[DiscretePlan, int, int]:
+def _route(router: _Router, inst: DiscreteInstance,
+           circulation_cap: int | None = None) -> tuple[DiscretePlan, int]:
     """Routing core shared by isag and paft: settle the boundary, complete
     with virtual discs, run greedy circulations (only when capped), route
     the covered vertices in three phases, check every goal.  Returns the
-    plan, the circulation rounds run and the engine's swap constant."""
-    router = _Router(inst.grid, inst.v_starts, engine)
+    plan and the circulation rounds run."""
     circ = 0
     if tuple(inst.v_starts) != tuple(inst.v_goals):
         router.settle_boundary(inst.v_goals)
@@ -834,7 +966,7 @@ def _route(inst: DiscreteInstance, engine: SwapEngine | None,
             if router.pos[r] != g:
                 raise PlannerInvariantError(
                     f"robot {r} ended at {router.pos[r]}, not {g}")
-    return router.finish(), circ, router.engine.c_swap
+    return router.finish(), circ
 
 
 def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
@@ -845,9 +977,10 @@ def isag(inst: DiscreteInstance, engine: SwapEngine | None = None
 
     Accepts any occupancy up to n = |V|; empty vertices are completed
     with virtual discs so every sort operates on a full permutation.  A
-    shared SwapEngine carries warm schedule caches across instances.
+    shared SwapEngine carries its schedule caches and grid tables across
+    instances.
     """
-    return _route(inst, engine)[0]
+    return _route(_Router(inst.grid, inst.v_starts, engine), inst)[0]
 
 
 def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
@@ -860,12 +993,13 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
         return plan, PaftReport(makespan=0, max_goal_distance=0, ratio=1.0,
                                 cell_count=1, circulation_steps=0,
                                 swap_constant=0)
-    cell_count = len(set(build_cell_partition(inst.grid, d_g)))
+    router = _Router(inst.grid, inst.v_starts, engine)
+    cell_count = router.engine.cell_count(d_g)
     cap = None
     if cell_count > 1:
         cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
-    plan, circ, c_swap = _route(inst, engine, cap)
+    plan, circ = _route(router, inst, cap)
     return plan, PaftReport(makespan=plan.T, max_goal_distance=d_g,
                             ratio=_ratio(plan.T, d_g),
-                            cell_count=cell_count,
-                            circulation_steps=circ, swap_constant=c_swap)
+                            cell_count=cell_count, circulation_steps=circ,
+                            swap_constant=router.engine.c_swap)

@@ -376,12 +376,14 @@ def test_lpsolve_module_solves_small_lp(tmp_path, milp_calls):
     (" c0: + b + a = 1", " c0: + 2 b + a = 1", 4),
     (" c0: + b + a = 1", " c0: - 1 - 1 = 1", 4),
     (" c1: + b - a <= 0", " c1: + b - a <= nan", 5),
+    (" c1: + b - a <= 0", " c1: + b - a <= 0.5", 5),
     (" c1: + b - a <= 0", " c2: + b - a <= 0", 5),
     (" c1: + b - a <= 0", " c1: + b a <= 0", 5),
     (" b\nEnd", " c\nEnd", 6),
     ("End\n", "End\nc2: + a = 1\n", 6),
 ], ids=["objective", ">= row", "coefficient", "number for a name", "nan rhs",
-        "row label", "missing sign", "binary name", "after End"])
+        "fractional rhs", "row label", "missing sign", "binary name",
+        "after End"])
 def test_lpsolve_reads_only_the_export_lp_dialect(tmp_path, capsys, old, new,
                                                   line):
     model, out = tmp_path / "m.lp", tmp_path / "m.sol"
@@ -391,6 +393,28 @@ def test_lpsolve_reads_only_the_export_lp_dialect(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"lpsolve: line {line}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_solver_child_loads_no_other_triroute_module(tmp_path):
+    # the external solver child, started as the default command starts
+    # it, reads the row senses from the package and imports nothing else
+    # of triroute: -X importtime names every module it imports
+    model, out = tmp_path / "m.lp", tmp_path / "m.sol"
+    model.write_text(SMALL_LP)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lpsolve.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "triroute.lpsolve",
+         str(model), str(out)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "b 0\na 1\n"
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "scipy" in imported
+    assert {m for m in imported if m.split(".")[0] == "triroute"} == {
+        "triroute"}
 
 
 def test_solver_cmd_resolution(monkeypatch):

@@ -1353,3 +1353,96 @@ def test_router_plans_keep_their_digests():
     got = {name: (_plan_digest(paft(inst)[0]), _plan_digest(isag(inst)))
            for name, inst in _digest_cases()}
     assert got == PLAN_DIGESTS
+
+
+def test_engine_for_another_workspace_is_refused():
+    # the engine keeps its grid's routing tables, so one built for another
+    # workspace raises a ValueError naming both workspaces; one built for
+    # an equal workspace (grids are deterministic per workspace) routes as
+    # the instance's own grid would
+    ws45, ws33 = build_workspace(4, 5), build_workspace(3, 3)
+    inst = random_discrete_instance(build_grid(ws45), 20, 1)
+    other = SwapEngine(build_grid(ws33))
+    for planner in (isag, paft):
+        with pytest.raises(ValueError) as exc:
+            planner(inst, other)
+        assert str(ws33) in str(exc.value) and str(ws45) in str(exc.value)
+    twin = SwapEngine(build_grid(build_workspace(4, 5)))
+    assert twin.grid is not inst.grid
+    assert _plan_digest(paft(inst, twin)[0]) == _plan_digest(paft(inst)[0])
+    assert _plan_digest(isag(inst, twin)) == _plan_digest(isag(inst))
+
+
+_ENGINE_GRIDS = {ws: build_grid(build_workspace(*ws))
+                 for ws in ((2, 3), (3, 3), (3, 4), (4, 5))}
+
+
+@given(draws=st.lists(st.tuples(
+    st.sampled_from(sorted(_ENGINE_GRIDS)), st.floats(0.05, 1.0),
+    st.booleans(), st.integers(0, 2 ** 32), st.sampled_from(("isag", "paft"))),
+    min_size=2, max_size=5))
+def test_a_reused_engine_routes_as_fresh_ones(draws):
+    # a sequence of partial and full occupancies on grids from 2x3 to 4x5,
+    # each routed by isag or paft: one engine per grid reused across the
+    # sequence gives the plans and reports (but the swap constant, the
+    # longest word the engine has built) that a fresh engine per instance
+    # gives, so no instance leaves state in the engine's tables
+    reused = {}
+    for ws, share, full, seed, planner in draws:
+        g = _ENGINE_GRIDS[ws]
+        V = g.n_vertices
+        n = min(V - 1, max(1, int(share * V)))
+        inst = (full_occupancy_instance(g, seed) if full
+                else random_discrete_instance(g, n, seed))
+        engine = reused.setdefault(ws, SwapEngine(g))
+        got, want = [], []
+        for out, eng in ((got, engine), (want, SwapEngine(g))):
+            if planner == "isag":
+                out.append(_plan_digest(isag(inst, eng)))
+            else:
+                plan, rep = paft(inst, eng)
+                out += [_plan_digest(plan), rep.makespan,
+                        rep.max_goal_distance, rep.cell_count,
+                        rep.circulation_steps]
+        assert got == want
+
+
+def test_grid_tables_built_once_per_engine(monkeypatch):
+    # two solves of a paft-dense-like relabelling on one warmed engine: the
+    # path families with their sort tables, the cell count of the d_g and
+    # every hop row the circulations read are built on the first route and
+    # only read by the second; warming the engine builds none of them
+    built = Counter()
+    families, partition = PAFT._path_families, PAFT.build_cell_partition
+    of, hop_table = PAFT._Family.of.__func__, SwapEngine.hop_table
+    monkeypatch.setattr(PAFT, "_path_families", lambda grid: (
+        built.update(["path families"]) or families(grid)))
+    monkeypatch.setattr(PAFT._Family, "of", classmethod(
+        lambda cls, paths, V: built.update(["sort tables"]) or of(cls, paths, V)))
+    monkeypatch.setattr(PAFT, "build_cell_partition", lambda grid, d_g: (
+        built.update([f"cells of d_g {d_g}"]) or partition(grid, d_g)))
+
+    def counted(engine, targets):
+        table, known = engine._hops
+        built.update(["hop row"] * len(set(targets[~known[targets]].tolist())))
+        return hop_table(engine, targets)
+
+    monkeypatch.setattr(SwapEngine, "hop_table", counted)
+    cont = _local_relabelling(6, 7, 60, 0)
+    g = build_grid(cont.workspace)
+    inst = discretize(cont, g)[0]
+    engine = SwapEngine(g)
+    for a, b in _covered_pairs(g):
+        engine.schedule_for_pair(a, b)
+    assert not built
+    first = paft(inst, engine)
+    once = dict(built)
+    assert once == {"path families": 1, "sort tables": 3,
+                    f"cells of d_g {first[1].max_goal_distance}": 1,
+                    "hop row": once["hop row"]}
+    assert first[1].circulation_steps and once["hop row"] > 0
+    second = paft(inst, engine)
+    assert built == once
+    assert _plan_digest(second[0]) == _plan_digest(first[0])
+    assert second[1] == first[1]
+    assert engine.families is engine.families
