@@ -65,7 +65,6 @@ SOLVER_CMD_ENV = "TRIROUTE_SOLVER_CMD"
 SOLVER_TIMEOUT_S = 600.0  # wall-clock limit on one external solver call
 
 
-
 @dataclass(frozen=True)
 class Rows:
     """Constraint rows in COO form: term k puts coef[k] on column col[k]
