@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import TriGrid, Vec2, Workspace, nearest_vertex
+from .geometry import TriGrid, Vec2, Workspace, nearest_vertex_dist
 
 SEPARATION = 8.0 / 3.0
 
@@ -80,7 +80,8 @@ class DiscreteInstance:
 def validate_separation(inst: ContinuousInstance) -> SeparationReport:
     """List every pair at distance <= 8/3 (the requirement is strict),
     in (i, j) order.  A sweep over the points sorted by x ends a row
-    once the x gap alone exceeds 8/3.
+    once the x gap alone exceeds 8/3, and skips a pair whose y gap alone
+    does (the distance is at least either gap).
 
     Never raises; an empty report means the instance is admissible.
     """
@@ -88,11 +89,15 @@ def validate_separation(inst: ContinuousInstance) -> SeparationReport:
     for points, out in ((inst.starts, report.start_violations),
                         (inst.goals, report.goal_violations)):
         xs = [p.x for p in points]
+        ys = [p.y for p in points]
         order = sorted(range(len(xs)), key=xs.__getitem__)
         for s, i in enumerate(order):
+            x, y = xs[i], ys[i]
             for j in order[s + 1:]:
-                if xs[j] - xs[i] > SEPARATION:
+                if xs[j] - x > SEPARATION:
                     break
+                if not -SEPARATION <= ys[j] - y <= SEPARATION:
+                    continue
                 a, b = (i, j) if i < j else (j, i)
                 d = points[a].dist(points[b])
                 if d <= SEPARATION:
@@ -123,7 +128,8 @@ def snap(inst: ContinuousInstance, grid: TriGrid, which: str) -> SnapResult:
         raise ValueError("which must be 'starts' or 'goals'")
     points = inst.starts if which == "starts" else inst.goals
 
-    assignment = [nearest_vertex(grid, p) for p in points]
+    found = [nearest_vertex_dist(grid, p) for p in points]
+    assignment = [v for v, _ in found]
     if len(set(assignment)) != len(assignment):
         seen: dict[int, int] = {}
         for i, v in enumerate(assignment):
@@ -133,8 +139,8 @@ def snap(inst: ContinuousInstance, grid: TriGrid, which: str) -> SnapResult:
                     f"separation precondition violated")
             seen[v] = i
 
-    d_max = max((p.dist(grid.vertices[v]) for p, v in zip(points, assignment)),
-                default=0.0)
+    # the distances found are p.dist(vertex): hypot ignores signs
+    d_max = max((d for _, d in found), default=0.0)
     return SnapResult(assignment=assignment, d_max=d_max)
 
 

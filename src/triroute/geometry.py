@@ -327,32 +327,65 @@ def _path_family(row_start: list[int], row_len: list[int],
     return horizontal
 
 
+# A candidate that lies farther than the nearest slot of the nearest
+# column by more than this, in x or in y alone, cannot change which vertex
+# nearest_vertex picks (see there).
+_NEAREST_SLACK = 20 * GEO_TOL
+
+
 def nearest_vertex(g: TriGrid, p: Vec2) -> int:
     """Closest grid vertex to p; ties broken by lowest vertex id.
 
     Constant time: candidate columns/slots come from lattice-coordinate
-    rounding (a 3x3 index neighborhood, clamped to the grid).
+    rounding (a 3x3 index neighborhood, clamped to the grid), scored in
+    column then slot order: a candidate wins when it is nearer by more
+    than GEO_TOL, or within GEO_TOL and of a lower id.  The nearest slot
+    of the nearest column bounds the distance by B first, and a column
+    or slot whose x or y offset alone exceeds B + 20 GEO_TOL is skipped
+    unscored.  Skipping cannot change the winner: at most eight other
+    candidate distances fall in (B, B + 20 GEO_TOL], so some interval
+    (t, t + 2 GEO_TOL] with t >= B holds none.  A candidate above such a
+    gap never replaces one below it, and one below always replaces one
+    above, so the candidates below it, the nearest among them, decide
+    alone, whichever of those above are skipped.
     """
+    return nearest_vertex_dist(g, p)[0]
+
+
+def nearest_vertex_dist(g: TriGrid, p: Vec2) -> tuple[int, float]:
+    """``nearest_vertex`` and the distance ``math.hypot`` gives to it."""
     px, py = p.x, p.y
     vertices, row_start, row_len = g.vertices, g.row_start, g.row_len
-    best, best_d = -1, math.inf
     m0 = round((px - CLEARANCE) / ROW_STEP)
+    if not -1 <= m0 <= g.n_rows:
+        raise BoundsError(f"point ({px}, {py}) lies beyond every grid column")
+    k_even = round((py - CLEARANCE) / EDGE_LEN)
+    k_odd = round((py - CLEARANCE - HALF_SHIFT) / EDGE_LEN)
+    m = 0 if m0 < 0 else g.n_rows - 1 if m0 == g.n_rows else m0
+    first, last = row_start[m], row_start[m] + row_len[m] - 1
+    vid = first + (k_odd if m % 2 else k_even)
+    q = vertices[first if vid < first else last if vid > last else vid]
+    bound = math.hypot(q.x - px, q.y - py) + _NEAREST_SLACK
+    best, best_d = -1, math.inf
     for m in (m0 - 1, m0, m0 + 1):
         if not 0 <= m < g.n_rows:
             continue
-        k0 = round((py - CLEARANCE - (HALF_SHIFT if m % 2 else 0.0))
-                   / EDGE_LEN)
-        first, last = row_start[m], row_start[m] + row_len[m] - 1
+        first = row_start[m]
+        dx = vertices[first].x - px
+        if dx > bound or dx < -bound:
+            continue
+        k0 = k_odd if m % 2 else k_even
+        last = first + row_len[m] - 1
         for vid in (first + k0 - 1, first + k0, first + k0 + 1):
             vid = first if vid < first else last if vid > last else vid
-            q = vertices[vid]
-            d = math.hypot(q.x - px, q.y - py)
+            dy = vertices[vid].y - py
+            if dy > bound or dy < -bound:
+                continue
+            d = math.hypot(dx, dy)
             if d < best_d - GEO_TOL or (
                     abs(d - best_d) <= GEO_TOL and vid < best):
                 best, best_d = vid, d
-    if best < 0:
-        raise BoundsError(f"point ({px}, {py}) lies beyond every grid column")
-    return best
+    return best, best_d
 
 
 def bfs_distances(g: TriGrid, source: int, blocked=()) -> list[int]:

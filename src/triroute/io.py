@@ -54,8 +54,8 @@ class _Records:
 
     def __init__(self, text: str):
         lines = text.splitlines()
-        self._lines = [(k, ln.strip()) for k, ln in enumerate(lines, 1)
-                       if ln.strip()] + [(len(lines) + 1, "")]
+        self._lines = [(k, ln) for k, ln in enumerate(map(str.strip, lines), 1)
+                       if ln] + [(len(lines) + 1, "")]
         self._next = 0
 
     def __bool__(self) -> bool:
@@ -71,7 +71,7 @@ class _Records:
         self._next = min(self._next + 1, len(self._lines))
         words = self._lines[self._next - 1][1].split()
         convert, want = row[0], 1 + len(fields) + row[1]
-        if words[:1] != [keyword] or len(words) != want:
+        if len(words) != want or words[0] != keyword:
             raise self.fail(f"expected a {keyword!r} line of {want} words")
         try:
             values = [f(w) for f, w in zip(fields, words[1:])]
@@ -80,6 +80,10 @@ class _Records:
         except ValueError as exc:
             raise self.fail(str(exc)) from None
         return values
+
+    def word(self, k: int) -> str:
+        """Word k of the line last read."""
+        return self._lines[self._next - 1][1].split()[k]
 
     def end(self) -> None:
         if self:
@@ -105,8 +109,11 @@ def parse_instance(text: str) -> ContinuousInstance:
         raise records.fail(str(exc)) from None
     discs = []
     while records:
-        discs.append(records.read("disc", index(len(discs) + 1),
-                                  real, real, real, real))
+        disc = records.read("disc", int, real, real, real, real)
+        if disc[0] != len(discs) + 1:
+            raise records.fail(f"expected {len(discs) + 1}, "
+                               f"got {records.word(1)!r}")
+        discs.append(disc)
     inst = ContinuousInstance(ws, tuple(Vec2(*d[1:3]) for d in discs),
                               tuple(Vec2(*d[3:]) for d in discs))
     report = validate_separation(inst)
@@ -144,20 +151,22 @@ def format_continuous_plan(plan: ContinuousPlan) -> str:
     if plan.paths:
         rows = np.concatenate(plan.paths)
         # times repeat across discs and coordinates across vertices: one
-        # repr per distinct float, keyed by its bits (0.0 and -0.0 differ)
+        # repr per distinct float of the plan, keyed by its bits (0.0 and
+        # -0.0 differ), and one flat word list that each disc slices
         words = np.empty((len(rows), 4), dtype=object)   # "pt t x y\n"
         words[:, 0] = "pt "
+        bits, idx = np.unique(rows.view(np.int64), return_inverse=True)
+        idx = idx.reshape(rows.shape)
+        reprs = list(map(repr, bits.view(np.float64).tolist()))
         for c, sep in enumerate((" ", " ", "\n")):
-            bits, idx = np.unique(rows[:, c].view(np.int64),
-                                  return_inverse=True)
-            words[:, c + 1] = np.array([repr(v) + sep for v in
-                                        bits.view(np.float64).tolist()],
-                                       dtype=object)[idx.ravel()]
+            words[:, c + 1] = np.array([r + sep for r in reprs],
+                                       dtype=object)[idx[:, c]]
+        flat = words.ravel().tolist()
         end = 0
-        for r, p in enumerate(plan.paths):
-            parts.append(f"disc {r + 1} {len(p)}\n")
-            parts.append("".join(words[end:end + len(p)].ravel().tolist()))
-            end += len(p)
+        for r, p in enumerate(plan.paths, 1):
+            parts.append(f"disc {r} {len(p)}\n")
+            parts += flat[end:end + 4 * len(p)]
+            end += 4 * len(p)
     return "".join(parts)
 
 

@@ -506,32 +506,31 @@ class _Router:
 
     def apply_step(self, moves: Sequence[tuple[int, int]]) -> None:
         """Move the disc on u to v for every (u, v) at once and time the
-        step's real moves by the clocks."""
-        occ = self.occ
+        step's real moves by the clocks.  The walk that lifts the discs
+        off their sources also takes the latest clock of every real
+        move's vertices; the walk that drops them records each real move
+        at that clock and sets its vertices' clocks one past it."""
+        occ, n_real, free = self.occ, self.n_real, self.free
         discs = []
-        for u, _ in moves:
+        t = 0       # the latest clock of a real move's vertices
+        for u, v in moves:
             d = occ[u]
             if d == -1:
                 raise PlannerInvariantError(f"move from empty vertex {u}")
             discs.append(d)
             occ[u] = -1
-        pos, n_real, free = self.pos, self.n_real, self.free
-        real = []
-        t = 0       # the latest clock of a real move's vertices
+            if d < n_real:
+                if free[u] > t:
+                    t = free[u]
+                if free[v] > t:
+                    t = free[v]
+        pos, moved = self.pos, self.moved
         for (u, v), d in zip(moves, discs):
             if occ[v] != -1:
                 raise PlannerInvariantError(f"two discs target vertex {v}")
             occ[v] = d
             pos[d] = v
             if d < n_real:
-                real.append((d, u, v))
-                if free[u] > t:
-                    t = free[u]
-                if free[v] > t:
-                    t = free[v]
-        if real:
-            moved = self.moved
-            for d, u, v in real:
                 free[u] = free[v] = t + 1
                 moved += (t, d, v - u)
 

@@ -19,11 +19,15 @@ Validation computes the exact minimum center distance for every disc pair
 over every common linear window; discs are open, so the plan is
 collision-free when that minimum stays at or above 2 (within 1e-9).  The
 breakpoint times of all discs, merged within 1e-12, cut the timeline into
-windows, and every disc is sampled at the window ends.  The windows are
-walked in chunks of ``CHUNK_WINDOWS``; the first window is a chunk of its
-own, checked over all pairs, so a finite minimum is known before the
-first wide chunk.  The threshold of a chunk is max(2 + 1e-6, smallest
-distance found so far).
+windows, and every disc is sampled at the window ends.  The samples are
+kept window-major, as x and y planes of (window end, disc), so a chunk's
+samples are one contiguous block per plane, a pair's offsets are a
+``take`` along the disc axis, and the (window, pair) grid is already in
+the order the violations are reported in.  The windows are walked in
+chunks of ``CHUNK_WINDOWS``; the first window is a chunk of its own,
+checked over all pairs, so a finite minimum is known before the first
+wide chunk.  The threshold of a chunk is max(2 + 1e-6, smallest distance
+found so far).
 
 * Broad phase: a disc moves linearly between its samples, so over a chunk
   it stays inside the bounding box of its samples there, and the distance
@@ -62,7 +66,7 @@ from .plan import DiscretePlan
 
 CONTACT = 2.0
 TOL = 1e-9
-CHUNK_WINDOWS = 32     # windows per broad-phase chunk
+CHUNK_WINDOWS = 24     # windows per broad-phase chunk
 BROAD_SLACK = 1e-9     # added to the threshold of the box tests
 
 
@@ -124,16 +128,15 @@ class ValidationReport:
         return self.boundary_ok and self.min_pair_clearance >= CONTACT - TOL
 
 
-def _grid_rows(grid: TriGrid, dplan: DiscretePlan, t0: float
-               ) -> list[np.ndarray]:
-    """Per disc the grid-phase breakpoints ``(t0 + k * EDGE_LEN, vertex)``
-    at the first and last step and at every step where the disc arrives
-    or leaves.  A step inside a stationary run is dropped: the disc
-    stands at that vertex anyway."""
+def _grid_table(grid: TriGrid, dplan: DiscretePlan, t0: float
+                ) -> tuple[np.ndarray, list[int]]:
+    """The grid-phase breakpoints ``(t0 + k * EDGE_LEN, vertex)`` of every
+    disc, disc-major, and where each disc's rows end.  A disc has one at
+    the first and last step and at every step where it arrives or leaves;
+    a step inside a stationary run is dropped: the disc stands at that
+    vertex anyway."""
     pos = dplan.positions
     T, n = dplan.T, dplan.n
-    if not n:
-        return []
     moved = pos[1:] != pos[:-1]                 # (T, n): step k -> k + 1
     keep = np.ones((T + 1, n), dtype=bool)
     np.logical_or(moved[:-1], moved[1:], out=keep[1:-1])
@@ -141,8 +144,7 @@ def _grid_rows(grid: TriGrid, dplan: DiscretePlan, t0: float
     rows = np.empty((len(r), 3))
     rows[:, 0] = t0 + k * EDGE_LEN
     rows[:, 1:] = grid.coords[pos[k, r]]
-    ends = np.searchsorted(r, np.arange(1, n + 1)).tolist()
-    return [rows[a:b] for a, b in zip([0, *ends], ends)]
+    return rows, np.searchsorted(r, np.arange(1, n + 1)).tolist()
 
 
 def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
@@ -152,7 +154,9 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
     The grid phase keeps a breakpoint only where a disc starts or stops
     moving, and at its end.  A snap-in or snap-out point is kept when its
     time exceeds the disc's previous one by more than 1e-15 or its
-    position differs."""
+    position differs.  Each disc's array is one concatenation of views:
+    its start row, its grid rows (the first, at step 0, is the snap-in
+    point) and its goal row."""
     n = inst.n
     if dplan.n != n:
         raise SynthesisError("plan robot count differs from instance")
@@ -161,24 +165,29 @@ def synthesize(inst: ContinuousInstance, grid: TriGrid, dplan: DiscretePlan,
     if dplan.positions[-1].tolist() != list(snap_g.assignment):
         raise SynthesisError("plan does not end at the snapped goal vertices")
 
-    t_in = snap_s.d_max
-    makespan = t_in + dplan.T * EDGE_LEN + snap_g.d_max
-
-    # step 0 is the snap-in point
-    body = [p[1:] for p in _grid_rows(grid, dplan, t_in)]
+    T, t_in = dplan.T, snap_s.d_max
+    t_end = t_in + T * EDGE_LEN             # time of the last grid row
+    makespan = t_end + snap_g.d_max
+    rows, ends = _grid_table(grid, dplan, t_in)
+    # per disc its start row (0, s) and its goal row (makespan, g)
+    outer = np.array([(0.0, s.x, s.y, makespan, g.x, g.y)
+                      for s, g in zip(inst.starts, inst.goals)]).reshape(n, 2, 3)
+    vertices = grid.vertices
     paths = []
-    for r in range(n):
-        s, g = inst.starts[r], inst.goals[r]
-        e = grid.vertices[snap_s.assignment[r]]
-        head = [(0.0, s.x, s.y)]
-        if t_in > 1e-15 or (s.x, s.y) != (e.x, e.y):
-            head.append((t_in, e.x, e.y))
-        lt, lx, ly = body[r][-1].tolist() if dplan.T else head[-1]
-        tail = []
-        if makespan > lt + 1e-15 or (lx, ly) != (g.x, g.y):
-            tail.append((makespan, g.x, g.y))
+    for r, (a, b, s, g, vs, vg) in enumerate(zip(
+            [0, *ends], ends, inst.starts, inst.goals, snap_s.assignment,
+            snap_g.assignment)):
+        e = vertices[vs]
+        enter = t_in > 1e-15 or (s.x, s.y) != (e.x, e.y)
+        # the last row before snap-out: the grid's last, or the start row
+        # of a disc that neither snaps in nor moves on the grid
+        if enter or T:
+            f = vertices[vg]
+            leave = makespan > t_end + 1e-15 or (f.x, f.y) != (g.x, g.y)
+        else:
+            leave = makespan > 1e-15 or (s.x, s.y) != (g.x, g.y)
         paths.append(np.concatenate(
-            (np.array(head), body[r], np.array(tail).reshape(-1, 3))))
+            (outer[r, :1], rows[a + (not enter):b], outer[r, 1:1 + leave])))
     return ContinuousPlan(paths, makespan)
 
 
@@ -186,7 +195,9 @@ def synthesize_discrete(grid: TriGrid, dplan: DiscretePlan) -> ContinuousPlan:
     """Trajectories for a purely discrete instance (endpoints on vertices),
     with breakpoints at the first and last step and where a disc starts
     or stops moving."""
-    return ContinuousPlan(_grid_rows(grid, dplan, 0.0), dplan.T * EDGE_LEN)
+    rows, ends = _grid_table(grid, dplan, 0.0)
+    return ContinuousPlan([rows[a:b] for a, b in zip([0, *ends], ends)],
+                          dplan.T * EDGE_LEN)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,30 +266,35 @@ def validate(plan: ContinuousPlan, ws: Workspace) -> ValidationReport:
         if t - merged[-1] > 1e-12:
             merged.append(t)
     times_arr = np.array(merged)
-    pos = np.empty((2, n, len(merged)))     # x and y planes
+    pos = np.empty((2, len(merged), n))     # x and y planes, window-major
     for r, p in enumerate(plan.paths):
-        pos[0, r] = np.interp(times_arr, p[:, 0], p[:, 1])
-        pos[1, r] = np.interp(times_arr, p[:, 0], p[:, 2])
+        pos[0, :, r] = np.interp(times_arr, p[:, 0], p[:, 1])
+        pos[1, :, r] = np.interp(times_arr, p[:, 0], p[:, 2])
 
     min_clear = math.inf
     violations: list[tuple[tuple[int, int], float, float]] = []
     w = len(merged) - 1
     for k0 in ([0, *range(1, w, CHUNK_WINDOWS)] if w else []):
         k1 = 1 if k0 == 0 else min(k0 + CHUNK_WINDOWS, w)
-        chunk = pos[:, :, k0:k1 + 1]
+        chunk = pos[:, k0:k1 + 1]           # (2, windows + 1, n)
         bound = max(CONTACT + 1e-6, min_clear) + BROAD_SLACK
-        pi, pj = _near_pairs(chunk.min(axis=2), chunk.max(axis=2), bound)
-        # offsets, shape (2, pairs, windows + 1)
-        d = chunk.take(pj, axis=1) - chunk.take(pi, axis=1)
-        a, b = d[:, :, :-1], d[:, :, 1:]
-        gap = np.maximum(np.maximum(np.minimum(a, b), -np.maximum(a, b)), 0.0)
+        pi, pj = _near_pairs(chunk.min(axis=1), chunk.max(axis=1), bound)
+        # offsets, shape (2, windows + 1, pairs)
+        d = chunk.take(pj, axis=2)
+        d -= chunk.take(pi, axis=2)
+        a, b = d[:, :-1], d[:, 1:]
+        gap = np.minimum(a, b)
+        high = np.maximum(a, b)
+        np.maximum(gap, np.negative(high, out=high), out=gap)
+        np.maximum(gap, 0.0, out=gap)
         # window-major, then pair order, as a per-window loop finds them
-        kk, ss = np.nonzero((_dot(gap, gap) <= bound * bound).T)
+        kk, ss = np.nonzero(_dot(gap, gap) <= bound * bound)
         if not len(kk):
             continue
-        first = ss * (k1 - k0 + 1) + kk     # flat index of the window start
-        dp = d.reshape(2, -1).take(first, axis=1)
-        dv = d.reshape(2, -1).take(first + 1, axis=1) - dp
+        first = kk * len(pi) + ss           # flat index of the window start
+        flat = d.reshape(2, -1)
+        dp = flat.take(first, axis=1)
+        dv = flat.take(first + len(pi), axis=1) - dp
         d0, dm, d1, tt = closest_approach(dp, dv)
         dmin = np.sqrt(np.minimum(np.minimum(d0, dm), d1))
         min_clear = min(min_clear, float(dmin.min()))

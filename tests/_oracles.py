@@ -1,16 +1,16 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's own code paths: joint-state BFS
-for optimal makespans, brute-force nearest vertices, dense time sampling
-and a one-pair-at-a-time formula for minimum distances, an all-pairs
-separation check, a from-scratch lattice enumeration, the per-corner
-sharp-angle rows, a direct search for the snap-phase clearance infimum,
-the ILP's original goal-subset walk search, the permutation search
-that regenerates the planner's table of swap rotation words, a
-one-step-per-move replay of the planner's logical moves, the
-planner's greedy circulations as a loop over every ring turn, and an
-integer program that decides whether the planner's first phase has an
-exact row assignment.
+for optimal makespans, brute-force nearest vertices and the unpruned
+3x3 candidate scoring, dense time sampling and a one-pair-at-a-time
+formula for minimum distances, an all-pairs separation check, a
+from-scratch lattice enumeration, the per-corner sharp-angle rows, a
+direct search for the snap-phase clearance infimum, the ILP's original
+goal-subset walk search, the permutation search that regenerates the
+planner's table of swap rotation words, a one-step-per-move replay of
+the planner's logical moves, the planner's greedy circulations as a
+loop over every ring turn, and an integer program that decides whether
+the planner's first phase has an exact row assignment.
 """
 
 from __future__ import annotations
@@ -36,6 +36,29 @@ def brute_nearest(grid, p) -> int:
         if best is None or d < best[0] - 1e-9:
             best = (d, vid)
     return best[1]
+
+
+def scored_nearest(grid, p) -> tuple[int, float]:
+    """The nearest vertex by scoring every candidate of the 3x3 index
+    neighbourhood that lattice rounding gives, in column then slot
+    order (a candidate wins when nearer by more than 1e-9, or within
+    1e-9 and of a lower id), and its hypot distance; None when no
+    column is near."""
+    best, best_d = -1, math.inf
+    m0 = round((p.x - 1.0) / 2.0)
+    for m in (m0 - 1, m0, m0 + 1):
+        if not 0 <= m < grid.n_rows:
+            continue
+        k0 = round((p.y - 1.0 - (EDGE / 2.0 if m % 2 else 0.0)) / EDGE)
+        first = grid.row_start[m]
+        last = first + grid.row_len[m] - 1
+        for vid in (first + k0 - 1, first + k0, first + k0 + 1):
+            vid = min(max(vid, first), last)
+            q = grid.vertices[vid]
+            d = math.hypot(q.x - p.x, q.y - p.y)
+            if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9 and vid < best):
+                best, best_d = vid, d
+    return None if best < 0 else (best, best_d)
 
 
 def reference_separation(inst) -> tuple[list, list]:

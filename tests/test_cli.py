@@ -418,7 +418,8 @@ def test_plan_missing_the_snapped_ends_is_a_solver_failure(
 
 
 def test_non_injective_snap_is_a_solver_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("triroute.discretize.nearest_vertex", lambda g, p: 0)
+    monkeypatch.setattr("triroute.discretize.nearest_vertex_dist",
+                        lambda g, p: (0, 0.0))
     path = tmp_path / "two.oldr"
     path.write_text(TWO_DISCS)
     assert run("solve", str(path)) == 4

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _oracles import brute_nearest, reference_separation
 from triroute.discretize import (SEPARATION, ContinuousInstance,
@@ -64,6 +65,48 @@ def test_separation_sweep_matches_all_pairs():
         assert rep.start_violations == starts and rep.goal_violations == goals
         found += len(starts) + len(goals)
     assert found > 1000
+
+
+_ABOVE = math.nextafter(SEPARATION, math.inf)
+_BELOW = math.nextafter(SEPARATION, 0.0)
+# a partner point's offset: 8/3 and one ulp either side of it along x,
+# along y (where the y gap alone is at the threshold) and on diagonals
+_PARTNERS = [(sx * dx, sy * dy) for dx, dy in (
+    (SEPARATION, 0.0), (_ABOVE, 0.0), (_BELOW, 0.0), (0.0, SEPARATION),
+    (0.0, _ABOVE), (0.0, _BELOW), (0.6 * SEPARATION, 0.8 * SEPARATION),
+    (1e-9, SEPARATION), (SEPARATION, SEPARATION))
+    for sx in (1, -1) for sy in (1, -1)]
+
+
+@given(st.data())
+def test_separation_sweep_matches_all_pairs_at_the_threshold(data):
+    # points on a quarter-unit grid (so x + 8/3 is exact near the origin)
+    # with partners at and one ulp around 8/3: the sweep's x break and y
+    # skip keep exactly the pairs that comparing every pair finds
+    quarter = st.integers(0, 48).map(lambda k: k / 4)
+    pts = []
+    for x, y in data.draw(st.lists(st.tuples(quarter, quarter), min_size=1,
+                                   max_size=12), label="bases"):
+        pts.append(Vec2(x, y))
+        for dx, dy in data.draw(st.lists(st.sampled_from(_PARTNERS),
+                                         max_size=3), label="partners"):
+            pts.append(Vec2(x + dx, y + dy))
+    inst = _inst(build_workspace(4, 5), pts, pts[::-1])
+    rep = validate_separation(inst)
+    starts, goals = reference_separation(inst)
+    assert rep.start_violations == starts and rep.goal_violations == goals
+
+
+def test_separation_counts_pairs_exactly_at_the_threshold():
+    # 8/3 apart in x or in y alone is a violation; one ulp more is not
+    o = Vec2(0.5, 0.5)
+    at = [o, Vec2(0.5 + SEPARATION, 0.5), Vec2(0.5, 0.5 + SEPARATION)]
+    off = [o, Vec2(0.5 + _ABOVE, 0.5), Vec2(0.5, 0.5 + _ABOVE)]
+    assert [o.dist(p) for p in at[1:]] == [SEPARATION, SEPARATION]
+    assert [o.dist(p) for p in off[1:]] == [_ABOVE, _ABOVE]
+    rep = validate_separation(_inst(build_workspace(4, 5), at, off))
+    assert rep.start_violations == [(0, 1, SEPARATION), (0, 2, SEPARATION)]
+    assert rep.goal_violations == []
 
 
 def test_clearance_check():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import (brute_nearest, enumerate_sharp_angles,
-                      joint_bfs_makespan, lattice_count)
-from triroute.geometry import (EDGE_LEN, BoundsError, CoverageError, TriGrid,
-                               Vec2, _path_family, bfs_distances, bfs_path,
-                               build_grid, build_workspace, density_limit,
-                               nearest_vertex, triangle_circumradius)
+                      joint_bfs_makespan, lattice_count, scored_nearest)
+from triroute.geometry import (EDGE_LEN, GEO_TOL, BoundsError, CoverageError,
+                               TriGrid, Vec2, _path_family, bfs_distances,
+                               bfs_path, build_grid, build_workspace,
+                               density_limit, nearest_vertex,
+                               nearest_vertex_dist, triangle_circumradius)
 
 ALL_SIZES = [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 6), (2, 8),
              (8, 3), (6, 7)]
@@ -346,6 +347,70 @@ def test_nearest_vertex_matches_brute_force_at_every_tie_point(size):
     g, ties = _grid_and_tie_points(size)
     for p in ties:
         assert nearest_vertex(g, p) == brute_nearest(g, p), p
+
+
+NEAREST_SIZES = [(2, 3), (3, 4), (4, 5), (6, 7), (7, 9), (9, 10)]
+
+
+@functools.cache
+def _special_points(size):
+    """The grid of a size, its tie points (see _grid_and_tie_points) and
+    the corners of the workspace and of the box the grid spans."""
+    g, ties = _grid_and_tie_points(size)
+    ws = g.workspace
+    corners = [Vec2(x, y) for x in (0.0, 1.0, ws.w - 1.0, ws.w)
+               for y in (0.0, 1.0, ws.h - 1.0, ws.h)]
+    return g, ties + corners
+
+
+def _moved(p, dx, dy):
+    return Vec2(p.x + dx, p.y + dy)
+
+
+@given(size=st.sampled_from(NEAREST_SIZES), data=st.data())
+def test_pruned_nearest_vertex_matches_brute_force(size, data):
+    # special points, the same moved by 1e-12 either way, and points
+    # around and outside the workspace; the distance is the one snap
+    # reports as d_max, p.dist(vertex), bit for bit
+    g, special = _special_points(size)
+    ws = g.workspace
+    shift = st.sampled_from((-1e-12, 0.0, 1e-12))
+    moved = st.builds(_moved, st.sampled_from(special), shift, shift)
+    outside = st.builds(Vec2, st.floats(-0.9, ws.w + 0.9),
+                        st.floats(-3.0, ws.h + 3.0))
+    points = data.draw(st.lists(st.one_of(moved, outside), min_size=1,
+                                max_size=60), label="points")
+    for p in points:
+        v, d = nearest_vertex_dist(g, p)
+        assert v == nearest_vertex(g, p) == brute_nearest(g, p), p
+        assert d == p.dist(g.vertices[v]), p
+
+
+@given(size=st.sampled_from(NEAREST_SIZES), data=st.data())
+def test_pruned_nearest_vertex_matches_every_candidate_scored(size, data):
+    # tie points moved by up to 60 half-GEO_TOL steps put candidates on
+    # both sides of the pruning margin, 20 GEO_TOL past the nearest slot
+    # of the nearest column; skipping candidates changes no pick and no
+    # distance
+    g, special = _special_points(size)
+    step = st.integers(-60, 60).map(lambda k: k * GEO_TOL / 2)
+    near = st.builds(_moved, st.sampled_from(special), step, step)
+    for p in data.draw(st.lists(near, min_size=1, max_size=60),
+                       label="points"):
+        assert nearest_vertex_dist(g, p) == scored_nearest(g, p), p
+
+
+def test_pruned_nearest_vertex_around_every_tie_point():
+    # every edge midpoint and triangle centroid of 4x5 moved over a grid
+    # of GEO_TOL / 3 steps: near-ties of two and three vertices whose
+    # distances differ by less than the pruning margin
+    g, ties = _grid_and_tie_points((4, 5))
+    steps = [k * GEO_TOL / 3 for k in range(-12, 13)]
+    for p in ties[g.n_vertices:]:
+        for dx in steps:
+            for dy in steps:
+                q = _moved(p, dx, dy)
+                assert nearest_vertex_dist(g, q) == scored_nearest(g, q), q
 
 
 def test_bfs_helpers(minimal_grid):

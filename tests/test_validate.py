@@ -10,7 +10,8 @@ from _oracles import (dense_discrete_paths, max_segment_speed,
 from triroute import io as tio
 from triroute.discretize import ContinuousInstance, discretize
 from triroute.geometry import EDGE_LEN, Vec2, build_grid, build_workspace
-from triroute.instances import random_instance
+from triroute.instances import dense_instance, random_instance
+from triroute.paft import SwapEngine, isag, paft
 from triroute.plan import DiscretePlan
 from triroute.triilp import solve_triilp
 from triroute.validate import (CHUNK_WINDOWS, ContinuousPlan, SynthesisError,
@@ -359,3 +360,44 @@ def test_max_segment_speed_matches_segment_loop(ilp_suite):
             [(0.0, Vec2(9.0, 9.0)), (2.0, Vec2(9.0, 9.0))]]
     cp = ContinuousPlan.from_points(traj, 2.0)
     assert max_segment_speed(cp) == 0.5
+
+
+def _jittered(cp, seed):
+    """A copy of the plan with every breakpoint after the first moved by
+    up to 0.6 in x and y: in dense plans, discs run into each other."""
+    rng = np.random.default_rng(seed)
+    paths = [p.copy() for p in cp.paths]
+    for p in paths:
+        p[1:, 1:] += rng.uniform(-0.6, 0.6, size=(len(p) - 1, 2))
+    return ContinuousPlan(paths, cp.makespan)
+
+
+def test_validate_report_does_not_depend_on_the_chunking(
+        ilp_suite, medium_grid, paft_full, monkeypatch):
+    # the minimum clearance, the violations with their times and
+    # distances, and the boundary flag, for paft, isag and ILP plans and
+    # for copies a perturbation made invalid, with 1, 2, 5, 24 (the
+    # default) and 32 windows per broad-phase chunk
+    ws = medium_grid.workspace
+    inst = dense_instance(ws, 20, seed=3)
+    dinst, ss, sg = discretize(inst, medium_grid)
+    engine = SwapEngine(medium_grid)
+    valid = [(synthesize(inst, medium_grid, route(dinst, engine), ss, sg), ws)
+             for route in (lambda d, e: paft(d, e)[0], isag)]
+    valid += [(synthesize(*case), case[0].workspace)
+              for case in ilp_suite[::5]]
+    head = _dense(medium_grid, paft_full.steps[:120])
+    valid.append((head, ws))
+    invalid = [(_jittered(cp, k), w) for k, (cp, w) in enumerate(valid)]
+    invalid.append((_shifted(head, 7, 1.0), ws))
+    reports = {}
+    for chunk in (1, 2, 5, 24, 32):
+        monkeypatch.setattr("triroute.validate.CHUNK_WINDOWS", chunk)
+        reports[chunk] = [
+            (rep.min_pair_clearance.hex(), rep.violations, rep.boundary_ok)
+            for rep in (validate(cp, w) for cp, w in valid + invalid)]
+    assert all(reports[chunk] == reports[32] for chunk in reports)
+    found = [len(violations) for _, violations, _ in reports[32]]
+    assert found[:len(valid)] == [0] * len(valid)
+    assert sum(map(bool, found[len(valid):])) > len(invalid) // 2
+    assert sum(found) > 100
