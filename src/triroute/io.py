@@ -81,10 +81,6 @@ class _Records:
             raise self.fail(str(exc)) from None
         return values
 
-    def word(self, k: int) -> str:
-        """Word k of the line last read."""
-        return self._lines[self._next - 1][1].split()[k]
-
     def end(self) -> None:
         if self:
             self._next += 1
@@ -108,12 +104,16 @@ def parse_instance(text: str) -> ContinuousInstance:
     except BoundsError as exc:
         raise records.fail(str(exc)) from None
     discs = []
+    k = 1       # the index the next disc line must carry
+
+    def disc_index(word: str) -> int:
+        # index(k) without a new converter per line
+        if int(word) != k:
+            raise ValueError(f"expected {k}, got {word!r}")
+        return k
     while records:
-        disc = records.read("disc", int, real, real, real, real)
-        if disc[0] != len(discs) + 1:
-            raise records.fail(f"expected {len(discs) + 1}, "
-                               f"got {records.word(1)!r}")
-        discs.append(disc)
+        discs.append(records.read("disc", disc_index, real, real, real, real))
+        k += 1
     inst = ContinuousInstance(ws, tuple(Vec2(*d[1:3]) for d in discs),
                               tuple(Vec2(*d[3:]) for d in discs))
     report = validate_separation(inst)

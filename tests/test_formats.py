@@ -132,3 +132,23 @@ def test_valid_continuous_plan_round_trips(paths):
     end = max((p[-1, 0] for p in paths), default=0.0)
     text = tio.format_continuous_plan(ContinuousPlan(paths, makespan=end))
     assert tio.format_continuous_plan(tio.parse_plan(text)) == text
+
+
+# disc lines whose index is wrong: the index is checked before the
+# coordinates, so the error names it even when a coordinate is bad too
+BAD_DISC_INDEX = {
+    "skipped": ("disc 2 3 3 3 3", "expected 1, got '2'"),
+    "huge": (f"disc {2 ** 70} 3 3 3 3", f"expected 1, got '{2 ** 70}'"),
+    "and a bad coordinate": ("disc 1_0 3 3 3 y", "expected 1, got '1_0'"),
+    "and an infinite one": ("disc 0 3 3 3 inf", "expected 1, got '0'"),
+    "not an integer": ("disc 1.0 3 3 3 y",
+                       "invalid literal for int() with base 10: '1.0'"),
+}
+
+
+@pytest.mark.parametrize("line, problem", BAD_DISC_INDEX.values(),
+                         ids=BAD_DISC_INDEX.keys())
+def test_wrong_disc_index_is_named(line, problem):
+    with pytest.raises(tio.ParseError) as err:
+        tio.parse_instance(f"oldr 1\nworkspace 2 3\n{line}\n")
+    assert str(err.value) == f"{problem} (line 3: {line!r})"
