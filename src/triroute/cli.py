@@ -37,7 +37,7 @@ EXIT_INADMISSIBLE = 3
 EXIT_SOLVER = 4
 EXIT_VALIDATION = 5
 
-_METHOD_RE = re.compile(r"^triilp-split-(\d+)$")
+_METHOD_RE = re.compile(r"^triilp-split-([0-9]+)$")
 
 
 def _parse_method(name: str) -> tuple[str, int | None]:

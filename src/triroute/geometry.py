@@ -16,12 +16,9 @@ Everything else follows from one convention.  The vertex at slot k of
 column m has axial coordinates (q, r) = (k - m // 2, m) and sits at
 (1 + 2r, 1 + EDGE_LEN * (q + r/2)); its neighbours are the six
 ``HEX_OFFSETS`` that exist, and the same six around a degree-6 vertex
-list its hexagon ring counterclockwise.  A ring's cover is its centre's
-colour (q - r) % 3, so the rings fall into up to three interleaving
-covers.  The sharp ("locked") corners are the degree-2 vertices: they
-lie on no hexagon, and the covers reach every other vertex.  The grid
-also carries one family of vertex-disjoint "horizontal" waving paths
-that cover every vertex.  Built on first use and kept with the grid:
+list its hexagon ring counterclockwise.  The sharp ("locked") corners
+are the degree-2 vertices: they lie on no hexagon, and the rings reach
+every other vertex.  Built on first use and kept with the grid:
 the vertex coordinates (``TriGrid.coords``), the directed arcs
 (``TriGrid.arcs``) and, per source asked for, one BFS row of hop
 distances (``TriGrid.hops_from``, V int64) that every lower bound,
@@ -58,7 +55,7 @@ class BoundsError(ValueError):
 
 
 class CoverageError(RuntimeError):
-    """Hexagon covers failed to reach a vertex they should cover."""
+    """The hexagon rings failed to reach a vertex they should cover."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,6 @@ class TriGrid:
     adjacency: list[list[int]]            # sorted neighbor ids per vertex
     edges: list[tuple[int, int]]          # (i, j) with i < j, sorted
     triangles: list[tuple[int, int, int]]  # sorted triples, sorted list
-    hex_covers: list[list[tuple[int, ...]]] = field(default_factory=list)
-    horizontal_paths: list[list[int]] = field(default_factory=list)
     # lattice bookkeeping: "row" m is the m-th vertex column (x = 1 + 2m),
     # "col" k is the position inside it (y = 1 + k*edge, odd columns offset)
     row_of: list[int] = field(default_factory=list)
@@ -105,7 +100,6 @@ class TriGrid:
     row_start: list[int] = field(default_factory=list)
     row_len: list[int] = field(default_factory=list)
     n_rows: int = 0
-    len_even: int = 0
     # degree-6 centre -> its hexagon ring, counterclockwise
     ring_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     locked: frozenset[int] = frozenset()   # degree-2 (sharp) corners
@@ -115,11 +109,6 @@ class TriGrid:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    def vertex_id(self, col: int, row: int) -> int:
-        if not (0 <= row < self.n_rows and 0 <= col < self.row_len[row]):
-            raise IndexError(f"no vertex at col={col}, row={row}")
-        return self.row_start[row] + col
 
     def axial(self, v: int) -> tuple[int, int]:
         """Axial lattice coordinates (q, r) of vertex v."""
@@ -277,54 +266,12 @@ def build_grid(ws: Workspace) -> TriGrid:
     missing = set(range(len(vertices))) - covered - locked
     if missing:
         raise CoverageError(
-            f"hexagon covers miss non-corner vertices {sorted(missing)}")
+            f"hexagon rings miss non-corner vertices {sorted(missing)}")
     return TriGrid(
         workspace=ws, vertices=vertices, adjacency=adjacency, edges=edges,
-        triangles=triangles, hex_covers=_covers(ring_of, axial),
-        horizontal_paths=_path_family(row_start, row_len, adjacency),
-        row_of=row_of, col_of=col_of, row_start=row_start, row_len=row_len,
-        n_rows=len(row_len), len_even=row_len[0], ring_of=ring_of,
-        locked=locked, covered=covered)
-
-
-def _covers(ring_of: dict[int, tuple[int, ...]],
-            axial: list[tuple[int, int]]) -> list[list[tuple[int, ...]]]:
-    """Up to three interleaving hexagon covers: the rings grouped by the
-    colour (q - r) % 3 of their centres.  Together they reach every
-    vertex except the sharp boundary corners (which lie on no hexagon)."""
-    by_color: list[list[tuple[int, ...]]] = [[], [], []]
-    for c, ring in sorted(ring_of.items()):
-        q, r = axial[c]
-        by_color[(q - r) % 3].append(ring)
-    return [cover for cover in by_color if cover]
-
-
-def _path_family(row_start: list[int], row_len: list[int],
-                 adjacency: list[list[int]]) -> list[list[int]]:
-    """Horizontal waving paths, vertex-disjoint, that cover everything;
-    the last one widens to absorb the long even columns."""
-    def at(k: int, m: int) -> int:
-        return row_start[m] + k
-
-    nrows, le = len(row_len), row_len[0]
-    lo = row_len[1] if nrows > 1 else 0
-    horizontal = [[at(k, m) for m in range(nrows)]
-                  for k in range(le if lo == le else lo - 1)]
-    if lo != le:
-        # wide wave over slots lo-1 (all columns) and le-1 (even columns)
-        wide = [at(lo - 1, 0), at(le - 1, 0), at(lo - 1, 1)]
-        for m in range(2, nrows, 2):
-            wide += [at(le - 1, m), at(lo - 1, m)]
-            if m + 1 < nrows:
-                wide.append(at(lo - 1, m + 1))
-        horizontal.append(wide)
-
-    for path in horizontal:
-        for a, b in zip(path, path[1:]):
-            if b not in adjacency[a]:
-                raise CoverageError(
-                    f"path family not a grid path: {a} and {b} are not adjacent")
-    return horizontal
+        triangles=triangles, row_of=row_of, col_of=col_of,
+        row_start=row_start, row_len=row_len, n_rows=len(row_len),
+        ring_of=ring_of, locked=locked, covered=covered)
 
 
 # A candidate that lies farther than the nearest slot of the nearest

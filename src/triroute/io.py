@@ -8,6 +8,7 @@ reads both formats, and every error it raises names the line.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -23,12 +24,16 @@ class ParseError(ValueError):
 
 
 # Field converters return a field's value or raise ValueError; the CLI
-# reads its flags with them too.
+# reads its flags with them too.  An integer is ASCII -?[0-9]+: int()
+# alone also reads "+1", "1_0" and non-ASCII digits.
+_integer_word = re.compile(r"-?[0-9]+").fullmatch
+
+
 def integers(least: int = -2 ** 63, below: int = 2 ** 63,
              problem: str = "{!r} is not a 64-bit integer"):
     """Converter for an integer field in [least, below)."""
     def convert(word: str) -> int:
-        if not least <= (value := int(word)) < below:
+        if not (_integer_word(word) and least <= (value := int(word)) < below):
             raise ValueError(problem.format(word))
         return value
     return convert
@@ -44,6 +49,9 @@ def index(expected: int):
 
 
 def real(word: str) -> float:
+    # float() alone also reads "3_0.0" and non-ASCII digits
+    if "_" in word or not word.isascii():
+        raise ValueError(f"could not convert string to float: {word!r}")
     if not math.isfinite(value := float(word)):
         raise ValueError(f"non-finite value {word!r}")
     return value
@@ -108,7 +116,7 @@ def parse_instance(text: str) -> ContinuousInstance:
 
     def disc_index(word: str) -> int:
         # index(k) without a new converter per line
-        if int(word) != k:
+        if not _integer_word(word) or int(word) != k:
             raise ValueError(f"expected {k}, got {word!r}")
         return k
     while records:

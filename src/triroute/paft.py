@@ -98,22 +98,33 @@ def build_cell_partition(grid: TriGrid, d_g: int) -> list[tuple[int, int]]:
 def _path_families(grid: TriGrid) -> tuple[list[list[int]], list[list[int]],
                                              list[int]]:
     """The covered vertices as three paths or families of vertex-disjoint
-    paths: the columns (a vertex column in slot order, the grid's
-    ``row_start``/``row_len``), the rows (a horizontal path in path order)
-    and the snake (the rows end to end, every other one reversed).  A
-    column's slots lie in order of their rows, so its vertices in id
-    order run from the lowest row to the highest."""
+    paths, the sort paths of the Rubik-table scheme (Yu, RSS 2018): the
+    columns, the rows and the snake.
+
+    A column is a vertex column in slot order (``row_start``/``row_len``),
+    so its vertices in id order run from the lowest row to the highest.
+    Row k waves through slot k of every column.  Odd columns hold one
+    slot fewer than even ones, so the last row is wide: it takes the odd
+    columns' top slot and the even columns' top two, top slot first.
+    The snake is the rows end to end, every other one reversed.  Sharp
+    corners lie on no hexagon and are left out.  Raises
+    PlannerInvariantError if two neighbours on a path are not adjacent.
+    """
     covered, adjacency = grid.covered, grid.adjacency
+    top = grid.row_len[0] - 1                # the even columns' top slot
     columns = [[v for v in range(s, s + n) if v in covered]
                for s, n in zip(grid.row_start, grid.row_len)]
-    rows = [[v for v in path if v in covered]
-            for path in grid.horizontal_paths]
+    rows = [[s + k for s in grid.row_start] for k in range(top - 1)]
+    rows.append([v for m, s in enumerate(grid.row_start)
+                 for v in ((s + top - 1,) if m % 2 else (s + top, s + top - 1))])
+    rows = [[v for v in row if v in covered] for row in rows]
     snake = [v for i, row in enumerate(rows)
              for v in (row if i % 2 == 0 else reversed(row))]
-    if set(snake) != covered or any(
-            b not in adjacency[a] for path in (*columns, *rows, snake)
-            for a, b in zip(path, path[1:])):
-        raise PlannerInvariantError("path family broke at a dropped corner")
+    for path in (*columns, *rows, snake):
+        for a, b in zip(path, path[1:]):
+            if b not in adjacency[a]:
+                raise PlannerInvariantError(
+                    f"sort path not a grid path: {a} and {b} are not adjacent")
     return columns, rows, snake
 
 
@@ -225,8 +236,9 @@ class SwapEngine:
     Built with the engine: the ring turns (see below) and the common
     neighbours of each adjacent pair.  Built on first request: each
     pair's region and word (``schedule_for_pair``).  Built on the first
-    route and kept for every later one: the three path families with
-    their sort tables (``families``) and each covered vertex's row
+    route and kept for every later one: the three path families, built
+    and checked by ``_path_families``, with their sort tables
+    (``families``) and each covered vertex's row
     (``row_at``), the sharp-corner walls every sort batch starts from
     (``walls``), the cell count per d_g (``cell_count``) and the hop
     distances the circulations rank turns by (``hop_table``, one row per
@@ -996,7 +1008,7 @@ def paft(inst: DiscreteInstance, engine: SwapEngine | None = None
     cell_count = router.engine.cell_count(d_g)
     cap = None
     if cell_count > 1:
-        cap = 2 * (inst.grid.n_rows + inst.grid.len_even) + 10
+        cap = 2 * (inst.grid.n_rows + inst.grid.row_len[0]) + 10
     plan, circ = _route(router, inst, cap)
     return plan, PaftReport(makespan=plan.T, max_goal_distance=d_g,
                             ratio=_ratio(plan.T, d_g),

@@ -45,14 +45,13 @@ def _ratio(makespan: int, underestimate: int) -> float:
 
 
 def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
-                 solver_cmd: str | None = None,
-                 horizon_margin: int | None = None
+                 solver_cmd: str | None = None
                  ) -> tuple[DiscretePlan, SolveReport]:
     """Smallest-horizon routing: try T = lower bound, lower bound + 1, ...
 
     Each T builds and solves the pruned model; the first feasible horizon
-    is the optimal discrete makespan.  A ceiling (lower bound + |V| by
-    default) turns pathological loops into HorizonExceededError.
+    is the optimal discrete makespan.  A ceiling of lower bound + |V|
+    turns pathological loops into HorizonExceededError.
     """
     t0 = time.perf_counter()
     lo = underestimated_makespan(inst)
@@ -62,8 +61,7 @@ def solve_triilp(inst: DiscreteInstance, backend: str = "exhaustive",
                                  optimality_ratio=1.0,
                                  wall_time=time.perf_counter() - t0,
                                  iterations=0)
-    margin = inst.grid.n_vertices if horizon_margin is None else horizon_margin
-    ceiling = lo + margin
+    ceiling = lo + inst.grid.n_vertices
     iterations = 0
     T = lo
     while T <= ceiling:

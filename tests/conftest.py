@@ -37,6 +37,16 @@ def medium_grid():
     return build_grid(build_workspace(4, 5))
 
 
+def hex_covers(grid):
+    """Up to three interleaving hexagon covers: the rings grouped by the
+    colour (q - r) % 3 of their centres, in centre order."""
+    by_colour = [[], [], []]
+    for c in sorted(grid.ring_of):
+        q, r = grid.axial(c)
+        by_colour[(q - r) % 3].append(grid.ring_of[c])
+    return [cover for cover in by_colour if cover]
+
+
 def random_discrete_instance(grid, n, seed):
     """n distinct random starts and goals on the grid."""
     rng = random.Random(seed)

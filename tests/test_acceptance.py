@@ -14,8 +14,8 @@ import pytest
 from _oracles import (joint_bfs_makespan, max_segment_speed, model_rows,
                       sampled_min_distance, sharp_angle_rows,
                       snap_clearance_infimum)
-from conftest import (full_occupancy_instance, kernel_min_distance,
-                      random_discrete_instance)
+from conftest import (full_occupancy_instance, hex_covers,
+                      kernel_min_distance, random_discrete_instance)
 from triroute import io as tio
 from triroute.cli import main as cli_main
 from triroute.discretize import DiscreteInstance, discretize, snap
@@ -130,7 +130,7 @@ def test_geometry_constants():
                   for i, j in g.edges)
     circ_ok = abs(triangle_circumradius() - 4.0 / 3.0) <= 1e-9
     hex_ok = True
-    for cover in g.hex_covers:
+    for cover in hex_covers(g):
         for ring in cover:
             for idx in range(6):
                 a = g.vertices[ring[idx]]
@@ -234,7 +234,7 @@ def test_constraint_semantics():
         grid=g, v_starts=(ta, tb), v_goals=(tb, tc)), 1)).objective_value
     # straight two-edge corridor: the midpoint is the unique length-2 route
     m = next(m for m in range(g.n_rows) if g.row_len[m] >= 3)
-    u, mid, w = (g.vertex_id(k, m) for k in (0, 1, 2))
+    u, mid, w = (g.row_start[m] + k for k in (0, 1, 2))
     vertex = solve(build_model(DiscreteInstance(
         grid=g, v_starts=(u, mid), v_goals=(w, mid)), 2)).objective_value
 

@@ -688,15 +688,20 @@ def test_render_rejects_plan_robot_count_mismatch(tmp_path, capsys):
     (["prove", "--epsilons", "0.05,inf"], "--epsilons", "inf"),
     (["prove", "--epsilons", "0.05,0"], "--epsilons", "0.0"),
     (["gen", "--n1", "2", "--n2", "3", "--count", "-1"], "--count", "-1"),
+    (["gen", "--n1", "2", "--n2", "3", "--count", "+2"], "--count", "+2"),
+    (["gen", "--n1", "2", "--n2", "3", "--count", "1_0"], "--count", "1_0"),
     (["bench", "--count", "0"], "--count", "0"),
     (["bench", "--sizes", "2x3,2x"], "--sizes", "2x"),
     (["bench", "--sizes", "1x3"], "--sizes", "n1=1"),
     (["bench", "--robots", "2,x"], "--robots", "x"),
     (["bench", "--robots", "-2"], "--robots", "-2"),
     (["bench", "--methods", "triilp,nope"], "--methods", "nope"),
+    (["bench", "--methods", "triilp-split-\u0662"], "--methods",
+     "triilp-split-\u0662"),
 ], ids=["time", "epsilon nan", "epsilon inf", "epsilon 0", "gen count",
-        "bench count", "size", "small size", "robots", "negative robots",
-        "method"])
+        "gen count plus sign", "gen count underscore", "bench count",
+        "size", "small size", "robots", "negative robots", "method",
+        "split arity digit"])
 def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, args, flag,
                                                 token):
     out = tmp_path / "out"

@@ -139,10 +139,14 @@ def test_valid_continuous_plan_round_trips(paths):
 BAD_DISC_INDEX = {
     "skipped": ("disc 2 3 3 3 3", "expected 1, got '2'"),
     "huge": (f"disc {2 ** 70} 3 3 3 3", f"expected 1, got '{2 ** 70}'"),
-    "and a bad coordinate": ("disc 1_0 3 3 3 y", "expected 1, got '1_0'"),
+    "and a bad coordinate": ("disc 10 3 3 3 y", "expected 1, got '10'"),
     "and an infinite one": ("disc 0 3 3 3 inf", "expected 1, got '0'"),
-    "not an integer": ("disc 1.0 3 3 3 y",
-                       "invalid literal for int() with base 10: '1.0'"),
+    "not an integer": ("disc 1.0 3 3 3 y", "expected 1, got '1.0'"),
+    # int() reads each of these as 1
+    "plus sign": ("disc +1 3 3 3 3", "expected 1, got '+1'"),
+    "underscore": ("disc 0_1 3 3 3 3", "expected 1, got '0_1'"),
+    "Arabic-Indic digit": ("disc \u0661 3 3 3 3", "expected 1, got '\u0661'"),
+    "fullwidth digit": ("disc \uff11 3 3 3 3", "expected 1, got '\uff11'"),
 }
 
 
@@ -152,3 +156,45 @@ def test_wrong_disc_index_is_named(line, problem):
     with pytest.raises(tio.ParseError) as err:
         tio.parse_instance(f"oldr 1\nworkspace 2 3\n{line}\n")
     assert str(err.value) == f"{problem} (line 3: {line!r})"
+
+
+# number fields other than the disc index: an integer is ASCII -?[0-9]+
+# and a real has no "_" and no non-ASCII character, though int() and
+# float() read every word below
+BAD_NUMBER_FIELDS = {
+    "workspace": (tio.parse_instance, "oldr 1\nworkspace +2 3\n", 2,
+                  "'+2' is not a 64-bit integer"),
+    "workspace digit": (tio.parse_instance, "oldr 1\nworkspace 2 \u0663\n", 2,
+                        "'\u0663' is not a 64-bit integer"),
+    "robots": (tio.parse_plan,
+               "plan 1 discrete\nrobots 0_1\nsteps 1\nstep 0 5\n", 2,
+               "'0_1' is not a count (an integer >= 0)"),
+    "steps": (tio.parse_plan,
+              "plan 1 discrete\nrobots 1\nsteps +1\nstep 0 5\n", 3,
+              "'+1' is not a positive count"),
+    "step index": (tio.parse_plan,
+                   "plan 1 discrete\nrobots 1\nsteps 1\nstep \uff10 5\n", 4,
+                   "expected 0, got '\uff10'"),
+    "step vertex": (tio.parse_plan,
+                    "plan 1 discrete\nrobots 1\nsteps 1\nstep 0 5_0\n", 4,
+                    "'5_0' is not a 64-bit integer"),
+    "disc coordinate": (tio.parse_instance,
+                        "oldr 1\nworkspace 2 3\ndisc 1 3_0.0 3 3 3\n", 3,
+                        "could not convert string to float: '3_0.0'"),
+    "disc digit": (tio.parse_instance,
+                   "oldr 1\nworkspace 2 3\ndisc 1 3 3 3 \u0663\n", 3,
+                   "could not convert string to float: '\u0663'"),
+    "point": (tio.parse_plan,
+              "plan 1 continuous\nrobots 1\ndisc 1 1\npt 0 3 \uff13.5\n", 4,
+              "could not convert string to float: '\uff13.5'"),
+}
+
+
+@pytest.mark.parametrize("parse, text, line, problem",
+                         BAD_NUMBER_FIELDS.values(),
+                         ids=BAD_NUMBER_FIELDS.keys())
+def test_number_fields_are_strict(parse, text, line, problem):
+    with pytest.raises(tio.ParseError) as err:
+        parse(text)
+    named = text.splitlines()[line - 1]
+    assert str(err.value) == f"{problem} (line {line}: {named!r})"

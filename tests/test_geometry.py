@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 
 from _oracles import (brute_nearest, enumerate_sharp_angles,
                       joint_bfs_makespan, lattice_count, scored_nearest)
-from triroute.geometry import (EDGE_LEN, GEO_TOL, BoundsError, CoverageError,
-                               TriGrid, Vec2, _path_family, bfs_distances,
-                               bfs_path, build_grid, build_workspace,
-                               density_limit, nearest_vertex,
+from conftest import hex_covers
+from triroute.geometry import (EDGE_LEN, GEO_TOL, BoundsError, TriGrid, Vec2,
+                               bfs_distances, bfs_path, build_grid,
+                               build_workspace, density_limit, nearest_vertex,
                                nearest_vertex_dist, triangle_circumradius)
 
 ALL_SIZES = [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 6), (2, 8),
@@ -138,22 +138,22 @@ def test_grid_determinism():
     assert a.adjacency == b.adjacency
     assert a.edges == b.edges
     assert a.triangles == b.triangles
-    assert a.hex_covers == b.hex_covers
-    assert a.horizontal_paths == b.horizontal_paths
+    assert a.ring_of == b.ring_of
 
 
 # sha256 over every compared TriGrid field.  The grid was first pinned
 # when it was still built from per-parity candidate lists, atan2-sorted
 # rings and a cosine test for the locked corners; these digests were
-# taken from that same grid without its since-deleted len_odd and
-# vertical_paths fields
+# taken from that same grid without its since-deleted len_odd,
+# vertical_paths, len_even, hex_covers and horizontal_paths fields (the
+# sort paths PAFT builds are pinned in test_paft.py)
 PINNED_GRID_DIGESTS = {
-    (2, 3): "03c4bdaf55e68406c06e63bfddb8c22a3a867604f285bd451a799b1e83abaf1b",
-    (4, 5): "d4e8da17356144d3a16feb096f5f0a116dbc73b54aadd124cfdb588ef3a6287f",
-    (6, 7): "3cd427bc5239324471ef74ae31dae3fcf99da84ad8107bcf8520a9812dc7ea7c",
-    (9, 10): "143ede23d61a1c3f20607c132941753543683379d6b9039fe56bc064b8573e04",
-    (11, 17): "dfda19ad2edc938fe45f70cd654c5eabb84828119ca17123d24f39b3f961ccd5",
-    (12, 12): "32de1887278b47e558e77aafd1fe2a4f800b27929b2395f5349c28a1b2b753c4",
+    (2, 3): "cca88028b1b47b45c64797a7e2586cd2e575d06f29c19a91bd094ebf7d96ef5c",
+    (4, 5): "2d737303b1b6c89260989cb320d862827afedc373bbc1e0ba24ea11e9d82fcb7",
+    (6, 7): "7f678b1d8915974d9f75c95df044521fe7d941d745cafd744e9d1302f6bbc953",
+    (9, 10): "3de2dd825ea1e9363470c55f255cf2d4c4d77f844de69b1f003b8dcb3743b1b9",
+    (11, 17): "9118d7f745240f711d92fe55b5fdfbb1839675234b5b70f924ab6e4efb0e6ab9",
+    (12, 12): "2c4dbff1d4c51a3aae00d93f58fb45080bfea18cf06f90e924a43f9eb0ac66ea",
 }
 
 
@@ -201,7 +201,7 @@ def test_sharp_angles_single_triangle():
 
 def test_hex_cover_geometry(small_grid):
     g = small_grid
-    covers = g.hex_covers
+    covers = hex_covers(g)
     assert 1 <= len(covers) <= 3
     for cover in covers:
         for ring in cover:
@@ -219,7 +219,7 @@ def test_hex_cover_geometry(small_grid):
 def test_hex_cover_legality_no_shared_triangle(small_grid):
     g = small_grid
     tris = set(g.triangles)
-    for cover in g.hex_covers:
+    for cover in hex_covers(g):
         for ring in cover:
             for idx in range(6):
                 trio = tuple(sorted((ring[idx], ring[(idx + 1) % 6],
@@ -231,7 +231,7 @@ def test_hex_cover_union_is_all_but_locked_corners():
     for n1, n2 in ALL_SIZES:
         g = build_grid(build_workspace(n1, n2))
         union = set()
-        for cover in g.hex_covers:
+        for cover in hex_covers(g):
             for ring in cover:
                 union.update(ring)
         assert union == set(range(g.n_vertices)) - set(g.locked), (n1, n2)
@@ -246,7 +246,7 @@ def test_two_covers_suffice():
     # every coverable vertex (the third is redundant)
     g = build_grid(build_workspace(5, 4))
     unions = []
-    for cover in g.hex_covers:
+    for cover in hex_covers(g):
         s = set()
         for ring in cover:
             s.update(ring)
@@ -259,33 +259,12 @@ def test_two_covers_suffice():
 def test_single_cover_fraction_on_large_grid():
     g = build_grid(build_workspace(8, 12))
     fractions = []
-    for cover in g.hex_covers:
+    for cover in hex_covers(g):
         s = set()
         for ring in cover:
             s.update(ring)
         fractions.append(len(s) / g.n_vertices)
     assert any(abs(f - 2 / 3) < 0.09 for f in fractions)
-
-
-def test_path_families():
-    for n1, n2 in ALL_SIZES:
-        g = build_grid(build_workspace(n1, n2))
-        seen = set()
-        for path in g.horizontal_paths:
-            for a, b in zip(path, path[1:]):
-                assert b in g.adjacency[a]
-            assert not (set(path) & seen)
-            seen.update(path)
-        assert seen == set(range(g.n_vertices)), (n1, n2)  # full coverage
-
-
-def test_path_family_off_the_grid_raises_coverage_error():
-    g = build_grid(build_workspace(2, 3))
-    a, b = g.horizontal_paths[0][:2]
-    g.adjacency[a].remove(b)
-    g.adjacency[b].remove(a)
-    with pytest.raises(CoverageError, match="not a grid path"):
-        _path_family(g.row_start, g.row_len, g.adjacency)
 
 
 def test_nearest_vertex_beyond_every_column_raises_bounds_error(minimal_grid):
@@ -479,13 +458,3 @@ def test_hop_rows_match_single_robot_search():
         with pytest.raises(ValueError):
             row[1] = 7
         assert grid.hops_from(u) is row
-
-
-def test_hex_covers_are_the_rings_grouped_by_colour():
-    for n1, n2 in ALL_SIZES:
-        g = build_grid(build_workspace(n1, n2))
-        by_colour = [[], [], []]
-        for c in sorted(g.ring_of):
-            q, r = g.col_of[c] - g.row_of[c] // 2, g.row_of[c]
-            by_colour[(q - r) % 3].append(g.ring_of[c])
-        assert g.hex_covers == [cover for cover in by_colour if cover]

@@ -94,7 +94,7 @@ def test_vertex_conflict_infeasible():
     # the only length-2 route
     g = _grid23()
     m = next(m for m in range(g.n_rows) if g.row_len[m] >= 3)
-    u, mid, w = (g.vertex_id(k, m) for k in (0, 1, 2))
+    u, mid, w = (g.row_start[m] + k for k in (0, 1, 2))
     inst = DiscreteInstance(grid=g, v_starts=(u, mid), v_goals=(w, mid))
     sol = solve(build_model(inst, 2))
     assert sol.objective_value < 2

@@ -20,8 +20,10 @@ from _oracles import (bidirectional_search, canonical_word,
                       exact_row_assignment_exists, occupant_orders,
                       reference_circulations, reference_validate,
                       replay_logical_steps, ring_generators)
-from conftest import full_occupancy_instance, random_discrete_instance
+from conftest import (full_occupancy_instance, hex_covers,
+                      random_discrete_instance)
 from test_acceptance import PAFT_PARTIAL_MAKESPANS
+from test_geometry import ALL_SIZES, PINNED_GRID_DIGESTS
 from triroute.cli import main as cli_main
 from triroute.discretize import (ContinuousInstance, DiscreteInstance,
                                  SEPARATION, discretize)
@@ -40,7 +42,7 @@ PAFT = importlib.import_module("triroute.paft")  # the package re-exports paft()
 
 def _adjacent_same_cover_hexagons(grid):
     """Two complete rings from one cover sharing an edge, if any."""
-    for cover in grid.hex_covers:
+    for cover in hex_covers(grid):
         for i in range(len(cover)):
             for j in range(i + 1, len(cover)):
                 if len(set(cover[i]) & set(cover[j])) == 2:
@@ -1405,6 +1407,49 @@ def test_a_reused_engine_routes_as_fresh_ones(draws):
                         rep.max_goal_distance, rep.cell_count,
                         rep.circulation_steps]
         assert got == want
+
+
+# sha256 of repr((columns, rows, snake)) per pinned grid size, taken when
+# the rows were still the grid's horizontal paths filtered to the covered
+# vertices
+PINNED_FAMILY_DIGESTS = {
+    (2, 3): "398eb2b1726d3770485d88cf747d9b14acc50127c1cba35b8b06af729339952c",
+    (4, 5): "384104295f69c54aa51b42d6050a2b61146017d1150f251e999f159751cc7872",
+    (6, 7): "9d742acd0ef9c9f8cb8d33c6bc9f316b30ef242eda30345a8684c7b25cfad897",
+    (9, 10): "33f64f74fcaee6442a5ba5b67acfff42d1afe761e87f8052b3b0860181289d8b",
+    (11, 17): "64f6a0afb9a043cedd9f6dd53b220f7a380ca392d85dcfbcc932c9e8b4b20f82",
+    (12, 12): "8302788fa14320f256b5ef074ae692dec22ab3f6daf9970af583a73fbc66932f",
+}
+
+
+def test_path_families_are_pinned():
+    assert PINNED_FAMILY_DIGESTS.keys() == PINNED_GRID_DIGESTS.keys()
+    for size, digest in PINNED_FAMILY_DIGESTS.items():
+        families = PAFT._path_families(build_grid(build_workspace(*size)))
+        assert hashlib.sha256(repr(families).encode()).hexdigest() == digest, size
+
+
+def test_path_families():
+    # each family is a set of vertex-disjoint grid paths that covers
+    # exactly the covered vertices
+    for n1, n2 in ALL_SIZES:
+        g = build_grid(build_workspace(n1, n2))
+        for family in SwapEngine(g).families:
+            seen = []
+            for path in family:
+                assert all(b in g.adjacency[a] for a, b in zip(path, path[1:]))
+                seen += path
+            assert len(seen) == len(set(seen)), (n1, n2)
+            assert set(seen) == g.covered, (n1, n2)
+
+
+def test_path_family_off_the_grid_raises_planner_invariant_error():
+    g = build_grid(build_workspace(2, 3))
+    a, b = PAFT._path_families(g)[1][0][:2]
+    g.adjacency[a].remove(b)
+    g.adjacency[b].remove(a)
+    with pytest.raises(PlannerInvariantError, match="not a grid path"):
+        SwapEngine(g).families
 
 
 def test_grid_tables_built_once_per_engine(monkeypatch):

@@ -1,10 +1,12 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from _oracles import joint_bfs_makespan
 from conftest import random_discrete_instance
+from triroute import triilp
 from triroute.discretize import DiscreteInstance, discretize
 from triroute.geometry import bfs_distances, bfs_path, build_grid, build_workspace
 from triroute.instances import dense_instance
@@ -82,11 +84,23 @@ def test_three_robot_matches_oracle(minimal_grid):
         assert not check_plan(g, plan, inst.v_starts, inst.v_goals)
 
 
-def test_horizon_ceiling():
+def test_horizon_ceiling(monkeypatch):
+    # a solver that routes no robot at any horizon: the search tries
+    # T = lo, ..., lo + |V| and names the last
     g = _grid23()
     inst = DiscreteInstance(grid=g, v_starts=(1, 2), v_goals=(2, 1))
-    with pytest.raises(HorizonExceededError):
-        solve_triilp(inst, horizon_margin=0)
+    lo = underestimated_makespan(inst)
+    horizons = []
+
+    def infeasible(model, **kwargs):
+        horizons.append(model.T)
+        return SimpleNamespace(objective_value=0)
+
+    monkeypatch.setattr(triilp, "solve", infeasible)
+    with pytest.raises(HorizonExceededError,
+                       match=rf"up to T={lo + g.n_vertices} \(lower bound {lo}\)"):
+        solve_triilp(inst)
+    assert horizons == list(range(lo, lo + g.n_vertices + 1))
 
 
 def test_split_midpoints():
